@@ -54,20 +54,18 @@ from .engines import (
 from .errors import WindsentError
 from .lexicons import (
     DuplicateWordError,
-    Lexicon,
     LexiconSet,
     MalformedEntryError,
     OutOfRangeScoreError,
     PatternEntry,
+    PatternLexicon,
     SynsetEntry,
-    ValenceEntry,
+    SynsetLexicon,
+    ValenceLexicon,
     WrongKindError,
     bundled_lexicon_dir,
     load_lexicon,
     load_lexicon_set,
-    lookup_pattern,
-    lookup_synsets,
-    lookup_valence,
 )
 from .pipeline import analyze_collection, analyze_only, run_analyze, run_preprocess_only
 from .preprocess import (

@@ -14,29 +14,15 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .engines import (
-    ENGINE_PATTERN,
-    ENGINE_SYNSET,
-    ENGINE_VALENCE,
-    ENGINES,
-    SentimentScore,
-    tag_pos,
-)
+from .engines import ENGINE_LEXICONS, ENGINES, SentimentScore, tag_pos
 from .errors import WindsentError
-from .lexicons import Lexicon, WrongKindError, lookup_pattern, lookup_synsets, lookup_valence
+from .lexicons import AnyLexicon, PatternLexicon, ValenceLexicon, require_kind
 from .preprocess import CleanedDocument
 
 POSITIVE = "positive"
 NEUTRAL = "neutral"
 NEGATIVE = "negative"
 LABELS = (NEGATIVE, NEUTRAL, POSITIVE)
-
-# lexicon kind expected by each engine
-_ENGINE_KINDS = {
-    ENGINE_VALENCE: "valence",
-    ENGINE_PATTERN: "pattern",
-    ENGINE_SYNSET: "synset",
-}
 
 
 class MixedEnginesError(WindsentError):
@@ -176,35 +162,33 @@ class WordRanking:
     entries: tuple[tuple[str, int], ...]
 
 
-def word_qualifies(lexicon: Lexicon, engine: str, word: str, side: str) -> bool:
+def word_qualifies(lexicon: AnyLexicon, word: str, side: str) -> bool:
     """Sign test under the lexicon of the engine that labeled the comment:
     valence > 0 / pattern polarity > 0 / top-ranked sense pos - neg > 0 for
     the positive side, the strict mirror for the negative side."""
     if side not in (POSITIVE, NEGATIVE):
         raise ValueError(f"side must be positive or negative, got {side!r}")
-    if engine == ENGINE_VALENCE:
-        value = lookup_valence(lexicon, word)
+    if isinstance(lexicon, ValenceLexicon):
+        value = lexicon._valence.get(word)
         if value is None:
             return False
         return value > 0 if side == POSITIVE else value < 0
-    if engine == ENGINE_PATTERN:
-        entry = lookup_pattern(lexicon, word)
+    if isinstance(lexicon, PatternLexicon):
+        entry = lexicon._pattern.get(word)
         if entry is None:
             return False
         return entry.polarity > 0 if side == POSITIVE else entry.polarity < 0
-    if engine == ENGINE_SYNSET:
-        (_, tag), = tag_pos([word])
-        senses = lookup_synsets(lexicon, word, tag)
-        if not senses:
-            return False
-        diff = senses[0].pos_score - senses[0].neg_score
-        return diff > 0 if side == POSITIVE else diff < 0
-    raise ValueError(f"unknown engine: {engine!r}")
+    (_, tag), = tag_pos([word])
+    senses = lexicon._synsets.get((word, tag))
+    if not senses:
+        return False
+    diff = senses[0].pos_score - senses[0].neg_score
+    return diff > 0 if side == POSITIVE else diff < 0
 
 
 def top_words(documents: Sequence[CleanedDocument],
               labeled: Sequence[LabeledComment],
-              lexicon: Lexicon, engine: str, side: str,
+              lexicon: AnyLexicon, engine: str, side: str,
               n: int = 30) -> WordRanking:
     """The n most frequent side-qualifying words over the comments the
     engine labeled with that side; every token occurrence counts; ties break
@@ -213,8 +197,7 @@ def top_words(documents: Sequence[CleanedDocument],
         raise ValueError(f"unknown engine: {engine!r}")
     if side not in (POSITIVE, NEGATIVE):
         raise ValueError(f"side must be positive or negative, got {side!r}")
-    if lexicon.kind != _ENGINE_KINDS[engine]:
-        raise WrongKindError(_ENGINE_KINDS[engine], lexicon.kind)
+    require_kind(lexicon, ENGINE_LEXICONS[engine])
     if n < 1:
         raise ValueError("n must be >= 1")
     tokens_by_id = {doc.comment_id: doc.tokens for doc in documents}
@@ -229,7 +212,7 @@ def top_words(documents: Sequence[CleanedDocument],
         except KeyError:
             raise ValueError(f"no document for labeled comment {item.comment_id!r}") from None
         for token in tokens:
-            if word_qualifies(lexicon, engine, token, side):
+            if word_qualifies(lexicon, token, side):
                 counts[token] = counts.get(token, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return WordRanking(engine, side, tuple(ranked[:n]))

@@ -8,8 +8,10 @@ any machine.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -94,8 +96,8 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.disambiguation not in (DISAMBIGUATION_FIRST, DISAMBIGUATION_AVERAGE):
             raise ConfigError(f"unknown disambiguation {self.disambiguation!r}")
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be >= 0")
+        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+            raise ConfigError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
         if self.top_n < 1:
             raise ConfigError("top-n must be >= 1")
         if self.min_token_count < 1:
@@ -129,17 +131,7 @@ class RunConfig:
             "stemming": self.apply_stemming,
             "stopwords": Path(self.stopwords_path).name,
             "top_n": self.top_n,
-            "valence_rule": {
-                "booster_increment": self.valence.booster_increment,
-                "but_boost": self.valence.but_boost,
-                "but_discount": self.valence.but_discount,
-                "caps_increment": self.valence.caps_increment,
-                "exclamation_increment": self.valence.exclamation_increment,
-                "max_exclamations": self.valence.max_exclamations,
-                "negation_factor": self.valence.negation_factor,
-                "negation_window": self.valence.negation_window,
-                "normalization_alpha": self.valence.normalization_alpha,
-            },
+            "valence_rule": dataclasses.asdict(self.valence),
         }
         canonical = json.dumps(source, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -30,19 +30,25 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .lexicons import (
-    Lexicon,
     LexiconSet,
-    WrongKindError,
-    lookup_pattern,
-    lookup_synsets,
-    lookup_valence,
+    PatternLexicon,
+    SynsetLexicon,
+    ValenceLexicon,
+    require_kind,
 )
 from .preprocess import DEFAULT_PUNCTUATION, URL_PREFIXES, CleanedDocument
 
 ENGINE_VALENCE = "valence_rule"
 ENGINE_PATTERN = "pattern_avg"
 ENGINE_SYNSET = "synset"
-ENGINES = (ENGINE_PATTERN, ENGINE_SYNSET, ENGINE_VALENCE)
+# lexicon type each engine scores with; its ``kind`` names the LexiconSet
+# field, and the key order is the report order of the engines
+ENGINE_LEXICONS = {
+    ENGINE_PATTERN: PatternLexicon,
+    ENGINE_SYNSET: SynsetLexicon,
+    ENGINE_VALENCE: ValenceLexicon,
+}
+ENGINES = tuple(ENGINE_LEXICONS)
 
 MODE_PAPER = "paper_faithful"
 MODE_NATIVE = "engine_native"
@@ -145,11 +151,11 @@ def _caps_profile(raw_text: str) -> tuple[frozenset[str], bool]:
     return frozenset(w.lower() for w in upper), all_caps
 
 
-def score_valence_rule(tokens: Sequence[str], lexicon: Lexicon,
+def score_valence_rule(tokens: Sequence[str], lexicon: ValenceLexicon,
                        config: ValenceRuleConfig = DEFAULT_VALENCE_CONFIG,
                        raw_text: str | None = None) -> SentimentScore:
-    if lexicon.kind != "valence":
-        raise WrongKindError("valence", lexicon.kind)
+    require_kind(lexicon, ValenceLexicon)
+    table = lexicon._valence
 
     caps_words: frozenset[str] = frozenset()
     all_caps = False
@@ -161,7 +167,7 @@ def score_valence_rule(tokens: Sequence[str], lexicon: Lexicon,
         if token in MODIFIER_WORDS:
             valences.append(0.0)
             continue
-        base = lookup_valence(lexicon, token)
+        base = table.get(token)
         if base is None:
             valences.append(0.0)
             continue
@@ -232,19 +238,19 @@ def score_valence_rule(tokens: Sequence[str], lexicon: Lexicon,
     return SentimentScore(ENGINE_VALENCE, compound, proportions=proportions)
 
 
-def score_pattern_avg(tokens: Sequence[str], lexicon: Lexicon) -> SentimentScore:
-    if lexicon.kind != "pattern":
-        raise WrongKindError("pattern", lexicon.kind)
+def score_pattern_avg(tokens: Sequence[str], lexicon: PatternLexicon) -> SentimentScore:
+    require_kind(lexicon, PatternLexicon)
+    table = lexicon._pattern
     polarity_sum = 0.0
     subjectivity_sum = 0.0
     matched = 0
     for i, token in enumerate(tokens):
-        entry = lookup_pattern(lexicon, token)
+        entry = table.get(token)
         if entry is None or entry.is_intensifier:
             continue
         p = entry.polarity
         if i > 0:
-            previous = lookup_pattern(lexicon, tokens[i - 1])
+            previous = table.get(tokens[i - 1])
             if previous is not None and previous.is_intensifier:
                 p = p * previous.intensity_factor
         lo = i - PATTERN_NEGATION_WINDOW
@@ -304,16 +310,16 @@ def tag_pos(tokens: Sequence[str],
     return tagged
 
 
-def score_synset(tagged_tokens: Sequence[tuple[str, str]], lexicon: Lexicon,
+def score_synset(tagged_tokens: Sequence[tuple[str, str]], lexicon: SynsetLexicon,
                  disambiguation: str = DISAMBIGUATION_FIRST) -> SentimentScore:
-    if lexicon.kind != "synset":
-        raise WrongKindError("synset", lexicon.kind)
+    require_kind(lexicon, SynsetLexicon)
+    table = lexicon._synsets
     if disambiguation not in (DISAMBIGUATION_FIRST, DISAMBIGUATION_AVERAGE):
         raise ValueError(f"unknown disambiguation: {disambiguation!r}")
     total = 0.0
     matched = 0
     for token, tag in tagged_tokens:
-        senses = lookup_synsets(lexicon, token, tag)
+        senses = table.get((token, tag))
         if not senses:
             continue
         if disambiguation == DISAMBIGUATION_FIRST:

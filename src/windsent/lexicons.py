@@ -6,18 +6,20 @@ File formats (UTF-8, '#'-prefixed comment lines ignored):
   synset  : synset_id<TAB>pos<TAB>pos_score<TAB>neg_score<TAB>sense_rank<TAB>lemma1,lemma2,...
 
 Every invariant is checked at load time; a file that violates one never
-produces a partially valid lexicon. Loaded lexicons are immutable and safe
+produces a partially valid lexicon. Each kind loads into its own frozen type
+whose table callers read directly; loaded lexicons are immutable and safe
 for concurrent lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar, Mapping
 
 from .errors import WindsentError
 
-LEXICON_KINDS = ("valence", "pattern", "synset")
 POS_TAGS = ("noun", "verb", "adj", "adv")
 
 VALENCE_BOUND = 4.0
@@ -78,12 +80,6 @@ class LexiconFileError(WindsentError):
 
 
 @dataclass(frozen=True)
-class ValenceEntry:
-    word: str
-    valence: float
-
-
-@dataclass(frozen=True)
 class PatternEntry:
     word: str
     polarity: float
@@ -102,40 +98,40 @@ class SynsetEntry:
     sense_rank: int
 
 
-class Lexicon:
-    """Immutable lookup container for one lexicon kind."""
-
-    def __init__(self, kind: str, source_path: str, entry_count: int,
-                 valence=None, pattern=None, synsets=None):
-        self.kind = kind
-        self.source_path = source_path
-        self.entry_count = entry_count
-        self._valence: dict[str, float] = valence or {}
-        self._pattern: dict[str, PatternEntry] = pattern or {}
-        self._synsets: dict[tuple[str, str], tuple[SynsetEntry, ...]] = synsets or {}
-
-    def __repr__(self):
-        return f"Lexicon(kind={self.kind!r}, entries={self.entry_count})"
+@dataclass(frozen=True)
+class ValenceLexicon:
+    """word -> valence in [-4, 4]."""
+    kind: ClassVar[str] = "valence"
+    source_path: str
+    entry_count: int
+    _valence: Mapping[str, float] = field(repr=False)
 
 
-def lookup_valence(lexicon: Lexicon, word: str) -> float | None:
-    if lexicon.kind != "valence":
-        raise WrongKindError("valence", lexicon.kind)
-    return lexicon._valence.get(word)
+@dataclass(frozen=True)
+class PatternLexicon:
+    """word -> pattern entry."""
+    kind: ClassVar[str] = "pattern"
+    source_path: str
+    entry_count: int
+    _pattern: Mapping[str, PatternEntry] = field(repr=False)
 
 
-def lookup_pattern(lexicon: Lexicon, word: str) -> PatternEntry | None:
-    if lexicon.kind != "pattern":
-        raise WrongKindError("pattern", lexicon.kind)
-    return lexicon._pattern.get(word)
+@dataclass(frozen=True)
+class SynsetLexicon:
+    """(lemma, pos) -> all senses in ascending sense_rank order."""
+    kind: ClassVar[str] = "synset"
+    source_path: str
+    entry_count: int
+    _synsets: Mapping[tuple[str, str], tuple[SynsetEntry, ...]] = field(repr=False)
 
 
-def lookup_synsets(lexicon: Lexicon, lemma: str, pos_tag: str) -> tuple[SynsetEntry, ...]:
-    """All senses for (lemma, pos) in ascending sense_rank order; empty
-    tuple when the pair is unknown."""
-    if lexicon.kind != "synset":
-        raise WrongKindError("synset", lexicon.kind)
-    return lexicon._synsets.get((lemma, pos_tag), ())
+AnyLexicon = ValenceLexicon | PatternLexicon | SynsetLexicon
+
+
+def require_kind(lexicon: AnyLexicon, expected: type) -> None:
+    """Raise WrongKindError unless ``lexicon`` is an ``expected`` lexicon."""
+    if not isinstance(lexicon, expected):
+        raise WrongKindError(expected.kind, lexicon.kind)
 
 
 def _data_lines(path: Path):
@@ -151,9 +147,12 @@ def _data_lines(path: Path):
 
 def _parse_float(value: str, lineno: int, what: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise MalformedEntryError(lineno, f"{what} is not a number: {value!r}") from None
+    if not math.isfinite(number):
+        raise MalformedEntryError(lineno, f"{what} is not finite: {value!r}")
+    return number
 
 
 def _check_word(word: str, lineno: int) -> str:
@@ -164,7 +163,7 @@ def _check_word(word: str, lineno: int) -> str:
     return word
 
 
-def _load_valence(path: Path) -> Lexicon:
+def _load_valence(path: Path) -> ValenceLexicon:
     entries: dict[str, float] = {}
     for lineno, line in _data_lines(path):
         fields = line.split("\t")
@@ -177,14 +176,14 @@ def _load_valence(path: Path) -> Lexicon:
         if word in entries:
             raise DuplicateWordError(word, lineno)
         entries[word] = valence
-    return Lexicon("valence", str(path), len(entries), valence=entries)
+    return ValenceLexicon(str(path), len(entries), entries)
 
 
 _TRUE_FLAGS = {"1", "true"}
 _FALSE_FLAGS = {"0", "false"}
 
 
-def _load_pattern(path: Path) -> Lexicon:
+def _load_pattern(path: Path) -> PatternLexicon:
     entries: dict[str, PatternEntry] = {}
     for lineno, line in _data_lines(path):
         fields = line.split("\t")
@@ -210,10 +209,10 @@ def _load_pattern(path: Path) -> Lexicon:
         if word in entries:
             raise DuplicateWordError(word, lineno)
         entries[word] = PatternEntry(word, polarity, subjectivity, is_intensifier, factor)
-    return Lexicon("pattern", str(path), len(entries), pattern=entries)
+    return PatternLexicon(str(path), len(entries), entries)
 
 
-def _load_synset(path: Path) -> Lexicon:
+def _load_synset(path: Path) -> SynsetLexicon:
     by_key: dict[tuple[str, str], list[SynsetEntry]] = {}
     seen_ids: set[str] = set()
     seen_ranks: set[tuple[str, str, int]] = set()
@@ -262,7 +261,7 @@ def _load_synset(path: Path) -> Lexicon:
         key: tuple(sorted(senses, key=lambda e: e.sense_rank))
         for key, senses in by_key.items()
     }
-    return Lexicon("synset", str(path), count, synsets=indexed)
+    return SynsetLexicon(str(path), count, indexed)
 
 
 _LOADERS = {
@@ -272,17 +271,17 @@ _LOADERS = {
 }
 
 
-def load_lexicon(path: str | Path, kind: str) -> Lexicon:
-    if kind not in LEXICON_KINDS:
+def load_lexicon(path: str | Path, kind: str) -> AnyLexicon:
+    if kind not in _LOADERS:
         raise ValueError(f"unknown lexicon kind: {kind!r}")
     return _LOADERS[kind](Path(path))
 
 
 @dataclass(frozen=True)
 class LexiconSet:
-    valence: Lexicon
-    pattern: Lexicon
-    synset: Lexicon
+    valence: ValenceLexicon
+    pattern: PatternLexicon
+    synset: SynsetLexicon
 
 
 def load_lexicon_set(directory: str | Path | None = None) -> LexiconSet:
@@ -290,7 +289,7 @@ def load_lexicon_set(directory: str | Path | None = None) -> LexiconSet:
     (bundled lexicons when none is given)."""
     base = Path(directory) if directory is not None else bundled_lexicon_dir()
     return LexiconSet(
-        valence=load_lexicon(base / LEXICON_FILENAMES["valence"], "valence"),
-        pattern=load_lexicon(base / LEXICON_FILENAMES["pattern"], "pattern"),
-        synset=load_lexicon(base / LEXICON_FILENAMES["synset"], "synset"),
+        valence=_load_valence(base / LEXICON_FILENAMES["valence"]),
+        pattern=_load_pattern(base / LEXICON_FILENAMES["pattern"]),
+        synset=_load_synset(base / LEXICON_FILENAMES["synset"]),
     )

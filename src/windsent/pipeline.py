@@ -49,19 +49,14 @@ def analyze_collection(collection: corpus.CommentCollection,
     }
     histogram = analytics.subjectivity_histogram(pattern_scores, config.bin_count)
 
-    lexicon_for = {
-        engines.ENGINE_VALENCE: lexicons.valence,
-        engines.ENGINE_PATTERN: lexicons.pattern,
-        engines.ENGINE_SYNSET: lexicons.synset,
-    }
-    rankings = {
-        engine: {
-            side: analytics.top_words(kept, labeled[engine], lexicon_for[engine],
+    rankings = {}
+    for engine in engines.ENGINES:
+        lexicon = getattr(lexicons, engines.ENGINE_LEXICONS[engine].kind)
+        rankings[engine] = {
+            side: analytics.top_words(kept, labeled[engine], lexicon,
                                       engine, side, config.top_n)
             for side in report_mod.SIDES
         }
-        for engine in engines.ENGINES
-    }
 
     return report_mod.AnalysisReport(
         config_digest=config.digest(),

@@ -138,15 +138,9 @@ def _suffix_lemma(token: str) -> str | None:
     return None
 
 
-def lemmatize(token: str, pos_hint: str | None = None,
-              table: Mapping[str, str] | None = None) -> str:
+def lemmatize(token: str, table: Mapping[str, str] | None = None) -> str:
     """Dictionary lemma when the token is in the table, else suffix-rule
-    fallback, iterated to a fixpoint. Unknown tokens pass through.
-
-    The bundled table is keyed by surface form alone, so ``pos_hint`` is
-    accepted for interface symmetry but does not alter the lookup.
-    """
-    del pos_hint
+    fallback, iterated to a fixpoint. Unknown tokens pass through."""
     if table is None:
         table = _cached_lemma_table(str(DEFAULT_LEMMAS_PATH))
     seen = set()

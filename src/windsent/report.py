@@ -262,4 +262,8 @@ def load_report(path: str | Path) -> AnalysisReport:
         raise ReportNotReadableError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ReportNotReadableError(f"{path}: invalid JSON ({exc.msg})") from exc
-    return report_from_dict(data)
+    try:
+        return report_from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReportNotReadableError(
+            f"{path}: not a windsent report ({type(exc).__name__}: {exc})") from exc

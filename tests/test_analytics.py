@@ -18,10 +18,10 @@ from windsent.analytics import (
 )
 from windsent.engines import (
     ENGINE_PATTERN,
-    ENGINE_SYNSET,
     ENGINE_VALENCE,
     SentimentScore,
 )
+from windsent.lexicons import WrongKindError
 from windsent.preprocess import CleanedDocument
 
 
@@ -198,7 +198,7 @@ class TestTopWords:
         assert len(ranking.entries) == 2
 
     def test_wrong_lexicon_for_engine(self, lexicons):
-        with pytest.raises(Exception):
+        with pytest.raises(WrongKindError):
             top_words([], [], lexicons.valence, ENGINE_PATTERN, "positive")
 
     def test_mixed_engines(self, lexicons):
@@ -208,16 +208,16 @@ class TestTopWords:
             top_words(docs, labeled, lexicons.valence, ENGINE_VALENCE, "positive")
 
     def test_qualification_rules(self, lexicons):
-        assert word_qualifies(lexicons.valence, ENGINE_VALENCE, "good", "positive")
-        assert not word_qualifies(lexicons.valence, ENGINE_VALENCE, "good", "negative")
-        assert word_qualifies(lexicons.valence, ENGINE_VALENCE, "terrible", "negative")
-        assert not word_qualifies(lexicons.valence, ENGINE_VALENCE, "zzz", "positive")
-        assert word_qualifies(lexicons.pattern, ENGINE_PATTERN, "great", "positive")
-        assert not word_qualifies(lexicons.pattern, ENGINE_PATTERN, "very", "positive")
-        assert word_qualifies(lexicons.synset, ENGINE_SYNSET, "good", "positive")
-        assert word_qualifies(lexicons.synset, ENGINE_SYNSET, "kill", "negative")
+        assert word_qualifies(lexicons.valence, "good", "positive")
+        assert not word_qualifies(lexicons.valence, "good", "negative")
+        assert word_qualifies(lexicons.valence, "terrible", "negative")
+        assert not word_qualifies(lexicons.valence, "zzz", "positive")
+        assert word_qualifies(lexicons.pattern, "great", "positive")
+        assert not word_qualifies(lexicons.pattern, "very", "positive")
+        assert word_qualifies(lexicons.synset, "good", "positive")
+        assert word_qualifies(lexicons.synset, "kill", "negative")
         # rank-1 sense of "estimable" as tagged (adj) is positive
-        assert word_qualifies(lexicons.synset, ENGINE_SYNSET, "estimable", "positive")
+        assert word_qualifies(lexicons.synset, "estimable", "positive")
 
 
 def test_label_comment_carries_engine_and_label():

@@ -6,6 +6,10 @@ pipeline unchanged (otherwise corpus tokens could never match them), and
 every synset lemma is reachable under the tag its entries carry.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 from windsent.engines import (
     AMPLIFIERS,
     CONTRAST_WORD,
@@ -13,7 +17,6 @@ from windsent.engines import (
     NEGATION_WORDS,
     tag_pos,
 )
-from windsent.lexicons import lookup_synsets
 from windsent.preprocess import default_config, lemmatize, load_stopwords
 
 
@@ -55,7 +58,7 @@ def test_synset_lemmas_reachable_under_their_tags(lexicons):
         assert lemma not in config.stopwords
         assert lemmatize(lemma, table=config.lemma_table) == lemma
         (_, tagged), = tag_pos([lemma])
-        reachable = lookup_synsets(lexicons.synset, lemma, tagged)
+        reachable = lexicons.synset._synsets.get((lemma, tagged))
         tags_for_lemma = {p for (l, p) in lexicons.synset._synsets if l == lemma}
         if tagged in tags_for_lemma:
             assert reachable
@@ -65,3 +68,10 @@ def test_intensifier_entries_carry_zero_polarity(lexicons):
     for entry in lexicons.pattern._pattern.values():
         if entry.is_intensifier:
             assert entry.polarity == 0.0
+
+
+def test_check_data_script_passes():
+    script = Path(__file__).resolve().parents[1] / "tools" / "check_data.py"
+    result = subprocess.run([sys.executable, str(script)], capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr

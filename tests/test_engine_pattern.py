@@ -1,7 +1,7 @@
 import pytest
 
 from windsent.engines import score_pattern_avg
-from windsent.lexicons import WrongKindError, load_lexicon, lookup_pattern
+from windsent.lexicons import WrongKindError, load_lexicon
 
 
 class TestPatternAveraging:
@@ -13,8 +13,8 @@ class TestPatternAveraging:
     def test_great_awful_mean(self, lexicons):
         score = score_pattern_avg(["great", "awful"], lexicons.pattern)
         assert score.polarity == (0.8 + -1.0) / 2
-        great = lookup_pattern(lexicons.pattern, "great").subjectivity
-        awful = lookup_pattern(lexicons.pattern, "awful").subjectivity
+        great = lexicons.pattern._pattern["great"].subjectivity
+        awful = lexicons.pattern._pattern["awful"].subjectivity
         assert score.subjectivity == (great + awful) / 2
 
     def test_unmatched_tokens_do_not_dilute(self, lexicons):
@@ -29,7 +29,7 @@ class TestPatternAveraging:
 
 class TestIntensifiers:
     def test_intensifier_multiplies_next_matched_word(self, lexicons):
-        factor = lookup_pattern(lexicons.pattern, "very").intensity_factor
+        factor = lexicons.pattern._pattern["very"].intensity_factor
         score = score_pattern_avg(["very", "great"], lexicons.pattern)
         assert score.polarity == min(0.8 * factor, 1.0)
 
@@ -39,7 +39,7 @@ class TestIntensifiers:
         assert plain.subjectivity == modified.subjectivity
 
     def test_dampener_reduces_magnitude(self, lexicons):
-        factor = lookup_pattern(lexicons.pattern, "slightly").intensity_factor
+        factor = lexicons.pattern._pattern["slightly"].intensity_factor
         assert factor < 1
         score = score_pattern_avg(["slightly", "great"], lexicons.pattern)
         assert score.polarity == 0.8 * factor

@@ -10,7 +10,7 @@ from windsent.engines import (
     compound_from_sum,
     score_valence_rule,
 )
-from windsent.lexicons import WrongKindError, lookup_valence
+from windsent.lexicons import WrongKindError
 
 ALPHA = DEFAULT_VALENCE_CONFIG.normalization_alpha
 

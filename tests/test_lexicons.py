@@ -1,5 +1,7 @@
 import pytest
 
+from windsent.analytics import top_words
+from windsent.engines import score_pattern_avg, score_synset, score_valence_rule
 from windsent.lexicons import (
     DuplicateWordError,
     LexiconFileError,
@@ -7,10 +9,6 @@ from windsent.lexicons import (
     OutOfRangeScoreError,
     WrongKindError,
     load_lexicon,
-    load_lexicon_set,
-    lookup_pattern,
-    lookup_synsets,
-    lookup_valence,
 )
 
 
@@ -23,7 +21,7 @@ class TestValenceLoading:
     def test_basic_entry(self, tmp_path):
         lex = load_lexicon(write(tmp_path / "v.tsv", "great\t3.1\n"), "valence")
         assert lex.entry_count == 1
-        assert lookup_valence(lex, "great") == 3.1
+        assert lex._valence.get("great") == 3.1
 
     def test_out_of_range(self, tmp_path):
         with pytest.raises(OutOfRangeScoreError) as exc:
@@ -57,9 +55,9 @@ class TestPatternLoading:
         lex = load_lexicon(
             write(tmp_path / "p.tsv", "great\t0.8\t0.75\t0\t1.0\nvery\t0.0\t0.0\t1\t1.3\n"),
             "pattern")
-        entry = lookup_pattern(lex, "very")
+        entry = lex._pattern["very"]
         assert entry.is_intensifier and entry.intensity_factor == 1.3
-        assert lookup_pattern(lex, "great").polarity == 0.8
+        assert lex._pattern["great"].polarity == 0.8
 
     def test_polarity_bound(self, tmp_path):
         with pytest.raises(OutOfRangeScoreError):
@@ -72,6 +70,23 @@ class TestPatternLoading:
     def test_bad_flag(self, tmp_path):
         with pytest.raises(MalformedEntryError):
             load_lexicon(write(tmp_path / "p.tsv", "w\t0.5\t0.5\tmaybe\t1.0\n"), "pattern")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind,row,field", [
+    ("valence", "w\t{}", "valence"),
+    ("pattern", "w\t{}\t0.5\t0\t1.0", "polarity"),
+    ("pattern", "w\t0.5\t{}\t0\t1.0", "subjectivity"),
+    ("pattern", "w\t0.0\t0.0\t1\t{}", "intensity_factor"),
+    ("synset", "x.a.01\tadj\t{}\t0.0\t1\tx", "pos_score"),
+    ("synset", "x.a.01\tadj\t0.0\t{}\t1\tx", "neg_score"),
+])
+def test_non_finite_number_rejected(tmp_path, kind, row, field, value):
+    path = write(tmp_path / f"{kind}.tsv", "# header\n" + row.format(value) + "\n")
+    with pytest.raises(MalformedEntryError) as exc:
+        load_lexicon(path, kind)
+    assert exc.value.line == 2
+    assert field in exc.value.reason and "not finite" in exc.value.reason
 
 
 class TestSynsetLoading:
@@ -89,13 +104,13 @@ class TestSynsetLoading:
         text = ("x.a.02\tadj\t0.0\t0.5\t2\tx\n"
                 "x.a.01\tadj\t0.5\t0.0\t1\tx\n")
         lex = load_lexicon(write(tmp_path / "s.tsv", text), "synset")
-        senses = lookup_synsets(lex, "x", "adj")
+        senses = lex._synsets.get(("x", "adj"), ())
         assert [s.sense_rank for s in senses] == [1, 2]
 
     def test_unknown_lemma_empty(self, tmp_path):
         lex = load_lexicon(write(tmp_path / "s.tsv", "x.a.01\tadj\t0.5\t0.0\t1\tx\n"),
                            "synset")
-        assert lookup_synsets(lex, "zzzz", "adj") == ()
+        assert lex._synsets.get(("zzzz", "adj"), ()) == ()
 
     def test_bad_pos(self, tmp_path):
         with pytest.raises(MalformedEntryError):
@@ -104,13 +119,15 @@ class TestSynsetLoading:
 
 
 class TestWrongKind:
-    def test_lookup_kind_checks(self, lexicons):
+    def test_engine_entry_kind_checks(self, lexicons):
         with pytest.raises(WrongKindError):
-            lookup_valence(lexicons.pattern, "good")
+            score_valence_rule(["good"], lexicons.pattern)
         with pytest.raises(WrongKindError):
-            lookup_pattern(lexicons.valence, "good")
+            score_pattern_avg(["good"], lexicons.valence)
         with pytest.raises(WrongKindError):
-            lookup_synsets(lexicons.valence, "good", "adj")
+            score_synset([("good", "adj")], lexicons.valence)
+        with pytest.raises(WrongKindError):
+            top_words([], [], lexicons.synset, "valence_rule", "positive")
 
 
 class TestBundledLexicons:
@@ -121,13 +138,13 @@ class TestBundledLexicons:
         recorded = manifest["lexicons"]["valence"]
         assert lexicons.valence.entry_count == len(recorded)
         for word, value in recorded.items():
-            assert lookup_valence(lexicons.valence, word) == value
+            assert lexicons.valence._valence.get(word) == value
 
     def test_pattern_matches_manifest(self, lexicons, manifest):
         recorded = manifest["lexicons"]["pattern"]
         assert lexicons.pattern.entry_count == len(recorded)
         for word, (pol, subj, flag, factor) in recorded.items():
-            entry = lookup_pattern(lexicons.pattern, word)
+            entry = lexicons.pattern._pattern[word]
             assert (entry.polarity, entry.subjectivity,
                     entry.is_intensifier, entry.intensity_factor) \
                 == (pol, subj, flag, factor)
@@ -137,7 +154,7 @@ class TestBundledLexicons:
         assert lexicons.synset.entry_count == len(rows)
         for sid, pos, ps, ns, rank, lemmas in rows:
             for lemma in lemmas:
-                senses = lookup_synsets(lexicons.synset, lemma, pos)
+                senses = lexicons.synset._synsets.get((lemma, pos), ())
                 match = [s for s in senses if s.synset_id == sid]
                 assert len(match) == 1
                 entry = match[0]
@@ -145,31 +162,31 @@ class TestBundledLexicons:
                     == (ps, ns, rank)
 
     def test_fixed_reference_values(self, lexicons):
-        assert lookup_valence(lexicons.valence, "good") == 1.9
-        assert lookup_valence(lexicons.valence, "terrible") == -2.1
-        assert lookup_valence(lexicons.valence, "great") == 3.1
-        assert lookup_valence(lexicons.valence, "zzzz") is None
-        assert lookup_pattern(lexicons.pattern, "great").polarity == 0.8
-        assert lookup_pattern(lexicons.pattern, "awful").polarity == -1.0
+        assert lexicons.valence._valence.get("good") == 1.9
+        assert lexicons.valence._valence.get("terrible") == -2.1
+        assert lexicons.valence._valence.get("great") == 3.1
+        assert lexicons.valence._valence.get("zzzz") is None
+        assert lexicons.pattern._pattern["great"].polarity == 0.8
+        assert lexicons.pattern._pattern["awful"].polarity == -1.0
 
     def test_estimable_senses(self, lexicons):
-        adj = lookup_synsets(lexicons.synset, "estimable", "adj")
+        adj = lexicons.synset._synsets.get(("estimable", "adj"), ())
         assert len(adj) == 2
         assert adj[0].sense_rank == 1 and adj[0].pos_score == 0.75 and adj[0].neg_score == 0.0
         assert adj[1].sense_rank == 2 and adj[1].pos_score == 0.0 and adj[1].neg_score == 0.0
-        noun = lookup_synsets(lexicons.synset, "estimable", "noun")
+        noun = lexicons.synset._synsets.get(("estimable", "noun"), ())
         assert len(noun) == 1
         assert noun[0].pos_score == 0.0 and noun[0].neg_score == 0.0
 
     def test_good_noun_vs_adj_distinct(self, lexicons):
-        noun = lookup_synsets(lexicons.synset, "good", "noun")
-        adj = lookup_synsets(lexicons.synset, "good", "adj")
+        noun = lexicons.synset._synsets.get(("good", "noun"), ())
+        adj = lexicons.synset._synsets.get(("good", "adj"), ())
         assert noun and adj
         assert {s.synset_id for s in noun} != {s.synset_id for s in adj}
 
     def test_repeated_lookup_deterministic(self, lexicons):
-        first = lookup_synsets(lexicons.synset, "good", "adj")
-        second = lookup_synsets(lexicons.synset, "good", "adj")
+        first = lexicons.synset._synsets.get(("good", "adj"), ())
+        second = lexicons.synset._synsets.get(("good", "adj"), ())
         assert first == second
 
 
@@ -185,8 +202,6 @@ def test_unknown_kind_rejected(tmp_path):
 
 
 def test_empty_lexicon_files_load_as_empty(tmp_path):
-    from windsent.engines import score_pattern_avg, score_synset, score_valence_rule
-
     for kind in ("valence", "pattern", "synset"):
         path = tmp_path / f"{kind}.tsv"
         path.write_text("# nothing here\n", encoding="utf-8")

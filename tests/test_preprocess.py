@@ -79,9 +79,6 @@ class TestLemmatize:
     def test_examples(self, token, lemma):
         assert lemmatize(token) == lemma
 
-    def test_pos_hint_accepted(self):
-        assert lemmatize("running", pos_hint="verb") == "run"
-
     def test_output_is_fixpoint(self):
         config = default_config()
         for token in ("runnings", "turbines", "energies", "killings", "thes"):

@@ -12,6 +12,7 @@ from windsent.config import (
     infer_format,
     parse_config_file,
 )
+from windsent.engines import ValenceRuleConfig
 from windsent.pipeline import run_analyze, run_preprocess_only
 from windsent.report import load_report, report_json_bytes
 
@@ -191,6 +192,16 @@ class TestConfigHandling:
         b = RunConfig(input_path=copied, input_format="jsonl", out_dir=tmp_path / "b")
         assert a.digest() == b.digest()
 
+    def test_digest_pins_every_valence_rule_field(self):
+        valence = ValenceRuleConfig(
+            negation_window=2, negation_factor=-0.5, booster_increment=0.25,
+            caps_increment=0.5, exclamation_increment=0.125, max_exclamations=3,
+            but_discount=0.25, but_boost=2.0, normalization_alpha=10.0)
+        config = RunConfig(input_path="in.jsonl", input_format="jsonl",
+                           out_dir="out", valence=valence)
+        assert config.digest() == \
+            "df418ee641d2633dfd4268e8517a44b0c46fea898b30be562143dac7774519d9"
+
     def test_digest_changes_with_settings(self, golden_corpus_path, tmp_path):
         base = RunConfig(input_path=golden_corpus_path, input_format="jsonl",
                          out_dir=tmp_path)
@@ -224,6 +235,18 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("ERROR config/invalid:")
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_rejected(self, golden_corpus_path, tmp_path, capsys,
+                                         epsilon):
+        out = tmp_path / "out"
+        code = main(["analyze", "--input", str(golden_corpus_path),
+                     "--epsilon", epsilon, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("ERROR config/invalid:")
+        assert not (out / "report.json").exists()
 
     def test_malformed_record_error_code(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
@@ -276,6 +299,16 @@ class TestCli:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err.startswith("ERROR report/file-not-readable:")
+
+    @pytest.mark.parametrize("content", ['{"meta": {}}', "[1, 2]"])
+    def test_plot_structurally_wrong_report_error(self, tmp_path, capsys, content):
+        report = tmp_path / "report.json"
+        report.write_text(content, encoding="utf-8")
+        code = main(["plot", "--report", str(report), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("ERROR report/file-not-readable:")
 
     def test_lenient_duplicate_ids_end_to_end(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
