@@ -17,21 +17,22 @@ import sys
 from pathlib import Path
 
 from . import pipeline, report as report_mod, svgplots
-from .config import ConfigError, build_run_config, parse_config_file
+from .config import SETTINGS, build_run_config, parse_config_file
+from .engines import ENGINES
 from .errors import WindsentError
 
 
 def _add_common_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="corpus file (CSV or JSONL)")
-    parser.add_argument("--format", choices=["csv", "jsonl"],
-                        help="corpus format (default: inferred from the file suffix)")
+    parser.add_argument("--format", help="corpus format: csv or jsonl (default: "
+                                          "inferred from the file suffix)")
     parser.add_argument("--config", help="flat key=value config file; flags win")
     parser.add_argument("--lenient", action="store_true", default=None,
                         help="skip malformed records instead of aborting "
                              "(writes skipped.jsonl)")
     parser.add_argument("--stopwords", help="stopword file override")
     parser.add_argument("--lemmas", help="lemma table override")
-    parser.add_argument("--min-tokens", type=int, dest="min_tokens",
+    parser.add_argument("--min-tokens", dest="min_tokens",
                         help="drop cleaned comments shorter than this many tokens "
                              "(default 3)")
     parser.add_argument("--stem", action="store_true", default=None, dest="stemming",
@@ -44,45 +45,30 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lexicons", help="directory with valence.tsv, pattern.tsv, "
                                            "synset.tsv (default: bundled)")
     parser.add_argument("--mode", help="paper-faithful (default) or engine-native")
-    parser.add_argument("--epsilon", type=float,
+    parser.add_argument("--epsilon",
                         help="neutral band half-width for labeling (default 0)")
-    parser.add_argument("--top-n", type=int, dest="top_n",
+    parser.add_argument("--top-n", dest="top_n",
                         help="ranking length (default 30)")
-    parser.add_argument("--bins", type=int, help="subjectivity histogram bins "
-                                                 "(default 10)")
+    parser.add_argument("--bins", help="subjectivity histogram bins, 1 to "
+                                       f"{svgplots.MAX_BINS} (default 10)")
     parser.add_argument("--disambiguation",
                         help="synset sense choice: first-sense (default) or "
                              "average-senses")
 
 
-def _flag_values(args: argparse.Namespace, keys: dict[str, str]) -> dict[str, object]:
-    values: dict[str, object] = {}
-    for attr, key in keys.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            values[key] = value
-    return values
+def _flag_values(args: argparse.Namespace) -> dict[str, object]:
+    """The settings the user passed as flags, keyed by their config key."""
+    return {key: value for key, value in vars(args).items()
+            if key in SETTINGS and value is not None}
 
 
-_COMMON_KEYS = {
-    "input": "input", "format": "format", "lenient": "lenient",
-    "stopwords": "stopwords", "lemmas": "lemmas", "min_tokens": "min_tokens",
-    "stemming": "stemming", "lemmatization": "lemmatization",
-}
-_ANALYSIS_KEYS = {
-    "lexicons": "lexicons", "mode": "mode", "epsilon": "epsilon",
-    "top_n": "top_n", "bins": "bins", "disambiguation": "disambiguation",
-}
-
-
-def _build_config(args: argparse.Namespace, keys: dict[str, str]):
+def _build_config(args: argparse.Namespace):
     file_values = parse_config_file(args.config) if args.config else {}
-    return build_run_config(file_values, _flag_values(args, keys))
+    return build_run_config(file_values, _flag_values(args))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    keys = {**_COMMON_KEYS, **_ANALYSIS_KEYS, "out": "out", "plots": "plots"}
-    config = _build_config(args, keys)
+    config = _build_config(args)
     result = pipeline.run_analyze(config)
     print(f"analyzed {result.corpus_size} comments "
           f"({result.kept_count} kept, {result.dropped_count} dropped) "
@@ -91,24 +77,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    keys = {**_COMMON_KEYS, "out": "out"}
-    config = _build_config(args, keys)
+    config = _build_config(args)
     out_path = pipeline.run_preprocess_only(config, config.out_dir)
     print(f"wrote cleaned corpus -> {out_path}")
     return 0
 
 
 def cmd_top_words(args: argparse.Namespace) -> int:
-    keys = {**_COMMON_KEYS, **_ANALYSIS_KEYS, "out": "out"}
     file_values = parse_config_file(args.config) if args.config else {}
-    flag_values = _flag_values(args, keys)
+    flag_values = _flag_values(args)
     to_stdout = "out" not in flag_values and "out" not in file_values
     if to_stdout:
         flag_values["out"] = "."  # analysis-only run, nothing is written there
     config = build_run_config(file_values, flag_values)
     result = pipeline.analyze_only(config)
     engines_wanted = [args.engine] if args.engine else sorted(result.rankings)
-    sides_wanted = [args.side] if args.side else ["negative", "positive"]
+    sides_wanted = [args.side] if args.side else list(report_mod.SIDES)
     if to_stdout:
         for engine in engines_wanted:
             for side in sides_wanted:
@@ -160,9 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("top-words", help="print or write the word rankings")
     _add_common_input_flags(p)
     _add_analysis_flags(p)
-    p.add_argument("--engine", choices=["pattern_avg", "synset", "valence_rule"],
+    p.add_argument("--engine", choices=ENGINES,
                    help="restrict to one engine")
-    p.add_argument("--side", choices=["negative", "positive"],
+    p.add_argument("--side", choices=report_mod.SIDES,
                    help="restrict to one side")
     p.add_argument("--out", help="directory for ranking CSVs (default: stdout)")
     p.set_defaults(func=cmd_top_words)

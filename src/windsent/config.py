@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .engines import (
     DISAMBIGUATION_AVERAGE,
@@ -25,6 +26,7 @@ from .engines import (
 from .errors import WindsentError
 from .lexicons import LEXICON_FILENAMES, bundled_lexicon_dir
 from .preprocess import DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH
+from .svgplots import MAX_BINS
 
 
 class ConfigError(WindsentError):
@@ -44,20 +46,46 @@ def parse_bool(value: str, key: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
-def normalize_mode(value: str) -> str:
-    mode = value.strip().lower().replace("-", "_")
-    if mode not in PIPELINE_MODES:
-        raise ConfigError(
-            f"mode must be paper-faithful or engine-native, got {value!r}")
-    return mode
+def _path(value: str, key: str) -> Path:
+    return Path(value)
 
 
-def normalize_disambiguation(value: str) -> str:
-    name = value.strip().lower().replace("-", "_")
-    if name not in (DISAMBIGUATION_FIRST, DISAMBIGUATION_AVERAGE):
-        raise ConfigError(
-            f"disambiguation must be first-sense or average-senses, got {value!r}")
-    return name
+def _name(value: str, key: str) -> str:
+    return value.strip().lower().replace("-", "_")
+
+
+def _number(cast: type[int] | type[float]) -> Callable[[str, str], object]:
+    what = "a whole number" if cast is int else "a number"
+
+    def convert(value: str, key: str):
+        try:
+            return cast(value)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {what}, got {value!r}") from None
+    return convert
+
+
+# config key (also the CLI flag's argparse dest) -> (RunConfig field, converter).
+# Converters only turn the text into the field's type; RunConfig.validate is
+# the one place that checks the value.
+SETTINGS: dict[str, tuple[str, Callable[[str, str], object]]] = {
+    "input": ("input_path", _path),
+    "format": ("input_format", _name),
+    "out": ("out_dir", _path),
+    "lexicons": ("lexicon_dir", _path),
+    "mode": ("mode", _name),
+    "epsilon": ("epsilon", _number(float)),
+    "top_n": ("top_n", _number(int)),
+    "plots": ("plots", parse_bool),
+    "lenient": ("lenient", parse_bool),
+    "min_tokens": ("min_token_count", _number(int)),
+    "stemming": ("apply_stemming", parse_bool),
+    "lemmatization": ("apply_lemmatization", parse_bool),
+    "stopwords": ("stopwords_path", _path),
+    "lemmas": ("lemmas_path", _path),
+    "disambiguation": ("disambiguation", _name),
+    "bins": ("bin_count", _number(int)),
+}
 
 
 @dataclass
@@ -93,17 +121,19 @@ class RunConfig:
         if self.input_format not in ("csv", "jsonl"):
             raise ConfigError(f"format must be csv or jsonl, got {self.input_format!r}")
         if self.mode not in PIPELINE_MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
+            raise ConfigError(
+                f"mode must be paper-faithful or engine-native, got {self.mode!r}")
         if self.disambiguation not in (DISAMBIGUATION_FIRST, DISAMBIGUATION_AVERAGE):
-            raise ConfigError(f"unknown disambiguation {self.disambiguation!r}")
+            raise ConfigError("disambiguation must be first-sense or average-senses, "
+                              f"got {self.disambiguation!r}")
         if not math.isfinite(self.epsilon) or self.epsilon < 0:
             raise ConfigError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
         if self.top_n < 1:
             raise ConfigError("top-n must be >= 1")
         if self.min_token_count < 1:
             raise ConfigError("min-tokens must be >= 1")
-        if self.bin_count < 1:
-            raise ConfigError("bins must be >= 1")
+        if not 1 <= self.bin_count <= MAX_BINS:
+            raise ConfigError(f"bins must be in 1..{MAX_BINS}, got {self.bin_count}")
         if not self.input_path.is_file():
             raise ConfigError(f"input file not found: {self.input_path}")
         if require_lexicons:
@@ -165,83 +195,21 @@ def infer_format(path: Path) -> str:
         f"cannot infer format from {path.name!r}; pass --format csv|jsonl")
 
 
-_CONFIG_KEYS = {
-    "input", "format", "lexicons", "mode", "epsilon", "top_n", "out", "plots",
-    "lenient", "min_tokens", "stemming", "lemmatization", "stopwords",
-    "lemmas", "disambiguation", "bins",
-}
-
-
 def build_run_config(file_values: dict[str, str], flag_values: dict[str, object]) -> RunConfig:
     """Merge config-file values with CLI flags (flags win) into a RunConfig.
     ``flag_values`` holds only flags the user actually passed."""
-    for key in file_values:
-        if key not in _CONFIG_KEYS:
+    merged = {**file_values, **flag_values}
+    for key in merged:
+        if key not in SETTINGS:
             raise ConfigError(f"unknown config key: {key!r}")
-    merged: dict[str, object] = {}
-
-    def pick(key: str):
-        if key in flag_values:
-            return flag_values[key]
-        return file_values.get(key)
-
-    raw_input = pick("input")
-    if raw_input is None:
-        raise ConfigError("input is required")
-    merged["input_path"] = Path(str(raw_input))
-
-    raw_out = pick("out")
-    if raw_out is None:
-        raise ConfigError("out is required")
-    merged["out_dir"] = Path(str(raw_out))
-
-    raw_format = pick("format")
-    if raw_format is None:
-        merged["input_format"] = infer_format(merged["input_path"])
-    else:
-        merged["input_format"] = str(raw_format).strip().lower()
-
-    raw = pick("lexicons")
-    if raw is not None:
-        merged["lexicon_dir"] = Path(str(raw))
-    raw = pick("mode")
-    if raw is not None:
-        merged["mode"] = normalize_mode(str(raw))
-    raw = pick("disambiguation")
-    if raw is not None:
-        merged["disambiguation"] = normalize_disambiguation(str(raw))
-    raw = pick("stopwords")
-    if raw is not None:
-        merged["stopwords_path"] = Path(str(raw))
-    raw = pick("lemmas")
-    if raw is not None:
-        merged["lemmas_path"] = Path(str(raw))
-
-    numeric = (
-        ("epsilon", "epsilon", float),
-        ("top_n", "top_n", int),
-        ("min_tokens", "min_token_count", int),
-        ("bins", "bin_count", int),
-    )
-    for key, attr, cast in numeric:
-        raw = pick(key)
-        if raw is None:
-            continue
-        try:
-            merged[attr] = cast(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-    booleans = (
-        ("plots", "plots"),
-        ("lenient", "lenient"),
-        ("stemming", "apply_stemming"),
-        ("lemmatization", "apply_lemmatization"),
-    )
-    for key, attr in booleans:
-        raw = pick(key)
-        if raw is None:
-            continue
-        merged[attr] = raw if isinstance(raw, bool) else parse_bool(str(raw), key)
-
-    return RunConfig(**merged)
+    for key in ("input", "out"):
+        if key not in merged:
+            raise ConfigError(f"{key} is required")
+    fields = {}
+    # switches arrive as bools, which str() turns into text parse_bool reads
+    for key, raw in merged.items():
+        name, convert = SETTINGS[key]
+        fields[name] = convert(str(raw), key)
+    if "input_format" not in fields:
+        fields["input_format"] = infer_format(fields["input_path"])
+    return RunConfig(**fields)

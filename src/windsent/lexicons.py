@@ -39,7 +39,17 @@ def bundled_lexicon_dir() -> Path:
     return _DATA_DIR / "lexicons"
 
 
-class MalformedEntryError(WindsentError):
+class _EntryError(WindsentError):
+    """A bad line in a lexicon file; ``load_lexicon`` sets ``path`` so the
+    message reads ``<path>: line N: <reason>``."""
+    path: Path | None = None
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.path is None else f"{self.path}: {message}"
+
+
+class MalformedEntryError(_EntryError):
     code = "lexicon/malformed-entry"
 
     def __init__(self, line: int, reason: str):
@@ -48,7 +58,7 @@ class MalformedEntryError(WindsentError):
         self.reason = reason
 
 
-class OutOfRangeScoreError(WindsentError):
+class OutOfRangeScoreError(_EntryError):
     code = "lexicon/out-of-range"
 
     def __init__(self, line: int, reason: str):
@@ -57,7 +67,7 @@ class OutOfRangeScoreError(WindsentError):
         self.reason = reason
 
 
-class DuplicateWordError(WindsentError):
+class DuplicateWordError(_EntryError):
     code = "lexicon/duplicate-word"
 
     def __init__(self, word: str, line: int):
@@ -274,7 +284,12 @@ _LOADERS = {
 def load_lexicon(path: str | Path, kind: str) -> AnyLexicon:
     if kind not in _LOADERS:
         raise ValueError(f"unknown lexicon kind: {kind!r}")
-    return _LOADERS[kind](Path(path))
+    path = Path(path)
+    try:
+        return _LOADERS[kind](path)
+    except _EntryError as exc:
+        exc.path = path
+        raise
 
 
 @dataclass(frozen=True)
@@ -288,8 +303,5 @@ def load_lexicon_set(directory: str | Path | None = None) -> LexiconSet:
     """Load valence.tsv, pattern.tsv and synset.tsv from a directory
     (bundled lexicons when none is given)."""
     base = Path(directory) if directory is not None else bundled_lexicon_dir()
-    return LexiconSet(
-        valence=_load_valence(base / LEXICON_FILENAMES["valence"]),
-        pattern=_load_pattern(base / LEXICON_FILENAMES["pattern"]),
-        synset=_load_synset(base / LEXICON_FILENAMES["synset"]),
-    )
+    return LexiconSet(**{kind: load_lexicon(base / name, kind)
+                         for kind, name in LEXICON_FILENAMES.items()})

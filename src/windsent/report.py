@@ -188,6 +188,14 @@ def write_report_files(report: AnalysisReport, outdir: str | Path) -> list[Path]
         raise OutputNotWritableError(f"{outdir}: {exc.strerror or exc}") from exc
 
 
+def _typed(value, kinds: tuple[type, ...], where: str):
+    """``value`` if its type is exactly one of ``kinds`` (a JSON ``true`` is
+    not an int), else TypeError."""
+    if type(value) not in kinds:
+        raise TypeError(f"{where}: expected {kinds[0].__name__}, got {value!r}")
+    return value
+
+
 def report_from_dict(data: Mapping) -> AnalysisReport:
     """Rebuild a report from its JSON form (used by the plot subcommand).
     Only the sections the plots need are reconstructed in full fidelity."""
@@ -216,26 +224,33 @@ def report_from_dict(data: Mapping) -> AnalysisReport:
         comments.append(CommentRow(entry["id"], engine_scores, dict(entry["labels"])))
 
     distributions = {}
-    for engine, dist in data["distributions"].items():
-        counts = {lab: dist["counts"][lab] for lab in LABELS}
+    for engine in ENGINES:
+        dist = data["distributions"][engine]
+        counts = {lab: _typed(dist["counts"][lab], (int,),
+                              f"distributions.{engine}.counts")
+                  for lab in LABELS}
         proportions = {lab: dist["proportions"][lab] for lab in LABELS}
         distributions[engine] = DistributionReport(engine, counts, proportions)
 
     subjectivity = data["subjectivity"]
     histogram = SubjectivityHistogram(
-        tuple(subjectivity["bin_edges"]),
-        tuple(subjectivity["counts"]),
+        tuple(_typed(edge, (float, int), "subjectivity.bin_edges")
+              for edge in subjectivity["bin_edges"]),
+        tuple(_typed(count, (int,), "subjectivity.counts")
+              for count in subjectivity["counts"]),
         subjectivity["mean"],
         subjectivity["median"],
     )
 
     rankings = {
         engine: {
-            side: WordRanking(engine, side,
-                              tuple((word, count) for word, count in sides[side]))
+            side: WordRanking(engine, side, tuple(
+                (_typed(word, (str,), f"rankings.{engine}.{side}"),
+                 _typed(count, (int,), f"rankings.{engine}.{side}"))
+                for word, count in data["rankings"][engine][side]))
             for side in SIDES
         }
-        for engine, sides in data["rankings"].items()
+        for engine in ENGINES
     }
 
     return AnalysisReport(

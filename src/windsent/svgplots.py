@@ -150,6 +150,11 @@ def hbar_chart_svg(title: str, entries: Sequence[tuple[str, int]]) -> str:
     return _svg(width, height, body)
 
 
+# The histogram's plot area is 640 - 60 - 20 = 560 px and each bar is its
+# slot minus a 2 px gap, so more bins than this would draw negative widths.
+MAX_BINS = 280
+
+
 def histogram_svg(title: str, bin_edges: Sequence[float], counts: Sequence[int]) -> str:
     width, height = 640, 420
     left, right, top, bottom = 60, 20, 48, 60

@@ -8,7 +8,9 @@ from windsent.lexicons import (
     MalformedEntryError,
     OutOfRangeScoreError,
     WrongKindError,
+    bundled_lexicon_dir,
     load_lexicon,
+    load_lexicon_set,
 )
 
 
@@ -87,6 +89,19 @@ def test_non_finite_number_rejected(tmp_path, kind, row, field, value):
         load_lexicon(path, kind)
     assert exc.value.line == 2
     assert field in exc.value.reason and "not finite" in exc.value.reason
+
+
+def test_entry_errors_name_the_file(tmp_path):
+    for source in bundled_lexicon_dir().iterdir():
+        write(tmp_path / source.name, source.read_text(encoding="utf-8"))
+    bad = tmp_path / "pattern.tsv"
+    write(bad, bad.read_text(encoding="utf-8") + "w\t0.0\t0.0\t1\tnan\n")
+    with pytest.raises(MalformedEntryError) as exc:
+        load_lexicon_set(tmp_path)
+    line = len(bad.read_text(encoding="utf-8").splitlines())
+    assert exc.value.line == line
+    assert exc.value.reason == "intensity_factor is not finite: 'nan'"
+    assert str(exc.value) == f"{bad}: line {line}: {exc.value.reason}"
 
 
 class TestSynsetLoading:

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from windsent.cli import main
+from windsent.cli import _flag_values, build_parser, main
 from windsent.config import (
+    SETTINGS,
     ConfigError,
     RunConfig,
     build_run_config,
@@ -210,6 +211,84 @@ class TestConfigHandling:
         assert base.digest() != other.digest()
 
 
+# config key -> (analyze flags, config-file text) for one non-default value
+SETTING_CASES = {
+    "input": (["--input", "other.csv"], "other.csv"),
+    "format": (["--format", "CSV"], "CSV"),
+    "out": (["--out", "elsewhere"], "elsewhere"),
+    "lexicons": (["--lexicons", "mylex"], "mylex"),
+    "mode": (["--mode", "engine-native"], "engine-native"),
+    "epsilon": (["--epsilon", "0.05"], "0.05"),
+    "top_n": (["--top-n", "5"], "5"),
+    "plots": (["--plots"], "true"),
+    "lenient": (["--lenient"], "yes"),
+    "min_tokens": (["--min-tokens", "2"], "2"),
+    "stemming": (["--stem"], "on"),
+    "lemmatization": (["--no-lemmatize"], "false"),
+    "stopwords": (["--stopwords", "stop.txt"], "stop.txt"),
+    "lemmas": (["--lemmas", "lem.tsv"], "lem.tsv"),
+    "disambiguation": (["--disambiguation", "average-senses"], "average-senses"),
+    "bins": (["--bins", "20"], "20"),
+}
+
+
+def _analyze_parser():
+    subparsers = next(action for action in build_parser()._actions
+                      if action.choices and "analyze" in action.choices)
+    return subparsers.choices["analyze"]
+
+
+class TestSettingsTable:
+    def test_cases_cover_every_setting(self):
+        assert set(SETTING_CASES) == set(SETTINGS)
+
+    def test_analyze_flag_dests_are_the_settings(self):
+        dests = {action.dest for action in _analyze_parser()._actions}
+        assert dests - {"help", "config"} == set(SETTINGS)
+
+    @pytest.mark.parametrize("key", sorted(SETTING_CASES))
+    def test_file_value_equals_flag_value(self, key):
+        flags, text = SETTING_CASES[key]
+        base = {"input": "in.jsonl", "out": "out"}
+        default = build_run_config(base, {})
+        from_file = build_run_config({**base, key: text}, {})
+        args = build_parser().parse_args(
+            ["analyze", "--input", "in.jsonl", "--out", "out", *flags])
+        from_flag = build_run_config({}, _flag_values(args))
+        assert from_flag == from_file
+        field = SETTINGS[key][0]
+        assert getattr(from_file, field) != getattr(default, field)
+
+    @pytest.mark.parametrize("flags", [
+        ["--top-n", "x"], ["--epsilon", "abc"], ["--bins", "1.5"],
+        ["--min-tokens", "x"], ["--format", "xml"], ["--bins", "0"],
+        ["--bins", "281"],
+    ])
+    def test_bad_flag_value_is_one_error_line(self, golden_corpus_path, tmp_path,
+                                              capsys, flags):
+        out = tmp_path / "out"
+        code = main(["analyze", "--input", str(golden_corpus_path),
+                     "--out", str(out), *flags])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("ERROR config/invalid:")
+        assert not (out / "report.json").exists()
+
+
+def _set_leaf(path: str, value):
+    """Mutator for a report dict: set the leaf at a dotted path (list
+    indices as digits) to ``value``."""
+    *parents, last = path.split(".")
+
+    def mutate(data):
+        node = data
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[int(last) if isinstance(node, list) else last] = value
+    return mutate
+
+
 class TestCli:
     def test_analyze_subcommand(self, golden_corpus_path, golden_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -309,6 +388,29 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("ERROR report/file-not-readable:")
+
+    @pytest.mark.parametrize("mutate", [
+        _set_leaf("distributions.pattern_avg.counts.positive", True),
+        _set_leaf("distributions.synset.counts.neutral", "3"),
+        _set_leaf("subjectivity.bin_edges.0", "0.0"),
+        _set_leaf("subjectivity.counts.0", "7"),
+        _set_leaf("rankings.valence_rule.positive.0", [1, 2]),
+        _set_leaf("rankings.valence_rule.negative.0", ["word", "2"]),
+        _set_leaf("rankings.synset.positive.0", ["word"]),
+        lambda data: data["distributions"].pop("synset"),
+    ])
+    def test_plot_wrong_leaf_types_error(self, golden_dir, tmp_path, capsys, mutate):
+        data = read_json(golden_dir / "golden_report.json")
+        mutate(data)
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["plot", "--report", str(report), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("ERROR report/file-not-readable:")
+        assert not list(out.glob("*.svg"))
 
     def test_lenient_duplicate_ids_end_to_end(self, tmp_path):
         corpus = tmp_path / "c.jsonl"

@@ -2,8 +2,10 @@ import math
 
 from windsent.report import load_report
 from windsent.svgplots import (
+    MAX_BINS,
     bar_chart_svg,
     hbar_chart_svg,
+    histogram_svg,
     pie_chart_svg,
     render_report_plots,
 )
@@ -55,6 +57,13 @@ class TestBarCharts:
     def test_empty_ranking_notes_absence(self):
         svg = hbar_chart_svg("t", [])
         assert "no qualifying words" in svg
+
+
+    def test_max_bins_is_the_widest_drawable_histogram(self):
+        def svg(bins):
+            return histogram_svg("t", [i / bins for i in range(bins + 1)], [1] * bins)
+        assert 'width="-' not in svg(MAX_BINS)
+        assert 'width="-' in svg(MAX_BINS + 1)
 
 
 class TestRenderedSet:
