@@ -43,7 +43,6 @@ from .engines import (
     NEGATION_WORDS,
     EngineScores,
     SentimentScore,
-    ValenceRuleConfig,
     compound_from_sum,
     score_all,
     score_pattern_avg,

@@ -72,10 +72,6 @@ class DistributionReport:
     counts: Mapping[str, int]
     proportions: Mapping[str, float]
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 def _distribution_from_counts(engine: str, counts: dict[str, int]) -> DistributionReport:
     total = counts[NEGATIVE] + counts[NEUTRAL] + counts[POSITIVE]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import pipeline, report as report_mod, svgplots
 from .config import SETTINGS, build_run_config, parse_config_file
@@ -100,20 +99,18 @@ def cmd_top_words(args: argparse.Namespace) -> int:
                 print(report_mod.ranking_csv_text(result.rankings[engine][side]),
                       end="")
         return 0
-    outdir = Path(config.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for engine in engines_wanted:
-        for side in sides_wanted:
-            path = outdir / f"ranking_{engine}_{side}.csv"
-            path.write_text(report_mod.ranking_csv_text(result.rankings[engine][side]),
-                            encoding="utf-8")
-            print(f"wrote {path}")
+    for path in report_mod.write_ranking_files(result.rankings, config.out_dir,
+                                               engines_wanted, sides_wanted):
+        print(f"wrote {path}")
     return 0
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    result = report_mod.load_report(args.report)
-    written = svgplots.render_report_plots(result, args.out)
+    summary = report_mod.load_report(args.report)
+    try:
+        written = svgplots.render_report_plots(summary, args.out)
+    except report_mod.ReportNotReadableError as exc:
+        raise report_mod.ReportNotReadableError(f"{args.report}: {exc}") from exc
     print(f"wrote {len(written)} SVG files -> {args.out}")
     return 0
 

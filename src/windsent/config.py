@@ -8,7 +8,6 @@ any machine.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -16,12 +15,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from . import engines
 from .engines import (
     DISAMBIGUATION_AVERAGE,
     DISAMBIGUATION_FIRST,
     MODE_PAPER,
     PIPELINE_MODES,
-    ValenceRuleConfig,
 )
 from .errors import WindsentError
 from .lexicons import LEXICON_FILENAMES, bundled_lexicon_dir
@@ -106,7 +105,6 @@ class RunConfig:
     lemmas_path: Path = DEFAULT_LEMMAS_PATH
     disambiguation: str = DISAMBIGUATION_FIRST
     bin_count: int = 10
-    valence: ValenceRuleConfig = field(default_factory=ValenceRuleConfig)
 
     def __post_init__(self):
         for name in ("input_path", "out_dir", "lexicon_dir",
@@ -161,7 +159,17 @@ class RunConfig:
             "stemming": self.apply_stemming,
             "stopwords": Path(self.stopwords_path).name,
             "top_n": self.top_n,
-            "valence_rule": dataclasses.asdict(self.valence),
+            "valence_rule": {
+                "booster_increment": engines.BOOSTER_INCREMENT,
+                "but_boost": engines.BUT_BOOST,
+                "but_discount": engines.BUT_DISCOUNT,
+                "caps_increment": engines.CAPS_INCREMENT,
+                "exclamation_increment": engines.EXCLAMATION_INCREMENT,
+                "max_exclamations": engines.MAX_EXCLAMATIONS,
+                "negation_factor": engines.VALENCE_NEGATION_FACTOR,
+                "negation_window": engines.VALENCE_NEGATION_WINDOW,
+                "normalization_alpha": engines.NORMALIZATION_ALPHA,
+            },
         }
         canonical = json.dumps(source, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -12,7 +12,7 @@ synset       : POS-aware sense lookup; first_sense scores the top-ranked
                sense, average_senses the rank-weighted mean; the result is
                the mean contribution over matched tokens.
 
-All scorers are pure functions of (input, lexicon, config). They return
+All scorers are pure functions of (input, lexicon). They return
 exactly 0.0 polarity for zero-signal input by construction, never by
 rounding, because the labeling stage compares against zero.
 
@@ -36,7 +36,7 @@ from .lexicons import (
     ValenceLexicon,
     require_kind,
 )
-from .preprocess import DEFAULT_PUNCTUATION, URL_PREFIXES, CleanedDocument
+from .preprocess import PUNCTUATION, URL_PREFIXES, CleanedDocument
 
 ENGINE_VALENCE = "valence_rule"
 ENGINE_PATTERN = "pattern_avg"
@@ -75,36 +75,22 @@ DEGREE_WORDS = AMPLIFIERS | DAMPENERS
 MODIFIER_WORDS = NEGATION_WORDS | DEGREE_WORDS
 CONTRAST_WORD = "but"
 
+# the valence rule's stock constants; RunConfig.digest records them
+VALENCE_NEGATION_WINDOW = 3
+VALENCE_NEGATION_FACTOR = -0.74
+BOOSTER_INCREMENT = 0.293
+CAPS_INCREMENT = 0.733
+EXCLAMATION_INCREMENT = 0.292
+MAX_EXCLAMATIONS = 4
+BUT_DISCOUNT = 0.5
+BUT_BOOST = 1.5
+NORMALIZATION_ALPHA = 15.0
+
 PATTERN_NEGATION_WINDOW = 3
 PATTERN_NEGATION_FACTOR = -0.5
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 DEFAULT_POS_TABLE_PATH = _DATA_DIR / "pos_tags.tsv"
-
-
-@dataclass(frozen=True)
-class ValenceRuleConfig:
-    negation_window: int = 3
-    negation_factor: float = -0.74
-    booster_increment: float = 0.293
-    caps_increment: float = 0.733
-    exclamation_increment: float = 0.292
-    max_exclamations: int = 4
-    but_discount: float = 0.5
-    but_boost: float = 1.5
-    normalization_alpha: float = 15.0
-
-    def __post_init__(self):
-        if self.negation_window < 0:
-            raise ValueError("negation_window must be >= 0")
-        for name in ("booster_increment", "caps_increment", "exclamation_increment"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.normalization_alpha <= 0:
-            raise ValueError("normalization_alpha must be > 0")
-
-
-DEFAULT_VALENCE_CONFIG = ValenceRuleConfig()
 
 
 @dataclass(frozen=True)
@@ -125,7 +111,7 @@ class SentimentScore:
                 raise ValueError(f"proportions sum {total} != 1")
 
 
-def compound_from_sum(raw_sum: float, alpha: float = 15.0) -> float:
+def compound_from_sum(raw_sum: float, alpha: float = NORMALIZATION_ALPHA) -> float:
     """Map an unbounded valence sum into [-1, 1]: s / sqrt(s^2 + alpha)."""
     value = raw_sum / math.sqrt(raw_sum * raw_sum + alpha)
     if value > 1.0:
@@ -136,14 +122,14 @@ def compound_from_sum(raw_sum: float, alpha: float = 15.0) -> float:
 
 
 def _caps_profile(raw_text: str) -> tuple[frozenset[str], bool]:
-    """Words written in ALL CAPS in the raw text (lowercased, with '#' and
+    """Words written in ALL CAPS in the raw text (lowercased, with
     punctuation deleted like the cleaning pass does), plus whether the text
     is uniformly caps, in which case emphasis carries no signal."""
     cased = []
     for piece in raw_text.split():
         if piece.lower().startswith(URL_PREFIXES):
             continue
-        cleaned = "".join(c for c in piece if c not in DEFAULT_PUNCTUATION)
+        cleaned = "".join(c for c in piece if c not in PUNCTUATION)
         if cleaned and any(c.isalpha() for c in cleaned):
             cased.append(cleaned)
     upper = [w for w in cased if w.isupper()]
@@ -152,7 +138,6 @@ def _caps_profile(raw_text: str) -> tuple[frozenset[str], bool]:
 
 
 def score_valence_rule(tokens: Sequence[str], lexicon: ValenceLexicon,
-                       config: ValenceRuleConfig = DEFAULT_VALENCE_CONFIG,
                        raw_text: str | None = None) -> SentimentScore:
     require_kind(lexicon, ValenceLexicon)
     table = lexicon._valence
@@ -173,11 +158,11 @@ def score_valence_rule(tokens: Sequence[str], lexicon: ValenceLexicon,
             continue
         v = base
         # negation: flip and damp when a negation word sits in the window
-        lo = i - config.negation_window
+        lo = i - VALENCE_NEGATION_WINDOW
         if lo < 0:
             lo = 0
         if any(t in NEGATION_WORDS for t in tokens[lo:i]):
-            v = v * config.negation_factor
+            v = v * VALENCE_NEGATION_FACTOR
         # adjacent run of degree modifiers, nearest first, sign-following
         j = i - 1
         while j >= 0 and tokens[j] in DEGREE_WORDS:
@@ -188,37 +173,37 @@ def score_valence_rule(tokens: Sequence[str], lexicon: ValenceLexicon,
             else:
                 sign = 0.0
             if tokens[j] in AMPLIFIERS:
-                v = v + sign * config.booster_increment
+                v = v + sign * BOOSTER_INCREMENT
             else:
-                v = v - sign * config.booster_increment
+                v = v - sign * BOOSTER_INCREMENT
             j -= 1
         # ALL-CAPS emphasis only when the whole text is not shouting
         if caps_words and not all_caps and token in caps_words:
             if v > 0:
-                v = v + config.caps_increment
+                v = v + CAPS_INCREMENT
             elif v < 0:
-                v = v - config.caps_increment
+                v = v - CAPS_INCREMENT
         valences.append(v)
 
     if CONTRAST_WORD in tokens:
         pivot = list(tokens).index(CONTRAST_WORD)
         for k in range(len(valences)):
             if k < pivot:
-                valences[k] = valences[k] * config.but_discount
+                valences[k] = valences[k] * BUT_DISCOUNT
             elif k > pivot:
-                valences[k] = valences[k] * config.but_boost
+                valences[k] = valences[k] * BUT_BOOST
 
     s = 0.0
     for v in valences:
         s = s + v
     if raw_text is not None and s != 0.0:
-        amplification = min(raw_text.count("!"), config.max_exclamations) \
-            * config.exclamation_increment
+        amplification = min(raw_text.count("!"), MAX_EXCLAMATIONS) \
+            * EXCLAMATION_INCREMENT
         if s > 0:
             s = s + amplification
         else:
             s = s - amplification
-    compound = compound_from_sum(s, config.normalization_alpha)
+    compound = compound_from_sum(s)
 
     pos_mass = 0.0
     neg_mass = 0.0
@@ -284,16 +269,14 @@ def load_pos_table(path: str | Path = DEFAULT_POS_TABLE_PATH) -> Mapping[str, st
 
 
 @lru_cache(maxsize=None)
-def _cached_pos_table(path: str) -> Mapping[str, str]:
-    return load_pos_table(path)
+def _bundled_pos_table() -> Mapping[str, str]:
+    return load_pos_table()
 
 
-def tag_pos(tokens: Sequence[str],
-            table: Mapping[str, str] | None = None) -> list[tuple[str, str]]:
-    """Most-frequent-tag lookup with suffix fallback: -ly adverb, -ing/-ed
-    verb, -ous/-ful/-able adjective, noun otherwise."""
-    if table is None:
-        table = _cached_pos_table(str(DEFAULT_POS_TABLE_PATH))
+def tag_pos(tokens: Sequence[str]) -> list[tuple[str, str]]:
+    """Most-frequent-tag lookup in the bundled table with suffix fallback:
+    -ly adverb, -ing/-ed verb, -ous/-ful/-able adjective, noun otherwise."""
+    table = _bundled_pos_table()
     tagged = []
     for token in tokens:
         tag = table.get(token)
@@ -358,10 +341,8 @@ class EngineScores:
 
 
 def score_all(document: CleanedDocument, lexicons: LexiconSet,
-              valence_config: ValenceRuleConfig = DEFAULT_VALENCE_CONFIG,
               mode: str = MODE_PAPER,
-              disambiguation: str = DISAMBIGUATION_FIRST,
-              pos_table: Mapping[str, str] | None = None) -> EngineScores:
+              disambiguation: str = DISAMBIGUATION_FIRST) -> EngineScores:
     """Run the three engines on one cleaned document. The engines never see
     each other's output; scoring order is irrelevant."""
     if document.dropped:
@@ -372,8 +353,6 @@ def score_all(document: CleanedDocument, lexicons: LexiconSet,
     tokens = document.tokens
     return EngineScores(
         pattern_avg=score_pattern_avg(tokens, lexicons.pattern),
-        synset=score_synset(tag_pos(tokens, pos_table), lexicons.synset,
-                            disambiguation),
-        valence_rule=score_valence_rule(tokens, lexicons.valence,
-                                        valence_config, raw_text=raw),
+        synset=score_synset(tag_pos(tokens), lexicons.synset, disambiguation),
+        valence_rule=score_valence_rule(tokens, lexicons.valence, raw_text=raw),
     )

@@ -31,7 +31,6 @@ def analyze_collection(collection: corpus.CommentCollection,
     for doc in kept:
         scores = engines.score_all(
             doc, lexicons,
-            valence_config=config.valence,
             mode=config.mode,
             disambiguation=config.disambiguation,
         )
@@ -112,7 +111,8 @@ def run_analyze(config: RunConfig) -> report_mod.AnalysisReport:
     if skipped:
         corpus.write_skip_report(skipped, config.out_dir / "skipped.jsonl")
     if config.plots:
-        svgplots.render_report_plots(result, config.out_dir / "plots")
+        svgplots.render_report_plots(report_mod.summary_to_dict(result),
+                                     config.out_dir / "plots")
     return result
 
 
@@ -135,13 +135,13 @@ def run_preprocess_only(config: RunConfig, out_file: str | Path) -> Path:
     collection, skipped = _load_collection(config)
     documents = preprocess.preprocess_corpus(collection, _preprocess_config(config))
     out_path = Path(out_file)
-    if out_path.parent and not out_path.parent.exists():
-        out_path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
         json.dumps(cleaned_document_record(doc), ensure_ascii=False, sort_keys=True)
         for doc in documents
     ]
-    out_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    if skipped:
-        corpus.write_skip_report(skipped, out_path.with_suffix(".skipped.jsonl"))
+    with report_mod.writing_to(out_path):
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        if skipped:
+            corpus.write_skip_report(skipped, out_path.with_suffix(".skipped.jsonl"))
     return out_path

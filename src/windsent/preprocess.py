@@ -1,7 +1,7 @@
 """Text cleaning pipeline.
 
 Per comment, in order: null/empty check, normalize (lowercase, drop URL
-tokens, delete '#', delete punctuation, collapse whitespace), tokenize,
+tokens, delete punctuation including '#', collapse whitespace), tokenize,
 stopword removal, lemmatization (plus optional stemming), and a length
 threshold that drops documents with fewer than ``min_token_count`` tokens.
 
@@ -28,7 +28,7 @@ from .corpus import CommentCollection
 from .stemming import stem
 
 URL_PREFIXES = ("http://", "https://", "www.")
-DEFAULT_PUNCTUATION = frozenset(string.punctuation)
+PUNCTUATION = frozenset(string.punctuation)
 _VOWELS = frozenset("aeiou")
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -73,7 +73,6 @@ class PreprocessConfig:
     min_token_count: int = 3
     apply_stemming: bool = False
     apply_lemmatization: bool = True
-    punctuation: frozenset[str] = DEFAULT_PUNCTUATION
 
     def __post_init__(self):
         if self.min_token_count < 1:
@@ -104,12 +103,11 @@ class CleanedDocument:
         return self.drop_reason is not None
 
 
-def normalize(text: str, punctuation: frozenset[str] = DEFAULT_PUNCTUATION) -> str:
+def normalize(text: str) -> str:
     text = text.lower()
     kept = [piece for piece in text.split() if not piece.startswith(URL_PREFIXES)]
     text = " ".join(kept)
-    text = text.replace("#", "")
-    text = "".join(c for c in text if c not in punctuation)
+    text = "".join(c for c in text if c not in PUNCTUATION)
     return " ".join(text.split())
 
 
@@ -192,7 +190,7 @@ def preprocess_text(text: str | None, config: PreprocessConfig) -> tuple[tuple[s
     """Clean one text; returns (tokens, drop_reason)."""
     if text is None or not text.strip():
         return (), "null"
-    tokens = tokenize(normalize(text, config.punctuation))
+    tokens = tokenize(normalize(text))
     tokens = remove_stopwords(tokens, config.stopwords)
     tokens = [_transform_token(t, config) for t in tokens]
     tokens = remove_stopwords(tokens, config.stopwords)

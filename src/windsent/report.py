@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .analytics import (
     LABELS,
@@ -75,33 +76,15 @@ def _scores_to_dict(scores: EngineScores) -> dict:
     }
 
 
-def report_to_dict(report: AnalysisReport) -> dict:
+def summary_to_dict(report: AnalysisReport) -> dict:
+    """The report's corpus-level sections, which the charts draw."""
     return {
-        "comments": [
-            {
-                "id": row.comment_id,
-                "labels": {engine: row.labels[engine] for engine in ENGINES},
-                "scores": _scores_to_dict(row.scores),
-            }
-            for row in report.comments
-        ],
         "distributions": {
             engine: {
                 "counts": {lab: dist.counts[lab] for lab in LABELS},
                 "proportions": {lab: dist.proportions[lab] for lab in LABELS},
             }
             for engine, dist in report.distributions.items()
-        },
-        "dropped": [{"id": cid, "reason": reason} for cid, reason in report.dropped],
-        "meta": {
-            "config_digest": report.config_digest,
-            "corpus_size": report.corpus_size,
-            "dropped_count": report.dropped_count,
-            "epsilon": report.epsilon,
-            "input_file": report.input_file,
-            "kept_count": report.kept_count,
-            "pipeline_mode": report.pipeline_mode,
-            "top_n": report.top_n,
         },
         "rankings": {
             engine: {
@@ -115,6 +98,31 @@ def report_to_dict(report: AnalysisReport) -> dict:
             "counts": list(report.histogram.counts),
             "mean": report.histogram.mean,
             "median": report.histogram.median,
+        },
+    }
+
+
+def report_to_dict(report: AnalysisReport) -> dict:
+    return {
+        **summary_to_dict(report),
+        "comments": [
+            {
+                "id": row.comment_id,
+                "labels": {engine: row.labels[engine] for engine in ENGINES},
+                "scores": _scores_to_dict(row.scores),
+            }
+            for row in report.comments
+        ],
+        "dropped": [{"id": cid, "reason": reason} for cid, reason in report.dropped],
+        "meta": {
+            "config_digest": report.config_digest,
+            "corpus_size": report.corpus_size,
+            "dropped_count": report.dropped_count,
+            "epsilon": report.epsilon,
+            "input_file": report.input_file,
+            "kept_count": report.kept_count,
+            "pipeline_mode": report.pipeline_mode,
+            "top_n": report.top_n,
         },
     }
 
@@ -164,121 +172,55 @@ def ranking_csv_text(ranking: WordRanking) -> str:
     return buffer.getvalue()
 
 
+@contextmanager
+def writing_to(path: str | Path) -> Iterator[None]:
+    """Turn an OSError raised inside the block into OutputNotWritableError
+    naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputNotWritableError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def write_ranking_files(rankings: Mapping[str, Mapping[str, WordRanking]],
+                        outdir: str | Path, engines: Sequence[str] = ENGINES,
+                        sides: Sequence[str] = SIDES) -> list[Path]:
+    """Write ranking_<engine>_<side>.csv for each engine and side; returns
+    the paths written."""
+    outdir = Path(outdir)
+    written = []
+    with writing_to(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
+        for engine in engines:
+            for side in sides:
+                path = outdir / f"ranking_{engine}_{side}.csv"
+                path.write_text(ranking_csv_text(rankings[engine][side]),
+                                encoding="utf-8")
+                written.append(path)
+    return written
+
+
 def write_report_files(report: AnalysisReport, outdir: str | Path) -> list[Path]:
     """Write report.json, comments.csv and the six ranking CSVs; returns the
     paths written."""
     outdir = Path(outdir)
-    try:
+    with writing_to(outdir):
         outdir.mkdir(parents=True, exist_ok=True)
-        written = []
-        path = outdir / "report.json"
-        path.write_bytes(report_json_bytes(report))
-        written.append(path)
-        path = outdir / "comments.csv"
-        path.write_text(comments_csv_text(report), encoding="utf-8")
-        written.append(path)
-        for engine in ENGINES:
-            for side in SIDES:
-                path = outdir / f"ranking_{engine}_{side}.csv"
-                path.write_text(ranking_csv_text(report.rankings[engine][side]),
-                                encoding="utf-8")
-                written.append(path)
-        return written
-    except OSError as exc:
-        raise OutputNotWritableError(f"{outdir}: {exc.strerror or exc}") from exc
+        (outdir / "report.json").write_bytes(report_json_bytes(report))
+        (outdir / "comments.csv").write_text(comments_csv_text(report),
+                                             encoding="utf-8")
+    return [outdir / "report.json", outdir / "comments.csv",
+            *write_ranking_files(report.rankings, outdir)]
 
 
-def _typed(value, kinds: tuple[type, ...], where: str):
-    """``value`` if its type is exactly one of ``kinds`` (a JSON ``true`` is
-    not an int), else TypeError."""
-    if type(value) not in kinds:
-        raise TypeError(f"{where}: expected {kinds[0].__name__}, got {value!r}")
-    return value
-
-
-def report_from_dict(data: Mapping) -> AnalysisReport:
-    """Rebuild a report from its JSON form (used by the plot subcommand).
-    Only the sections the plots need are reconstructed in full fidelity."""
-    from .engines import SentimentScore
-
-    meta = data["meta"]
-    comments = []
-    for entry in data["comments"]:
-        scores = entry["scores"]
-        valence = scores[ENGINE_VALENCE]
-        proportions = (
-            valence["proportions"]["pos"],
-            valence["proportions"]["neu"],
-            valence["proportions"]["neg"],
-        )
-        engine_scores = EngineScores(
-            pattern_avg=SentimentScore(
-                ENGINE_PATTERN,
-                scores[ENGINE_PATTERN]["polarity"],
-                subjectivity=scores[ENGINE_PATTERN]["subjectivity"],
-            ),
-            synset=SentimentScore(ENGINE_SYNSET, scores[ENGINE_SYNSET]["polarity"]),
-            valence_rule=SentimentScore(
-                ENGINE_VALENCE, valence["polarity"], proportions=proportions),
-        )
-        comments.append(CommentRow(entry["id"], engine_scores, dict(entry["labels"])))
-
-    distributions = {}
-    for engine in ENGINES:
-        dist = data["distributions"][engine]
-        counts = {lab: _typed(dist["counts"][lab], (int,),
-                              f"distributions.{engine}.counts")
-                  for lab in LABELS}
-        proportions = {lab: dist["proportions"][lab] for lab in LABELS}
-        distributions[engine] = DistributionReport(engine, counts, proportions)
-
-    subjectivity = data["subjectivity"]
-    histogram = SubjectivityHistogram(
-        tuple(_typed(edge, (float, int), "subjectivity.bin_edges")
-              for edge in subjectivity["bin_edges"]),
-        tuple(_typed(count, (int,), "subjectivity.counts")
-              for count in subjectivity["counts"]),
-        subjectivity["mean"],
-        subjectivity["median"],
-    )
-
-    rankings = {
-        engine: {
-            side: WordRanking(engine, side, tuple(
-                (_typed(word, (str,), f"rankings.{engine}.{side}"),
-                 _typed(count, (int,), f"rankings.{engine}.{side}"))
-                for word, count in data["rankings"][engine][side]))
-            for side in SIDES
-        }
-        for engine in ENGINES
-    }
-
-    return AnalysisReport(
-        config_digest=meta["config_digest"],
-        corpus_size=meta["corpus_size"],
-        kept_count=meta["kept_count"],
-        dropped_count=meta["dropped_count"],
-        input_file=meta["input_file"],
-        pipeline_mode=meta["pipeline_mode"],
-        epsilon=meta["epsilon"],
-        top_n=meta["top_n"],
-        comments=tuple(comments),
-        dropped=tuple((d["id"], d["reason"]) for d in data["dropped"]),
-        distributions=distributions,
-        histogram=histogram,
-        rankings=rankings,
-    )
-
-
-def load_report(path: str | Path) -> AnalysisReport:
+def load_report(path: str | Path) -> object:
+    """The parsed JSON of a report file, unchecked: each reader checks the
+    sections it uses."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ReportNotReadableError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ReportNotReadableError(f"{path}: invalid JSON ({exc.msg})") from exc
-    try:
-        return report_from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ReportNotReadableError(
-            f"{path}: not a windsent report ({type(exc).__name__}: {exc})") from exc
+    except ValueError as exc:  # not UTF-8, or an integer too long to parse
+        raise ReportNotReadableError(f"{path}: {exc}") from exc

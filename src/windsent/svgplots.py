@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 from xml.sax.saxutils import escape
 
 from .engines import ENGINES
-from .report import SIDES, AnalysisReport, OutputNotWritableError
+from .report import SIDES, ReportNotReadableError, writing_to
 
 LABEL_COLORS = {
     "negative": "#c62828",
@@ -186,17 +186,68 @@ def histogram_svg(title: str, bin_edges: Sequence[float], counts: Sequence[int])
 PLOT_LABEL_ORDER = ("positive", "neutral", "negative")
 
 
-def render_report_plots(report: AnalysisReport, outdir: str | Path) -> list[Path]:
-    """Emit the 13 SVG files for a report into ``outdir``."""
-    outdir = Path(outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        written = []
+# charts scale counts as floats, which hold every int only up to 2**53
+MAX_COUNT = 2**53
 
+
+def _count(value, where: str) -> int:
+    # a JSON true is a Python bool, which is an int
+    if type(value) is not int or not 0 <= value <= MAX_COUNT:
+        raise ValueError(f"{where}: expected a count (int in 0..2**53), got {value!r}")
+    return value
+
+
+def _drawn_values(summary: Mapping) -> tuple[dict, list, list, dict]:
+    """What the charts draw, read from the report's ``distributions``,
+    ``subjectivity`` and ``rankings`` sections: label counts per engine, the
+    histogram's edges and counts, and the ranking entries per engine and
+    side. Raises KeyError, TypeError or ValueError on anything that would not
+    draw as valid SVG."""
+    distributions = {
+        engine: [_count(summary["distributions"][engine]["counts"][lab],
+                        f"distributions.{engine}.counts.{lab}")
+                 for lab in PLOT_LABEL_ORDER]
+        for engine in ENGINES
+    }
+    subjectivity = summary["subjectivity"]
+    counts = [_count(count, "subjectivity.counts") for count in subjectivity["counts"]]
+    if len(counts) > MAX_BINS:
+        raise ValueError(f"subjectivity.counts: {len(counts)} bins, at most {MAX_BINS} fit")
+    edges = list(subjectivity["bin_edges"])
+    for edge in edges:
+        if type(edge) not in (int, float):
+            raise TypeError(f"subjectivity.bin_edges: expected a number, got {edge!r}")
+    rankings = {}
+    for engine in ENGINES:
+        for side in SIDES:
+            where = f"rankings.{engine}.{side}"
+            entries = []
+            for word, count in summary["rankings"][engine][side]:
+                if type(word) is not str:
+                    raise TypeError(f"{where}: expected a word, got {word!r}")
+                entries.append((word, _count(count, where)))
+            rankings[engine, side] = entries
+    return distributions, edges, counts, rankings
+
+
+def render_report_plots(summary: Mapping, outdir: str | Path) -> list[Path]:
+    """Emit the 13 SVG files into ``outdir`` from a report's summary sections
+    (``summary_to_dict`` or a parsed report.json). Everything drawn is checked
+    before any file is written; a section that cannot be drawn raises
+    ReportNotReadableError."""
+    try:
+        distributions, edges, counts, rankings = _drawn_values(summary)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReportNotReadableError(
+            f"not a windsent report ({type(exc).__name__}: {exc})") from exc
+    outdir = Path(outdir)
+    written = []
+    with writing_to(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
+
+        colors = [LABEL_COLORS[lab] for lab in PLOT_LABEL_ORDER]
         for engine in ENGINES:
-            dist = report.distributions[engine]
-            values = [dist.counts[lab] for lab in PLOT_LABEL_ORDER]
-            colors = [LABEL_COLORS[lab] for lab in PLOT_LABEL_ORDER]
+            values = distributions[engine]
             path = outdir / f"distribution_{engine}_bar.svg"
             path.write_text(
                 bar_chart_svg(f"Sentiment distribution ({engine})",
@@ -212,20 +263,16 @@ def render_report_plots(report: AnalysisReport, outdir: str | Path) -> list[Path
 
         path = outdir / "subjectivity_histogram.svg"
         path.write_text(
-            histogram_svg("Subjectivity distribution (pattern_avg)",
-                          report.histogram.bin_edges, report.histogram.counts),
+            histogram_svg("Subjectivity distribution (pattern_avg)", edges, counts),
             encoding="utf-8")
         written.append(path)
 
         for engine in ENGINES:
             for side in SIDES:
-                ranking = report.rankings[engine][side]
                 path = outdir / f"top_words_{engine}_{side}.svg"
                 path.write_text(
                     hbar_chart_svg(f"Top {side} words ({engine})",
-                                   list(ranking.entries)),
+                                   rankings[engine, side]),
                     encoding="utf-8")
                 written.append(path)
-        return written
-    except OSError as exc:
-        raise OutputNotWritableError(f"{outdir}: {exc.strerror or exc}") from exc
+    return written

@@ -5,14 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from windsent.engines import (
-    DEFAULT_VALENCE_CONFIG,
-    ValenceRuleConfig,
+    NORMALIZATION_ALPHA as ALPHA,
     compound_from_sum,
     score_valence_rule,
 )
 from windsent.lexicons import WrongKindError
-
-ALPHA = DEFAULT_VALENCE_CONFIG.normalization_alpha
 
 
 def expected_compound(raw_sum: float) -> float:
@@ -51,12 +48,6 @@ class TestNegation:
         tokens = ["not", "x1", "x2", "x3", "good"]
         score = score_valence_rule(tokens, lexicons.valence)
         assert score.polarity == expected_compound(1.9)
-
-    def test_negation_window_configurable(self, lexicons):
-        config = ValenceRuleConfig(negation_window=4)
-        tokens = ["not", "x1", "x2", "x3", "good"]
-        score = score_valence_rule(tokens, lexicons.valence, config)
-        assert score.polarity == expected_compound(1.9 * -0.74)
 
     def test_negated_negative_turns_positive(self, lexicons):
         score = score_valence_rule(["not", "terrible"], lexicons.valence)
@@ -192,9 +183,3 @@ class TestNormalizationShape:
     def test_strictly_increasing(self, s):
         assert compound_from_sum(s, ALPHA) < compound_from_sum(s + 0.5, ALPHA)
 
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ValenceRuleConfig(normalization_alpha=0.0)
-    with pytest.raises(ValueError):
-        ValenceRuleConfig(booster_increment=-0.1)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from windsent.corpus import Comment, CommentCollection
 from windsent.preprocess import (
+    PUNCTUATION,
     CleanedDocument,
     PreprocessConfig,
     default_config,
@@ -30,9 +31,6 @@ class TestNormalize:
     ])
     def test_examples(self, raw, expected):
         assert normalize(raw) == expected
-
-    def test_custom_punctuation_set_keeps_the_rest(self):
-        assert normalize("keep-dash, drop comma", frozenset(",")) == "keep-dash drop comma"
 
 
 class TestTokenize:
@@ -178,7 +176,7 @@ class TestPipelineProperties:
         for token in tokens:
             assert token
             assert token == token.lower()
-            assert not any(c in config.punctuation for c in token)
+            assert not any(c in PUNCTUATION for c in token)
             assert not token.startswith(("http://", "https://", "www."))
             assert token not in config.stopwords
         if reason is None:
@@ -188,7 +186,7 @@ class TestPipelineProperties:
     @settings(max_examples=200, deadline=None)
     def test_monotone_shrinkage(self, text):
         config = default_config()
-        normalized = tokenize(normalize(text, config.punctuation))
+        normalized = tokenize(normalize(text))
         after_stop = remove_stopwords(normalized, config.stopwords)
         tokens, _ = preprocess_text(text, config)
         assert len(after_stop) <= len(normalized)

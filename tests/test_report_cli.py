@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -13,9 +14,7 @@ from windsent.config import (
     infer_format,
     parse_config_file,
 )
-from windsent.engines import ValenceRuleConfig
 from windsent.pipeline import run_analyze, run_preprocess_only
-from windsent.report import load_report, report_json_bytes
 
 
 def read_json(path: Path) -> dict:
@@ -194,14 +193,12 @@ class TestConfigHandling:
         assert a.digest() == b.digest()
 
     def test_digest_pins_every_valence_rule_field(self):
-        valence = ValenceRuleConfig(
-            negation_window=2, negation_factor=-0.5, booster_increment=0.25,
-            caps_increment=0.5, exclamation_increment=0.125, max_exclamations=3,
-            but_discount=0.25, but_boost=2.0, normalization_alpha=10.0)
+        # the fixed valence-rule constants are hashed by name, so changing
+        # any of them, or the name it is recorded under, changes this value
         config = RunConfig(input_path="in.jsonl", input_format="jsonl",
-                           out_dir="out", valence=valence)
+                           out_dir="out")
         assert config.digest() == \
-            "df418ee641d2633dfd4268e8517a44b0c46fea898b30be562143dac7774519d9"
+            "368678d702409b751c41ec8169226cd45f24a4f66c0e146ddad80325a8d3fb4e"
 
     def test_digest_changes_with_settings(self, golden_corpus_path, tmp_path):
         base = RunConfig(input_path=golden_corpus_path, input_format="jsonl",
@@ -241,6 +238,10 @@ def _analyze_parser():
 class TestSettingsTable:
     def test_cases_cover_every_setting(self):
         assert set(SETTING_CASES) == set(SETTINGS)
+
+    def test_run_config_fields_are_the_settings(self):
+        assert {f.name for f in dataclasses.fields(RunConfig)} == \
+            {name for name, _ in SETTINGS.values()}
 
     def test_analyze_flag_dests_are_the_settings(self):
         dests = {action.dest for action in _analyze_parser()._actions}
@@ -287,6 +288,11 @@ def _set_leaf(path: str, value):
             node = node[int(part)] if isinstance(node, list) else node[part]
         node[int(last) if isinstance(node, list) else last] = value
     return mutate
+
+
+def _more_bins_than_drawable(data):
+    data["subjectivity"].update(counts=[1] * 300,
+                                bin_edges=[i / 300 for i in range(301)])
 
 
 class TestCli:
@@ -379,10 +385,15 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("ERROR report/file-not-readable:")
 
-    @pytest.mark.parametrize("content", ['{"meta": {}}', "[1, 2]"])
+    @pytest.mark.parametrize("content", [
+        '{"meta": {}}', "[1, 2]",
+        pytest.param('{"meta": ' + "9" * 5000 + "}", id="int-too-long"),
+        pytest.param("\xff", id="not-utf8"),
+    ])
     def test_plot_structurally_wrong_report_error(self, tmp_path, capsys, content):
         report = tmp_path / "report.json"
-        report.write_text(content, encoding="utf-8")
+        # latin-1 writes ASCII unchanged and \xff as a byte that is not UTF-8
+        report.write_text(content, encoding="latin-1")
         code = main(["plot", "--report", str(report), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
@@ -398,6 +409,10 @@ class TestCli:
         _set_leaf("rankings.valence_rule.negative.0", ["word", "2"]),
         _set_leaf("rankings.synset.positive.0", ["word"]),
         lambda data: data["distributions"].pop("synset"),
+        _set_leaf("distributions.synset.counts.positive", -5),
+        _more_bins_than_drawable,
+        _set_leaf("rankings.valence_rule.positive", [["a", 5], ["b", -3]]),
+        _set_leaf("distributions.pattern_avg.counts.negative", 10**400),
     ])
     def test_plot_wrong_leaf_types_error(self, golden_dir, tmp_path, capsys, mutate):
         data = read_json(golden_dir / "golden_report.json")
@@ -409,8 +424,22 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        assert err[0].startswith("ERROR report/file-not-readable:")
+        assert err[0].startswith(f"ERROR report/file-not-readable: {report}:")
         assert not list(out.glob("*.svg"))
+
+    @pytest.mark.parametrize("command,target", [
+        ("analyze", "sub"), ("top-words", "sub"), ("preprocess", "sub/x.jsonl"),
+    ])
+    def test_unwritable_out_is_one_error_line(self, golden_corpus_path, tmp_path,
+                                              capsys, command, target):
+        blocker = tmp_path / "blocked"
+        blocker.write_text("a file, not a directory", encoding="utf-8")
+        code = main([command, "--input", str(golden_corpus_path),
+                     "--out", str(blocker / target)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("ERROR report/output-not-writable:")
 
     def test_lenient_duplicate_ids_end_to_end(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -453,11 +482,6 @@ class TestCli:
 
 
 class TestReportRoundTrip:
-    def test_load_report_reproduces_bytes(self, golden_config):
-        report = run_analyze(golden_config)
-        reloaded = load_report(golden_config.out_dir / "report.json")
-        assert report_json_bytes(reloaded) == report_json_bytes(report)
-
     def test_ranking_csvs_match_report(self, golden_config):
         report = run_analyze(golden_config)
         for engine, sides in report.rankings.items():
