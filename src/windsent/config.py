@@ -22,7 +22,7 @@ from .engines import (
     MODE_PAPER,
     PIPELINE_MODES,
 )
-from .errors import WindsentError
+from .errors import WindsentError, data_lines
 from .lexicons import LEXICON_FILENAMES, bundled_lexicon_dir
 from .preprocess import DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH
 from .svgplots import MAX_BINS
@@ -178,14 +178,7 @@ class RunConfig:
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` file; '#' comments and blank lines ignored."""
     values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(path, ConfigError):
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")

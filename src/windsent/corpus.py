@@ -20,9 +20,9 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .errors import WindsentError
+from .errors import WindsentError, read_text, write_file
 
 REQUIRED_FIELDS = ("id", "text")
 OPTIONAL_FIELDS = ("source_group", "timestamp")
@@ -106,6 +106,18 @@ class SkippedRecord:
     reason: str
 
 
+def _string(name: str, value: object) -> str:
+    if not isinstance(value, str):
+        raise InvalidFieldError(name, "must be a string")
+    # a JSON escape such as "\ud800" decodes to a lone surrogate, which no
+    # output file can encode
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InvalidFieldError(name, "contains a lone surrogate") from None
+    return value
+
+
 def validate_record(raw: Mapping[str, object]) -> Comment:
     """Build a Comment from a parsed record.
 
@@ -115,63 +127,46 @@ def validate_record(raw: Mapping[str, object]) -> Comment:
     raw_id = raw.get("id")
     if raw_id is None:
         raise MissingFieldError("id")
-    if not isinstance(raw_id, str):
-        raise InvalidFieldError("id", "must be a string")
-    comment_id = raw_id.strip()
+    comment_id = _string("id", raw_id).strip()
     if not comment_id:
         raise MissingFieldError("id")
 
     text = raw.get("text")
     if text is None:
         raise MissingFieldError("text")
-    if not isinstance(text, str):
-        raise InvalidFieldError("text", "must be a string")
-    if text == "":
+    if _string("text", text) == "":
         raise EmptyTextError()
 
     optionals: dict[str, str | None] = {}
     for name in OPTIONAL_FIELDS:
         value = raw.get(name)
-        if value is None or value == "":
-            optionals[name] = None
-            continue
-        if not isinstance(value, str):
-            raise InvalidFieldError(name, "must be a string")
-        optionals[name] = value
+        optionals[name] = None if value is None or value == "" else _string(name, value)
     return Comment(id=comment_id, text=text, **optionals)
-
-
-def _read_text(path: Path) -> str:
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise FileNotReadableError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise FileNotReadableError(f"{path}: not valid UTF-8 ({exc})") from exc
 
 
 def _iter_csv(text: str) -> Iterator[tuple[int, Mapping[str, object]]]:
     reader = csv.reader(io.StringIO(text, newline=""))
+    # the reader cannot resume after an error, so lenient loading aborts too
     try:
-        header = next(reader)
-    except StopIteration:
-        return
-    columns = [name.strip() for name in header]
-    for required in REQUIRED_FIELDS:
-        if required not in columns:
-            raise MalformedRecordError(1, f"header lacks required column {required!r}")
-    known = set(REQUIRED_FIELDS) | set(OPTIONAL_FIELDS)
-    for row in reader:
-        if not row:
-            continue
-        # short rows leave later columns absent; extra cells are ignored
-        raw: dict[str, object] = {}
-        for name, value in zip(columns, row):
-            if name in known:
-                raw[name] = value
-        yield reader.line_num, raw
+        header = next(reader, None)
+        if header is None:
+            return
+        columns = [name.strip() for name in header]
+        for required in REQUIRED_FIELDS:
+            if required not in columns:
+                raise MalformedRecordError(1, f"header lacks required column {required!r}")
+        known = set(REQUIRED_FIELDS) | set(OPTIONAL_FIELDS)
+        for row in reader:
+            if not row:
+                continue
+            # short rows leave later columns absent; extra cells are ignored
+            raw: dict[str, object] = {}
+            for name, value in zip(columns, row):
+                if name in known:
+                    raw[name] = value
+            yield reader.line_num, raw
+    except csv.Error as exc:
+        raise MalformedRecordError(reader.line_num, f"invalid CSV: {exc}") from exc
 
 
 def _iter_jsonl(text: str) -> Iterator[tuple[int, Mapping[str, object]]]:
@@ -195,7 +190,7 @@ def _load(path: str | Path, fmt: str, lenient: bool) -> tuple[CommentCollection,
     path = Path(path)
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown corpus format: {fmt!r}")
-    text = _read_text(path)
+    text = read_text(path, FileNotReadableError)
     records = _iter_csv(text) if fmt == "csv" else _iter_jsonl(text)
 
     comments: list[Comment] = []
@@ -240,17 +235,15 @@ def comment_to_record(comment: Comment) -> dict[str, str]:
     return record
 
 
+def jsonl_text(records: Iterable[Mapping[str, object]]) -> str:
+    """One compact JSON object per line, keys sorted, non-ASCII kept."""
+    return "".join(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+                   for record in records)
+
+
 def write_jsonl(collection: CommentCollection, path: str | Path) -> None:
-    lines = [
-        json.dumps(comment_to_record(c), ensure_ascii=False, sort_keys=True)
-        for c in collection
-    ]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_file(path, jsonl_text(comment_to_record(c) for c in collection))
 
 
 def write_skip_report(skipped: tuple[SkippedRecord, ...], path: str | Path) -> None:
-    lines = [
-        json.dumps({"line": s.line, "reason": s.reason}, ensure_ascii=False, sort_keys=True)
-        for s in skipped
-    ]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_file(path, jsonl_text({"line": s.line, "reason": s.reason} for s in skipped))

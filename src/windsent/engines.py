@@ -34,6 +34,7 @@ from .lexicons import (
     PatternLexicon,
     SynsetLexicon,
     ValenceLexicon,
+    load_table,
     require_kind,
 )
 from .preprocess import PUNCTUATION, URL_PREFIXES, CleanedDocument
@@ -258,14 +259,7 @@ def score_pattern_avg(tokens: Sequence[str], lexicon: PatternLexicon) -> Sentime
 
 
 def load_pos_table(path: str | Path = DEFAULT_POS_TABLE_PATH) -> Mapping[str, str]:
-    table: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        word, tag = line.split("\t")
-        table[word] = tag
-    return table
+    return load_table(path)
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,11 @@
-"""The three lexicon kinds backing the sentiment engines.
+"""The three lexicon kinds backing the sentiment engines, plus the
+two-column tables (lemmas, POS tags) that share their file format.
 
-File formats (UTF-8, '#'-prefixed comment lines ignored):
+File formats (UTF-8 with optional BOM, blank and '#'-prefixed lines ignored):
   valence : word<TAB>valence                       valence in [-4, +4]
   pattern : word<TAB>polarity<TAB>subjectivity<TAB>intensifier_flag<TAB>intensity_factor
   synset  : synset_id<TAB>pos<TAB>pos_score<TAB>neg_score<TAB>sense_rank<TAB>lemma1,lemma2,...
+  table   : key<TAB>value
 
 Every invariant is checked at load time; a file that violates one never
 produces a partially valid lexicon. Each kind loads into its own frozen type
@@ -16,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Mapping
+from typing import Callable, ClassVar, Iterator, Mapping, TypeVar
 
-from .errors import WindsentError
+from .errors import WindsentError, data_lines
 
 POS_TAGS = ("noun", "verb", "adj", "adv")
 
@@ -40,7 +42,7 @@ def bundled_lexicon_dir() -> Path:
 
 
 class _EntryError(WindsentError):
-    """A bad line in a lexicon file; ``load_lexicon`` sets ``path`` so the
+    """A bad line in a lexicon or table file; ``_load`` sets ``path`` so the
     message reads ``<path>: line N: <reason>``."""
     path: Path | None = None
 
@@ -144,15 +146,14 @@ def require_kind(lexicon: AnyLexicon, expected: type) -> None:
         raise WrongKindError(expected.kind, lexicon.kind)
 
 
-def _data_lines(path: Path):
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LexiconFileError(f"{path}: {exc.strerror or exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
+def _rows(path: Path, width: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tab-separated fields) for each data line, which must
+    have exactly ``width`` fields."""
+    for lineno, line in data_lines(path, LexiconFileError):
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise MalformedEntryError(lineno, f"expected {width} fields, got {len(fields)}")
+        yield lineno, fields
 
 
 def _parse_float(value: str, lineno: int, what: str) -> float:
@@ -175,10 +176,7 @@ def _check_word(word: str, lineno: int) -> str:
 
 def _load_valence(path: Path) -> ValenceLexicon:
     entries: dict[str, float] = {}
-    for lineno, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise MalformedEntryError(lineno, f"expected 2 fields, got {len(fields)}")
+    for lineno, fields in _rows(path, 2):
         word = _check_word(fields[0], lineno)
         valence = _parse_float(fields[1], lineno, "valence")
         if not -VALENCE_BOUND <= valence <= VALENCE_BOUND:
@@ -195,10 +193,7 @@ _FALSE_FLAGS = {"0", "false"}
 
 def _load_pattern(path: Path) -> PatternLexicon:
     entries: dict[str, PatternEntry] = {}
-    for lineno, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise MalformedEntryError(lineno, f"expected 5 fields, got {len(fields)}")
+    for lineno, fields in _rows(path, 5):
         word = _check_word(fields[0], lineno)
         polarity = _parse_float(fields[1], lineno, "polarity")
         subjectivity = _parse_float(fields[2], lineno, "subjectivity")
@@ -227,10 +222,7 @@ def _load_synset(path: Path) -> SynsetLexicon:
     seen_ids: set[str] = set()
     seen_ranks: set[tuple[str, str, int]] = set()
     count = 0
-    for lineno, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 6:
-            raise MalformedEntryError(lineno, f"expected 6 fields, got {len(fields)}")
+    for lineno, fields in _rows(path, 6):
         synset_id = fields[0]
         if not synset_id:
             raise MalformedEntryError(lineno, "empty synset id")
@@ -281,15 +273,28 @@ _LOADERS = {
 }
 
 
-def load_lexicon(path: str | Path, kind: str) -> AnyLexicon:
-    if kind not in _LOADERS:
-        raise ValueError(f"unknown lexicon kind: {kind!r}")
+_Loaded = TypeVar("_Loaded")
+
+
+def _load(parse: Callable[[Path], _Loaded], path: str | Path) -> _Loaded:
     path = Path(path)
     try:
-        return _LOADERS[kind](path)
+        return parse(path)
     except _EntryError as exc:
         exc.path = path
         raise
+
+
+def load_lexicon(path: str | Path, kind: str) -> AnyLexicon:
+    if kind not in _LOADERS:
+        raise ValueError(f"unknown lexicon kind: {kind!r}")
+    return _load(_LOADERS[kind], path)
+
+
+def load_table(path: str | Path) -> dict[str, str]:
+    """A two-column ``key<TAB>value`` file such as the lemma or POS table;
+    a repeated key keeps its last value."""
+    return _load(lambda p: dict(fields for _, fields in _rows(p, 2)), path)
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,12 @@ identical inputs and configuration.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from . import analytics, corpus, engines, preprocess, report as report_mod, svgplots
 from .analytics import LabeledComment
 from .config import RunConfig
+from .errors import write_file
 from .lexicons import LexiconSet, load_lexicon_set
 from .preprocess import CleanedDocument, PreprocessConfig
 
@@ -135,13 +135,8 @@ def run_preprocess_only(config: RunConfig, out_file: str | Path) -> Path:
     collection, skipped = _load_collection(config)
     documents = preprocess.preprocess_corpus(collection, _preprocess_config(config))
     out_path = Path(out_file)
-    lines = [
-        json.dumps(cleaned_document_record(doc), ensure_ascii=False, sort_keys=True)
-        for doc in documents
-    ]
-    with report_mod.writing_to(out_path):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        if skipped:
-            corpus.write_skip_report(skipped, out_path.with_suffix(".skipped.jsonl"))
+    write_file(out_path, corpus.jsonl_text(cleaned_document_record(doc)
+                                           for doc in documents))
+    if skipped:
+        corpus.write_skip_report(skipped, out_path.with_suffix(".skipped.jsonl"))
     return out_path

@@ -25,6 +25,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import CommentCollection
+from .errors import data_lines
+from .lexicons import LexiconFileError, load_table
 from .stemming import stem
 
 URL_PREFIXES = ("http://", "https://", "www.")
@@ -37,23 +39,7 @@ DEFAULT_LEMMAS_PATH = _DATA_DIR / "lemmas.tsv"
 
 
 def load_stopwords(path: str | Path = DEFAULT_STOPWORDS_PATH) -> frozenset[str]:
-    words = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            words.append(line)
-    return frozenset(words)
-
-
-def load_lemma_table(path: str | Path = DEFAULT_LEMMAS_PATH) -> Mapping[str, str]:
-    table: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        inflected, lemma = line.split("\t")
-        table[inflected] = lemma
-    return table
+    return frozenset(line for _, line in data_lines(path, LexiconFileError))
 
 
 @lru_cache(maxsize=None)
@@ -63,7 +49,7 @@ def _cached_stopwords(path: str) -> frozenset[str]:
 
 @lru_cache(maxsize=None)
 def _cached_lemma_table(path: str) -> Mapping[str, str]:
-    return load_lemma_table(path)
+    return load_table(path)
 
 
 @dataclass(frozen=True)

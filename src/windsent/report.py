@@ -11,10 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .analytics import (
     LABELS,
@@ -23,13 +22,9 @@ from .analytics import (
     WordRanking,
 )
 from .engines import ENGINES, ENGINE_PATTERN, ENGINE_SYNSET, ENGINE_VALENCE, EngineScores
-from .errors import WindsentError
+from .errors import WindsentError, read_text, write_file
 
 SIDES = ("negative", "positive")
-
-
-class OutputNotWritableError(WindsentError):
-    code = "report/output-not-writable"
 
 
 class ReportNotReadableError(WindsentError):
@@ -172,16 +167,6 @@ def ranking_csv_text(ranking: WordRanking) -> str:
     return buffer.getvalue()
 
 
-@contextmanager
-def writing_to(path: str | Path) -> Iterator[None]:
-    """Turn an OSError raised inside the block into OutputNotWritableError
-    naming ``path``."""
-    try:
-        yield
-    except OSError as exc:
-        raise OutputNotWritableError(f"{path}: {exc.strerror or exc}") from exc
-
-
 def write_ranking_files(rankings: Mapping[str, Mapping[str, WordRanking]],
                         outdir: str | Path, engines: Sequence[str] = ENGINES,
                         sides: Sequence[str] = SIDES) -> list[Path]:
@@ -189,14 +174,11 @@ def write_ranking_files(rankings: Mapping[str, Mapping[str, WordRanking]],
     the paths written."""
     outdir = Path(outdir)
     written = []
-    with writing_to(outdir):
-        outdir.mkdir(parents=True, exist_ok=True)
-        for engine in engines:
-            for side in sides:
-                path = outdir / f"ranking_{engine}_{side}.csv"
-                path.write_text(ranking_csv_text(rankings[engine][side]),
-                                encoding="utf-8")
-                written.append(path)
+    for engine in engines:
+        for side in sides:
+            path = outdir / f"ranking_{engine}_{side}.csv"
+            write_file(path, ranking_csv_text(rankings[engine][side]))
+            written.append(path)
     return written
 
 
@@ -204,11 +186,8 @@ def write_report_files(report: AnalysisReport, outdir: str | Path) -> list[Path]
     """Write report.json, comments.csv and the six ranking CSVs; returns the
     paths written."""
     outdir = Path(outdir)
-    with writing_to(outdir):
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "report.json").write_bytes(report_json_bytes(report))
-        (outdir / "comments.csv").write_text(comments_csv_text(report),
-                                             encoding="utf-8")
+    write_file(outdir / "report.json", report_json_bytes(report))
+    write_file(outdir / "comments.csv", comments_csv_text(report))
     return [outdir / "report.json", outdir / "comments.csv",
             *write_ranking_files(report.rankings, outdir)]
 
@@ -216,11 +195,10 @@ def write_report_files(report: AnalysisReport, outdir: str | Path) -> list[Path]
 def load_report(path: str | Path) -> object:
     """The parsed JSON of a report file, unchecked: each reader checks the
     sections it uses."""
+    text = read_text(path, ReportNotReadableError)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ReportNotReadableError(f"{path}: {exc.strerror or exc}") from exc
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReportNotReadableError(f"{path}: invalid JSON ({exc.msg})") from exc
-    except ValueError as exc:  # not UTF-8, or an integer too long to parse
+    except ValueError as exc:  # an integer too long to parse
         raise ReportNotReadableError(f"{path}: {exc}") from exc

@@ -15,7 +15,8 @@ from typing import Mapping, Sequence
 from xml.sax.saxutils import escape
 
 from .engines import ENGINES
-from .report import SIDES, ReportNotReadableError, writing_to
+from .errors import write_file
+from .report import SIDES, ReportNotReadableError
 
 LABEL_COLORS = {
     "negative": "#c62828",
@@ -241,38 +242,23 @@ def render_report_plots(summary: Mapping, outdir: str | Path) -> list[Path]:
         raise ReportNotReadableError(
             f"not a windsent report ({type(exc).__name__}: {exc})") from exc
     outdir = Path(outdir)
-    written = []
-    with writing_to(outdir):
-        outdir.mkdir(parents=True, exist_ok=True)
-
-        colors = [LABEL_COLORS[lab] for lab in PLOT_LABEL_ORDER]
-        for engine in ENGINES:
-            values = distributions[engine]
-            path = outdir / f"distribution_{engine}_bar.svg"
-            path.write_text(
-                bar_chart_svg(f"Sentiment distribution ({engine})",
-                              PLOT_LABEL_ORDER, values, colors),
-                encoding="utf-8")
-            written.append(path)
-            path = outdir / f"distribution_{engine}_pie.svg"
-            path.write_text(
-                pie_chart_svg(f"Sentiment shares ({engine})",
-                              PLOT_LABEL_ORDER, values, colors),
-                encoding="utf-8")
-            written.append(path)
-
-        path = outdir / "subjectivity_histogram.svg"
-        path.write_text(
-            histogram_svg("Subjectivity distribution (pattern_avg)", edges, counts),
-            encoding="utf-8")
-        written.append(path)
-
-        for engine in ENGINES:
-            for side in SIDES:
-                path = outdir / f"top_words_{engine}_{side}.svg"
-                path.write_text(
-                    hbar_chart_svg(f"Top {side} words ({engine})",
-                                   rankings[engine, side]),
-                    encoding="utf-8")
-                written.append(path)
-    return written
+    charts = []
+    colors = [LABEL_COLORS[lab] for lab in PLOT_LABEL_ORDER]
+    for engine in ENGINES:
+        values = distributions[engine]
+        charts.append((f"distribution_{engine}_bar.svg",
+                       bar_chart_svg(f"Sentiment distribution ({engine})",
+                                     PLOT_LABEL_ORDER, values, colors)))
+        charts.append((f"distribution_{engine}_pie.svg",
+                       pie_chart_svg(f"Sentiment shares ({engine})",
+                                     PLOT_LABEL_ORDER, values, colors)))
+    charts.append(("subjectivity_histogram.svg",
+                   histogram_svg("Subjectivity distribution (pattern_avg)", edges, counts)))
+    for engine in ENGINES:
+        for side in SIDES:
+            charts.append((f"top_words_{engine}_{side}.svg",
+                           hbar_chart_svg(f"Top {side} words ({engine})",
+                                          rankings[engine, side])))
+    for name, svg in charts:
+        write_file(outdir / name, svg)
+    return [outdir / name for name, _ in charts]

@@ -9,6 +9,7 @@ from windsent.corpus import (
     DuplicateIdError,
     EmptyTextError,
     FileNotReadableError,
+    InvalidFieldError,
     MalformedRecordError,
     MissingFieldError,
     load_corpus,
@@ -188,6 +189,23 @@ class TestEncodingEdgeCases:
         path.write_bytes(b'{"id": "a", "text": "\xff\xfe"}\n')
         with pytest.raises(FileNotReadableError):
             load_corpus(path, "jsonl")
+
+    @pytest.mark.parametrize("field", ["id", "text", "source_group", "timestamp"])
+    def test_lone_surrogate_rejected(self, field):
+        record = {"id": "a", "text": "x", field: "wind \ud800"}
+        with pytest.raises(InvalidFieldError) as exc:
+            validate_record(record)
+        assert exc.value.name == field
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_csv_reader_error_is_malformed_record(self, tmp_path, lenient):
+        # the reader cannot resume after a field over its size limit
+        path = write(tmp_path / "c.csv", "id,text\na,x\nb," + "y" * 140_000 + "\nc,z\n")
+        load = load_corpus_lenient if lenient else load_corpus
+        with pytest.raises(MalformedRecordError) as exc:
+            load(path, "csv")
+        assert exc.value.line == 3
+        assert "field limit" in exc.value.reason
 
     def test_unicode_line_separator_round_trips(self, tmp_path):
         # U+2028 is a legal raw character inside a JSON string and must not

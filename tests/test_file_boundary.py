@@ -1,0 +1,195 @@
+"""The package's one file boundary: every input file is read and every
+output file written through ``windsent.errors``, so a bad file of any kind
+ends in exactly one ``ERROR <code>:`` line and exit 1, with no report
+written, and a BOM never changes what a file means."""
+
+import ast
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from windsent.cli import main
+from windsent.lexicons import bundled_lexicon_dir
+from windsent.preprocess import DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "windsent"
+GOLDEN_CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.jsonl"
+FILE_METHODS = {"read_text", "read_bytes", "write_text", "write_bytes", "open"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "errors.py"),
+                         ids=lambda p: p.name)
+def test_only_errors_module_opens_files(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in FILE_METHODS:
+            calls.append(f"line {node.lineno}: .{func.attr}(")
+        elif isinstance(func, ast.Name) and func.id == "open":
+            calls.append(f"line {node.lineno}: open(")
+    assert not calls, f"{path.name} touches files outside errors.py: {calls}"
+
+
+def _not_utf8(path: Path, good: bytes) -> Path:
+    path.write_bytes(good + b"\xff\n")
+    return path
+
+
+def _lexicon_copy(tmp_path: Path, name: str) -> list[str]:
+    lexicons = shutil.copytree(bundled_lexicon_dir(), tmp_path / "lexicons")
+    _not_utf8(lexicons / name, (bundled_lexicon_dir() / name).read_bytes())
+    return ["--lexicons", str(lexicons)]
+
+
+def _lemmas(tmp_path: Path, line: str) -> list[str]:
+    path = tmp_path / "lemmas.tsv"
+    path.write_text("# two columns\nruns\trun\n" + line + "\n", encoding="utf-8")
+    return ["--lemmas", str(path)]
+
+
+def _corpus(tmp_path: Path, name: str, text: str) -> list[str]:
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return ["--input", str(path)]
+
+
+def _plot(tmp_path: Path) -> list[str]:
+    report = tmp_path / "report.json"
+    report.write_bytes(b'{"meta": "\xff"}\n')
+    return ["plot", "--report", str(report)]
+
+
+# case -> (arguments after the command and --input/--out, expected line start)
+BAD_INPUTS = {
+    "stopwords-not-utf8": (
+        lambda t: ["--stopwords", str(_not_utf8(t / "stop.txt",
+                                                DEFAULT_STOPWORDS_PATH.read_bytes()))],
+        "ERROR lexicon/file-not-readable: {tmp}/stop.txt: not valid UTF-8"),
+    "lemmas-not-utf8": (
+        lambda t: ["--lemmas", str(_not_utf8(t / "lemmas.tsv",
+                                             DEFAULT_LEMMAS_PATH.read_bytes()))],
+        "ERROR lexicon/file-not-readable: {tmp}/lemmas.tsv: not valid UTF-8"),
+    "config-not-utf8": (
+        lambda t: ["--config", str(_not_utf8(t / "run.conf", b"top_n = 5\n"))],
+        "ERROR config/invalid: {tmp}/run.conf: not valid UTF-8"),
+    "valence-not-utf8": (
+        lambda t: _lexicon_copy(t, "valence.tsv"),
+        "ERROR lexicon/file-not-readable: {tmp}/lexicons/valence.tsv: not valid UTF-8"),
+    "pattern-not-utf8": (
+        lambda t: _lexicon_copy(t, "pattern.tsv"),
+        "ERROR lexicon/file-not-readable: {tmp}/lexicons/pattern.tsv: not valid UTF-8"),
+    "synset-not-utf8": (
+        lambda t: _lexicon_copy(t, "synset.tsv"),
+        "ERROR lexicon/file-not-readable: {tmp}/lexicons/synset.tsv: not valid UTF-8"),
+    "lemma-line-1-field": (
+        lambda t: _lemmas(t, "running"),
+        "ERROR lexicon/malformed-entry: {tmp}/lemmas.tsv: line 3: "
+        "expected 2 fields, got 1"),
+    "lemma-line-3-fields": (
+        lambda t: _lemmas(t, "running\trun\tverb"),
+        "ERROR lexicon/malformed-entry: {tmp}/lemmas.tsv: line 3: "
+        "expected 2 fields, got 3"),
+    "plot-report-not-utf8": (
+        _plot,
+        "ERROR report/file-not-readable: {tmp}/report.json: not valid UTF-8"),
+    "csv-field-over-limit": (
+        lambda t: _corpus(t, "c.csv", "id,text\na,good\nb," + "x" * 140_000 + "\n"),
+        "ERROR corpus/malformed-record: line 3: invalid CSV: field larger than "
+        "field limit"),
+    "csv-unterminated-quote-lenient": (
+        lambda t: _corpus(t, "c.csv", 'id,text\na,"good\n'
+                          + "b,fine words here\n" * 10_000) + ["--lenient"],
+        "ERROR corpus/malformed-record: line "),
+    "jsonl-lone-surrogate": (
+        lambda t: _corpus(t, "c.jsonl", '{"id": "a", "text": "good"}\n'
+                                        '{"id": "b", "text": "wind \\ud800 farm"}\n'),
+        "ERROR corpus/malformed-record: line 2: field text: contains a lone surrogate"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_file_is_one_error_line(tmp_path, capsys, case):
+    make_args, expected = BAD_INPUTS[case]
+    args = make_args(tmp_path)
+    out = tmp_path / "out"
+    if args[0] != "plot":
+        args = ["analyze", "--input", str(GOLDEN_CORPUS), *args, "--plots"]
+    code = main([*args, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1, captured.err
+    assert err[0].startswith(expected.format(tmp=tmp_path))
+    assert not out.exists()
+
+
+def _write(path: Path, text: str, bom: bool) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(("\ufeff" if bom else "") + text, encoding="utf-8")
+    return path
+
+
+def _bom_run(base: Path, bom_kind: str | None) -> bytes:
+    """Analyze the golden corpus with every data file copied under ``base``,
+    only ``bom_kind`` (if any) prefixed with a BOM; returns report.json."""
+    lexicons = base / "lexicons"
+    for name in ("valence", "pattern", "synset"):
+        source = bundled_lexicon_dir() / f"{name}.tsv"
+        _write(lexicons / source.name, source.read_text(encoding="utf-8"),
+               bom_kind == name)
+    # a first stopword that the corpus uses and that scores, so a BOM that
+    # hid it would change the report
+    stopwords = _write(base / "stopwords.txt",
+                       "good\n" + DEFAULT_STOPWORDS_PATH.read_text(encoding="utf-8"),
+                       bom_kind == "stopwords")
+    lemmas = _write(base / "lemmas.tsv", DEFAULT_LEMMAS_PATH.read_text(encoding="utf-8"),
+                    bom_kind == "lemmas")
+    config = _write(base / "run.conf",
+                    "# run settings\n"
+                    f"input = {GOLDEN_CORPUS}\nout = {base / 'out'}\n"
+                    f"lexicons = {lexicons}\nstopwords = {stopwords}\nlemmas = {lemmas}\n",
+                    bom_kind == "config")
+    assert main(["analyze", "--config", str(config)]) == 0
+    return (base / "out" / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["stopwords", "lemmas", "valence", "pattern",
+                                  "synset", "config"])
+def test_bom_prefixed_file_gives_the_same_report(tmp_path, kind):
+    assert _bom_run(tmp_path / "bom", kind) == _bom_run(tmp_path / "plain", None)
+
+
+def test_unwritable_skip_report_is_one_error_line(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"id": "a", "text": "clean energy wins today"}\n'
+                      '{"id": "b"}\n', encoding="utf-8")
+    out = tmp_path / "out"
+    (out / "skipped.jsonl").mkdir(parents=True)
+    code = main(["analyze", "--input", str(corpus), "--out", str(out), "--lenient"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(
+        f"ERROR report/output-not-writable: {out / 'skipped.jsonl'}:")
+
+
+@pytest.mark.parametrize("command,skip_file", [
+    ("analyze", "out/skipped.jsonl"), ("preprocess", "out.skipped.jsonl"),
+])
+def test_lone_surrogate_is_skipped_in_lenient_mode(tmp_path, command, skip_file):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"id": "a", "text": "clean energy wins today"}\n'
+                      '{"id": "b", "text": "wind farm", "source_group": "\\udfff"}\n',
+                      encoding="utf-8")
+    out = tmp_path / ("out" if command == "analyze" else "out.jsonl")
+    assert main([command, "--input", str(corpus), "--out", str(out), "--lenient"]) == 0
+    skipped = (tmp_path / skip_file).read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in skipped] == [
+        {"line": 2, "reason": "field source_group: contains a lone surrogate"}]
