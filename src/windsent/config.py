@@ -134,6 +134,11 @@ class RunConfig:
             raise ConfigError(f"bins must be in 1..{MAX_BINS}, got {self.bin_count}")
         if not self.input_path.is_file():
             raise ConfigError(f"input file not found: {self.input_path}")
+        try:
+            self.input_path.name.encode("utf-8")  # the report records the name
+        except UnicodeEncodeError:
+            raise ConfigError("input file name is not valid UTF-8: "
+                              f"{self.input_path.name!r}") from None
         if require_lexicons:
             for kind, path in self.lexicon_paths().items():
                 if not path.is_file():

@@ -3,9 +3,10 @@
 Every error carries a short machine-parsable ``code`` that the CLI prints as
 ``ERROR <code>: <message>`` on the diagnostic stream.
 
-Every input file is read through ``read_text`` (UTF-8 with an optional BOM)
-and every output file is written through ``write_file``, so a file that
-cannot be read, decoded or written always ends in one such error naming it.
+Every input file is read through ``read_text`` (UTF-8 with an optional BOM),
+every output file is written through ``write_file`` (and a leftover one
+removed through ``remove_file``), so a file that cannot be read, decoded,
+written or removed always ends in one such error naming it.
 """
 
 from __future__ import annotations
@@ -53,5 +54,14 @@ def write_file(path: str | Path, data: str | bytes) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(data)
+    except OSError as exc:
+        raise OutputNotWritableError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def remove_file(path: str | Path) -> None:
+    """Remove a leftover output file if there is one; any OSError becomes
+    OutputNotWritableError naming the file."""
+    try:
+        Path(path).unlink(missing_ok=True)
     except OSError as exc:
         raise OutputNotWritableError(f"{path}: {exc.strerror or exc}") from exc

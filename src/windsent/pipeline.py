@@ -10,7 +10,7 @@ from pathlib import Path
 from . import analytics, corpus, engines, preprocess, report as report_mod, svgplots
 from .analytics import LabeledComment
 from .config import RunConfig
-from .errors import write_file
+from .errors import remove_file, write_file
 from .lexicons import LexiconSet, load_lexicon_set
 from .preprocess import CleanedDocument, PreprocessConfig
 
@@ -91,6 +91,15 @@ def _preprocess_config(config: RunConfig) -> PreprocessConfig:
     )
 
 
+def _write_skip_report(skipped: tuple[corpus.SkippedRecord, ...], path: Path) -> None:
+    """Write the skip report, or remove a leftover one from an earlier run
+    when nothing was skipped."""
+    if skipped:
+        corpus.write_skip_report(skipped, path)
+    else:
+        remove_file(path)
+
+
 def analyze_only(config: RunConfig) -> report_mod.AnalysisReport:
     """Validate, load and analyze without writing any files."""
     config.validate()
@@ -108,8 +117,7 @@ def run_analyze(config: RunConfig) -> report_mod.AnalysisReport:
     lexicons = load_lexicon_set(config.lexicon_dir)
     result = analyze_collection(collection, lexicons, _preprocess_config(config), config)
     report_mod.write_report_files(result, config.out_dir)
-    if skipped:
-        corpus.write_skip_report(skipped, config.out_dir / "skipped.jsonl")
+    _write_skip_report(skipped, config.out_dir / "skipped.jsonl")
     if config.plots:
         svgplots.render_report_plots(report_mod.summary_to_dict(result),
                                      config.out_dir / "plots")
@@ -137,6 +145,5 @@ def run_preprocess_only(config: RunConfig, out_file: str | Path) -> Path:
     out_path = Path(out_file)
     write_file(out_path, corpus.jsonl_text(cleaned_document_record(doc)
                                            for doc in documents))
-    if skipped:
-        corpus.write_skip_report(skipped, out_path.with_suffix(".skipped.jsonl"))
+    _write_skip_report(skipped, out_path.with_suffix(".skipped.jsonl"))
     return out_path

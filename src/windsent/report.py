@@ -4,6 +4,14 @@ Serialization is canonical so that identical inputs produce byte-identical
 files on any machine: sorted keys, two-space indent, UTF-8, "\n" newlines,
 shortest-roundtrip float repr, and no timestamps or absolute paths (file
 references are recorded by basename only).
+
+report.json is the bytes json.dumps(ensure_ascii=False, indent=2,
+sort_keys=True) would give for the whole document, without building that
+document: each ``comments`` and ``dropped`` item is formatted from a fixed
+template (strings through json's own ``encode_basestring``, numbers through
+``float.__repr__``) and encoded in chunks into one buffer, and only the small
+sections go through json.dumps. A NaN or infinite number anywhere raises
+ValueError instead of writing ``NaN`` or ``Infinity``, which JSON lacks.
 """
 
 from __future__ import annotations
@@ -11,9 +19,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _json_str
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .analytics import (
     LABELS,
@@ -55,22 +65,6 @@ class AnalysisReport:
     rankings: Mapping[str, Mapping[str, WordRanking]]  # engine -> side -> ranking
 
 
-def _scores_to_dict(scores: EngineScores) -> dict:
-    valence = scores.valence_rule
-    pos, neu, neg = valence.proportions
-    return {
-        ENGINE_PATTERN: {
-            "polarity": scores.pattern_avg.polarity,
-            "subjectivity": scores.pattern_avg.subjectivity,
-        },
-        ENGINE_SYNSET: {"polarity": scores.synset.polarity},
-        ENGINE_VALENCE: {
-            "polarity": valence.polarity,
-            "proportions": {"neg": neg, "neu": neu, "pos": pos},
-        },
-    }
-
-
 def summary_to_dict(report: AnalysisReport) -> dict:
     """The report's corpus-level sections, which the charts draw."""
     return {
@@ -97,35 +91,103 @@ def summary_to_dict(report: AnalysisReport) -> dict:
     }
 
 
-def report_to_dict(report: AnalysisReport) -> dict:
-    return {
-        **summary_to_dict(report),
-        "comments": [
-            {
-                "id": row.comment_id,
-                "labels": {engine: row.labels[engine] for engine in ENGINES},
-                "scores": _scores_to_dict(row.scores),
-            }
-            for row in report.comments
-        ],
-        "dropped": [{"id": cid, "reason": reason} for cid, reason in report.dropped],
-        "meta": {
-            "config_digest": report.config_digest,
-            "corpus_size": report.corpus_size,
-            "dropped_count": report.dropped_count,
-            "epsilon": report.epsilon,
-            "input_file": report.input_file,
-            "kept_count": report.kept_count,
-            "pipeline_mode": report.pipeline_mode,
-            "top_n": report.top_n,
+# list items as json.dumps(indent=2, sort_keys=True) writes them two levels
+# deep; %r formats a float with float.__repr__, as json.dumps does
+_COMMENT_ITEM = """\
+    {
+      "id": %s,
+      "labels": {
+        "pattern_avg": %s,
+        "synset": %s,
+        "valence_rule": %s
+      },
+      "scores": {
+        "pattern_avg": {
+          "polarity": %r,
+          "subjectivity": %r
         },
-    }
+        "synset": {
+          "polarity": %r
+        },
+        "valence_rule": {
+          "polarity": %r,
+          "proportions": {
+            "neg": %r,
+            "neu": %r,
+            "pos": %r
+          }
+        }
+      }
+    }"""
+_DROPPED_ITEM = """\
+    {
+      "id": %s,
+      "reason": %s
+    }"""
+_ITEMS_PER_CHUNK = 1000
+# the meta section: these AnalysisReport fields under their own names
+_META_FIELDS = ("config_digest", "corpus_size", "dropped_count", "epsilon",
+                "input_file", "kept_count", "pipeline_mode", "top_n")
+
+
+def _comment_item(row: CommentRow) -> str:
+    scores = row.scores
+    pattern, valence = scores.pattern_avg, scores.valence_rule
+    pos, neu, neg = valence.proportions
+    numbers = (pattern.polarity, pattern.subjectivity, scores.synset.polarity,
+               valence.polarity, neg, neu, pos)
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError(f"comment {row.comment_id!r}: non-finite score in {numbers}; "
+                         "not JSON compliant")
+    labels = row.labels
+    return _COMMENT_ITEM % (_json_str(row.comment_id), _json_str(labels[ENGINE_PATTERN]),
+                            _json_str(labels[ENGINE_SYNSET]),
+                            _json_str(labels[ENGINE_VALENCE]), *numbers)
+
+
+def _dropped_item(dropped: tuple[str, str]) -> str:
+    comment_id, reason = dropped
+    return _DROPPED_ITEM % (_json_str(comment_id), _json_str(reason))
+
+
+def _write_items(out: io.BytesIO, rows: Sequence, item: Callable[[object], str]) -> None:
+    """Write a top-level list, one ``item(row)`` per row, encoding about
+    _ITEMS_PER_CHUNK items at a time."""
+    if not rows:
+        out.write(b"[]")
+        return
+    out.write(b"[\n")
+    for start in range(0, len(rows), _ITEMS_PER_CHUNK):
+        if start:
+            out.write(b",\n")
+        chunk = rows[start:start + _ITEMS_PER_CHUNK]
+        out.write(",\n".join(map(item, chunk)).encode("utf-8"))
+    out.write(b"\n  ]")
+
+
+def _section(value: object) -> bytes:
+    """A small section as the value of a top-level key: json.dumps indented
+    one level deeper."""
+    text = json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True,
+                      allow_nan=False)
+    return text.replace("\n", "\n  ").encode("utf-8")
 
 
 def report_json_bytes(report: AnalysisReport) -> bytes:
-    text = json.dumps(report_to_dict(report), ensure_ascii=False, indent=2,
-                      sort_keys=True) + "\n"
-    return text.encode("utf-8")
+    """The bytes of report.json (see the module docstring)."""
+    summary = summary_to_dict(report)
+    meta = {name: getattr(report, name) for name in _META_FIELDS}
+    out = io.BytesIO()
+    out.write(b'{\n  "comments": ')
+    _write_items(out, report.comments, _comment_item)
+    out.write(b',\n  "distributions": ' + _section(summary["distributions"]))
+    out.write(b',\n  "dropped": ')
+    _write_items(out, report.dropped, _dropped_item)
+    out.write(b',\n  "meta": ' + _section(meta))
+    out.write(b',\n  "rankings": ' + _section(summary["rankings"]))
+    out.write(b',\n  "subjectivity": ' + _section(summary["subjectivity"]))
+    out.write(b"\n}\n")
+    return out.getvalue()
 
 
 COMMENTS_CSV_COLUMNS = (

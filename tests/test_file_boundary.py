@@ -5,7 +5,10 @@ written, and a BOM never changes what a file means."""
 
 import ast
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -193,3 +196,35 @@ def test_lone_surrogate_is_skipped_in_lenient_mode(tmp_path, command, skip_file)
     skipped = (tmp_path / skip_file).read_text(encoding="utf-8").splitlines()
     assert [json.loads(line) for line in skipped] == [
         {"line": 2, "reason": "field source_group: contains a lone surrogate"}]
+
+
+@pytest.mark.parametrize("command,skip_file", [
+    ("analyze", "out/skipped.jsonl"), ("preprocess", "out.skipped.jsonl"),
+])
+def test_clean_run_removes_a_leftover_skip_report(tmp_path, command, skip_file):
+    corpus = tmp_path / "c.jsonl"
+    good = '{"id": "a", "text": "clean energy wins today"}\n'
+    corpus.write_text(good + '{"id": "b"}\n', encoding="utf-8")
+    out = tmp_path / ("out" if command == "analyze" else "out.jsonl")
+    args = [command, "--input", str(corpus), "--out", str(out)]
+    assert main([*args, "--lenient"]) == 0
+    assert (tmp_path / skip_file).is_file()
+    corpus.write_text(good, encoding="utf-8")
+    assert main(args) == 0
+    assert not (tmp_path / skip_file).exists()
+
+
+def test_non_utf8_input_name_is_one_error_line(tmp_path):
+    corpus = bytes(tmp_path) + b"/c\xff.jsonl"
+    with open(corpus, "wb") as handle:
+        handle.write(GOLDEN_CORPUS.read_bytes())
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from windsent.cli import main; sys.exit(main())",
+         "analyze", "--input", corpus, "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "ERROR config/invalid: input file name is not valid UTF-8: 'c\\udcff.jsonl'"]
+    assert not out.exists()
