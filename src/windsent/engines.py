@@ -37,7 +37,7 @@ from .lexicons import (
     load_table,
     require_kind,
 )
-from .preprocess import PUNCTUATION, URL_PREFIXES, CleanedDocument
+from .preprocess import DELETE_PUNCTUATION, URL_PREFIXES, CleanedDocument
 
 ENGINE_VALENCE = "valence_rule"
 ENGINE_PATTERN = "pattern_avg"
@@ -130,7 +130,7 @@ def _caps_profile(raw_text: str) -> tuple[frozenset[str], bool]:
     for piece in raw_text.split():
         if piece.lower().startswith(URL_PREFIXES):
             continue
-        cleaned = "".join(c for c in piece if c not in PUNCTUATION)
+        cleaned = piece.translate(DELETE_PUNCTUATION)
         if cleaned and any(c.isalpha() for c in cleaned):
             cased.append(cleaned)
     upper = [w for w in cased if w.isupper()]

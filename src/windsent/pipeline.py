@@ -110,8 +110,9 @@ def analyze_only(config: RunConfig) -> report_mod.AnalysisReport:
 
 def run_analyze(config: RunConfig) -> report_mod.AnalysisReport:
     """Execute the full pipeline and write report files (plus plots when
-    enabled) into the output directory. Validation happens before any output
-    is written, so a bad configuration leaves no partial results."""
+    enabled, else remove charts left by an earlier run) into the output
+    directory. Validation happens before any output is written, so a bad
+    configuration leaves no partial results."""
     config.validate()
     collection, skipped = _load_collection(config)
     lexicons = load_lexicon_set(config.lexicon_dir)
@@ -121,6 +122,9 @@ def run_analyze(config: RunConfig) -> report_mod.AnalysisReport:
     if config.plots:
         svgplots.render_report_plots(report_mod.summary_to_dict(result),
                                      config.out_dir / "plots")
+    else:
+        for name in svgplots.CHART_FILES:
+            remove_file(config.out_dir / "plots" / name)
     return result
 
 

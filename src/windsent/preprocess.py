@@ -31,6 +31,7 @@ from .stemming import stem
 
 URL_PREFIXES = ("http://", "https://", "www.")
 PUNCTUATION = frozenset(string.punctuation)
+DELETE_PUNCTUATION = str.maketrans(dict.fromkeys(PUNCTUATION))
 _VOWELS = frozenset("aeiou")
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -92,8 +93,7 @@ class CleanedDocument:
 def normalize(text: str) -> str:
     text = text.lower()
     kept = [piece for piece in text.split() if not piece.startswith(URL_PREFIXES)]
-    text = " ".join(kept)
-    text = "".join(c for c in text if c not in PUNCTUATION)
+    text = " ".join(kept).translate(DELETE_PUNCTUATION)
     return " ".join(text.split())
 
 

@@ -4,10 +4,38 @@ Operates on lowercase ASCII-letter tokens; anything else (digits, mixed
 alphanumerics, non-ASCII) passes through unchanged, as do tokens of one or
 two characters. Includes the two customary refinements found in virtually
 every circulating implementation of the algorithm ("bli" -> "ble" in step 2
-and the "logi" -> "log" rule).
+and the "logi" -> "log" rule). Steps 2-4 are ordered suffix tables, as in the
+algorithm's published statement; steps 1 and 5 are code.
 """
 
 from __future__ import annotations
+
+# Keyed by the penultimate letter (steps 2 and 4) or the last letter
+# (step 3). Order matters: only the first suffix that ends the word is used.
+_STEP2 = {
+    "a": (("ational", "ate"), ("tional", "tion")),
+    "c": (("enci", "ence"), ("anci", "ance")),
+    "e": (("izer", "ize"),),
+    "l": (("bli", "ble"), ("alli", "al"), ("entli", "ent"), ("eli", "e"),
+          ("ousli", "ous")),
+    "o": (("ization", "ize"), ("ation", "ate"), ("ator", "ate")),
+    "s": (("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
+          ("ousness", "ous")),
+    "t": (("aliti", "al"), ("iviti", "ive"), ("biliti", "ble")),
+    "g": (("logi", "log"),),
+}
+_STEP3 = {
+    "e": (("icate", "ic"), ("ative", ""), ("alize", "al")),
+    "i": (("iciti", "ic"),),
+    "l": (("ical", "ic"), ("ful", "")),
+    "s": (("ness", ""),),
+}
+_STEP4 = {
+    "a": ("al",), "c": ("ance", "ence"), "e": ("er",), "i": ("ic",),
+    "l": ("able", "ible"), "n": ("ant", "ement", "ment", "ent"),
+    "o": ("ion", "ou"), "s": ("ism",), "t": ("ate", "iti"), "u": ("ous",),
+    "v": ("ive",), "z": ("ize",),
+}
 
 
 class _Stemmer:
@@ -115,123 +143,19 @@ class _Stemmer:
         if self.ends("y") and self.vowel_in_stem():
             self.b = self.b[: self.k] + "i"
 
-    def step2(self) -> None:
-        ch = self.b[self.k - 1]
-        if ch == "a":
-            if self.ends("ational"):
-                self.r("ate")
-            elif self.ends("tional"):
-                self.r("tion")
-        elif ch == "c":
-            if self.ends("enci"):
-                self.r("ence")
-            elif self.ends("anci"):
-                self.r("ance")
-        elif ch == "e":
-            if self.ends("izer"):
-                self.r("ize")
-        elif ch == "l":
-            if self.ends("bli"):
-                self.r("ble")
-            elif self.ends("alli"):
-                self.r("al")
-            elif self.ends("entli"):
-                self.r("ent")
-            elif self.ends("eli"):
-                self.r("e")
-            elif self.ends("ousli"):
-                self.r("ous")
-        elif ch == "o":
-            if self.ends("ization"):
-                self.r("ize")
-            elif self.ends("ation"):
-                self.r("ate")
-            elif self.ends("ator"):
-                self.r("ate")
-        elif ch == "s":
-            if self.ends("alism"):
-                self.r("al")
-            elif self.ends("iveness"):
-                self.r("ive")
-            elif self.ends("fulness"):
-                self.r("ful")
-            elif self.ends("ousness"):
-                self.r("ous")
-        elif ch == "t":
-            if self.ends("aliti"):
-                self.r("al")
-            elif self.ends("iviti"):
-                self.r("ive")
-            elif self.ends("biliti"):
-                self.r("ble")
-        elif ch == "g":
-            if self.ends("logi"):
-                self.r("log")
-
-    def step3(self) -> None:
-        ch = self.b[self.k]
-        if ch == "e":
-            if self.ends("icate"):
-                self.r("ic")
-            elif self.ends("ative"):
-                self.r("")
-            elif self.ends("alize"):
-                self.r("al")
-        elif ch == "i":
-            if self.ends("iciti"):
-                self.r("ic")
-        elif ch == "l":
-            if self.ends("ical"):
-                self.r("ic")
-            elif self.ends("ful"):
-                self.r("")
-        elif ch == "s":
-            if self.ends("ness"):
-                self.r("")
+    def replace_suffix(self, rules: tuple[tuple[str, str], ...]) -> None:
+        # steps 2 and 3
+        for suffix, replacement in rules:
+            if self.ends(suffix):
+                self.r(replacement)
+                return
 
     def step4(self) -> None:
-        ch = self.b[self.k - 1]
-        if ch == "a":
-            if not self.ends("al"):
+        for suffix in _STEP4.get(self.b[self.k - 1], ()):
+            if self.ends(suffix):
+                if (suffix != "ion" or self.b[self.j] in "st") and self.m() > 1:
+                    self.k = self.j
                 return
-        elif ch == "c":
-            if not self.ends("ance") and not self.ends("ence"):
-                return
-        elif ch == "e":
-            if not self.ends("er"):
-                return
-        elif ch == "i":
-            if not self.ends("ic"):
-                return
-        elif ch == "l":
-            if not self.ends("able") and not self.ends("ible"):
-                return
-        elif ch == "n":
-            if not (self.ends("ant") or self.ends("ement")
-                    or self.ends("ment") or self.ends("ent")):
-                return
-        elif ch == "o":
-            if not ((self.ends("ion") and self.b[self.j] in "st") or self.ends("ou")):
-                return
-        elif ch == "s":
-            if not self.ends("ism"):
-                return
-        elif ch == "t":
-            if not self.ends("ate") and not self.ends("iti"):
-                return
-        elif ch == "u":
-            if not self.ends("ous"):
-                return
-        elif ch == "v":
-            if not self.ends("ive"):
-                return
-        elif ch == "z":
-            if not self.ends("ize"):
-                return
-        else:
-            return
-        if self.m() > 1:
-            self.k = self.j
 
     def step5(self) -> None:
         self.j = self.k
@@ -245,8 +169,8 @@ class _Stemmer:
     def run(self) -> str:
         self.step1ab()
         self.step1c()
-        self.step2()
-        self.step3()
+        self.replace_suffix(_STEP2.get(self.b[self.k - 1], ()))
+        self.replace_suffix(_STEP3.get(self.b[self.k], ()))
         self.step4()
         self.step5()
         return self.b[: self.k + 1]

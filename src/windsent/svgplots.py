@@ -231,6 +231,14 @@ def _drawn_values(summary: Mapping) -> tuple[dict, list, list, dict]:
     return distributions, edges, counts, rankings
 
 
+# The 13 files of one full render, in the order they are written.
+CHART_FILES = (
+    *(f"distribution_{engine}_{kind}.svg" for engine in ENGINES for kind in ("bar", "pie")),
+    "subjectivity_histogram.svg",
+    *(f"top_words_{engine}_{side}.svg" for engine in ENGINES for side in SIDES),
+)
+
+
 def render_report_plots(summary: Mapping, outdir: str | Path) -> list[Path]:
     """Emit the 13 SVG files into ``outdir`` from a report's summary sections
     (``summary_to_dict`` or a parsed report.json). Everything drawn is checked
@@ -246,19 +254,15 @@ def render_report_plots(summary: Mapping, outdir: str | Path) -> list[Path]:
     colors = [LABEL_COLORS[lab] for lab in PLOT_LABEL_ORDER]
     for engine in ENGINES:
         values = distributions[engine]
-        charts.append((f"distribution_{engine}_bar.svg",
-                       bar_chart_svg(f"Sentiment distribution ({engine})",
-                                     PLOT_LABEL_ORDER, values, colors)))
-        charts.append((f"distribution_{engine}_pie.svg",
-                       pie_chart_svg(f"Sentiment shares ({engine})",
-                                     PLOT_LABEL_ORDER, values, colors)))
-    charts.append(("subjectivity_histogram.svg",
-                   histogram_svg("Subjectivity distribution (pattern_avg)", edges, counts)))
+        charts.append(bar_chart_svg(f"Sentiment distribution ({engine})",
+                                    PLOT_LABEL_ORDER, values, colors))
+        charts.append(pie_chart_svg(f"Sentiment shares ({engine})",
+                                    PLOT_LABEL_ORDER, values, colors))
+    charts.append(histogram_svg("Subjectivity distribution (pattern_avg)", edges, counts))
     for engine in ENGINES:
         for side in SIDES:
-            charts.append((f"top_words_{engine}_{side}.svg",
-                           hbar_chart_svg(f"Top {side} words ({engine})",
-                                          rankings[engine, side])))
-    for name, svg in charts:
+            charts.append(hbar_chart_svg(f"Top {side} words ({engine})",
+                                         rankings[engine, side]))
+    for name, svg in zip(CHART_FILES, charts, strict=True):
         write_file(outdir / name, svg)
-    return [outdir / name for name, _ in charts]
+    return [outdir / name for name in CHART_FILES]

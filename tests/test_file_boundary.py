@@ -16,6 +16,7 @@ import pytest
 from windsent.cli import main
 from windsent.lexicons import bundled_lexicon_dir
 from windsent.preprocess import DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH
+from windsent.svgplots import CHART_FILES
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "windsent"
 GOLDEN_CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.jsonl"
@@ -212,6 +213,17 @@ def test_clean_run_removes_a_leftover_skip_report(tmp_path, command, skip_file):
     corpus.write_text(good, encoding="utf-8")
     assert main(args) == 0
     assert not (tmp_path / skip_file).exists()
+
+
+def test_run_without_plots_removes_leftover_charts(tmp_path):
+    out = tmp_path / "out"
+    args = ["analyze", "--input", str(GOLDEN_CORPUS), "--out", str(out)]
+    assert main([*args, "--plots"]) == 0
+    plots = out / "plots"
+    assert sorted(p.name for p in plots.iterdir()) == sorted(CHART_FILES)
+    (plots / "notes.txt").write_text("kept\n", encoding="utf-8")
+    assert main(args) == 0
+    assert [p.name for p in plots.iterdir()] == ["notes.txt"]
 
 
 def test_non_utf8_input_name_is_one_error_line(tmp_path):

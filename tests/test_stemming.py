@@ -1,3 +1,7 @@
+import hashlib
+import random
+import string
+
 import pytest
 
 from windsent.stemming import stem
@@ -84,3 +88,42 @@ def test_stateless_between_calls():
     assert stem("relational") == "relat"
     assert stem("wind") == "wind"
     assert stem("relational") == "relat"
+
+
+# Every suffix the five steps test for, plus a few inflections that chain
+# into them, so generated words reach each rule of each step.
+PORTER_SUFFIXES = (
+    "s sses ies ed eed ing at bl iz y e l ll ational tional enci anci izer bli "
+    "alli entli eli ousli ization ation ator alism iveness fulness ousness "
+    "aliti iviti biliti logi icate ative alize iciti ical ful ness al ance "
+    "ence er ic able ible ant ement ment ent sion tion ion ou ism ate iti ous "
+    "ive ize ly li"
+).split()
+STEM_BASES = ("gener", "relat", "condit", "sensit", "form", "hope", "digit",
+              "vile", "analog", "oper", "feud", "decis", "callous", "radic",
+              "adopt", "rat", "control", "roll", "hop", "fil", "agr", "sky")
+# sha256 of the newline-joined stems of pinned_words(), recorded from the
+# line-by-line port of the reference C code.
+PINNED_DIGEST = "7fe0ea371f535d38d5e63e60cfc94910d6963d2ad57549feed126823cac5a67f"
+
+
+def pinned_words(count=50_000, seed=1980):
+    rng = random.Random(seed)
+    letters = string.ascii_lowercase
+    words = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            word = rng.choice(STEM_BASES)
+        else:
+            word = "".join(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+        for _ in range(rng.randint(0, 3)):
+            word += rng.choice(PORTER_SUFFIXES)
+        if rng.random() < 0.1:
+            word += rng.choice(letters)
+        words.append(word)
+    return words
+
+
+def test_stems_match_the_pinned_digest():
+    joined = "\n".join(stem(word) for word in pinned_words())
+    assert hashlib.sha256(joined.encode("ascii")).hexdigest() == PINNED_DIGEST
