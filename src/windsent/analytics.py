@@ -11,6 +11,7 @@ shards and merged equal the whole-corpus distribution.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -119,7 +120,8 @@ class SubjectivityHistogram:
 def subjectivity_histogram(scores: Sequence[SentimentScore],
                            bin_count: int = 10) -> SubjectivityHistogram:
     """Uniform bins over [0, 1]; a value on a bin boundary joins the lower
-    bin (1.0 therefore joins the top bin); mean and median are exact."""
+    bin (1.0 therefore joins the top bin); the mean is a plain left-to-right
+    sum, which builtin sum() is not from Python 3.12 on."""
     if bin_count < 1:
         raise ValueError("bin_count must be >= 1")
     values = []
@@ -129,7 +131,9 @@ def subjectivity_histogram(scores: Sequence[SentimentScore],
         values.append(score.subjectivity)
     edges = tuple(i / bin_count for i in range(bin_count + 1))
     counts = [0] * bin_count
+    total = 0.0
     for v in values:
+        total += v
         if v <= 0:
             index = 0
         else:
@@ -138,7 +142,7 @@ def subjectivity_histogram(scores: Sequence[SentimentScore],
                 index = bin_count - 1
         counts[index] += 1
     if values:
-        mean = sum(values) / len(values)
+        mean = total / len(values)
         ordered = sorted(values)
         mid = len(ordered) // 2
         if len(ordered) % 2 == 1:
@@ -166,20 +170,14 @@ def word_qualifies(lexicon: AnyLexicon, word: str, side: str) -> bool:
         raise ValueError(f"side must be positive or negative, got {side!r}")
     if isinstance(lexicon, ValenceLexicon):
         value = lexicon._valence.get(word)
-        if value is None:
-            return False
-        return value > 0 if side == POSITIVE else value < 0
-    if isinstance(lexicon, PatternLexicon):
+    elif isinstance(lexicon, PatternLexicon):
         entry = lexicon._pattern.get(word)
-        if entry is None:
-            return False
-        return entry.polarity > 0 if side == POSITIVE else entry.polarity < 0
-    (_, tag), = tag_pos([word])
-    senses = lexicon._synsets.get((word, tag))
-    if not senses:
-        return False
-    diff = senses[0].pos_score - senses[0].neg_score
-    return diff > 0 if side == POSITIVE else diff < 0
+        value = None if entry is None else entry.polarity
+    else:
+        (_, tag), = tag_pos([word])
+        senses = lexicon._synsets.get((word, tag))
+        value = senses[0].pos_score - senses[0].neg_score if senses else None
+    return value is not None and (value > 0 if side == POSITIVE else value < 0)
 
 
 def top_words(documents: Sequence[CleanedDocument],
@@ -187,8 +185,9 @@ def top_words(documents: Sequence[CleanedDocument],
               lexicon: AnyLexicon, engine: str, side: str,
               n: int = 30) -> WordRanking:
     """The n most frequent side-qualifying words over the comments the
-    engine labeled with that side; every token occurrence counts; ties break
-    by ascending word order for reproducibility."""
+    engine labeled with that side; every token occurrence counts, and each
+    distinct word is tested once, since whether it qualifies depends on the
+    word alone; ties break by ascending word order for reproducibility."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine: {engine!r}")
     if side not in (POSITIVE, NEGATIVE):
@@ -197,7 +196,7 @@ def top_words(documents: Sequence[CleanedDocument],
     if n < 1:
         raise ValueError("n must be >= 1")
     tokens_by_id = {doc.comment_id: doc.tokens for doc in documents}
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     for item in labeled:
         if item.engine != engine:
             raise MixedEnginesError(engine, item.engine)
@@ -207,8 +206,8 @@ def top_words(documents: Sequence[CleanedDocument],
             tokens = tokens_by_id[item.comment_id]
         except KeyError:
             raise ValueError(f"no document for labeled comment {item.comment_id!r}") from None
-        for token in tokens:
-            if word_qualifies(lexicon, token, side):
-                counts[token] = counts.get(token, 0) + 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        counts.update(tokens)
+    ranked = sorted(((word, count) for word, count in counts.items()
+                     if word_qualifies(lexicon, word, side)),
+                    key=lambda kv: (-kv[1], kv[0]))
     return WordRanking(engine, side, tuple(ranked[:n]))

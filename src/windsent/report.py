@@ -91,39 +91,26 @@ def summary_to_dict(report: AnalysisReport) -> dict:
     }
 
 
-# list items as json.dumps(indent=2, sort_keys=True) writes them two levels
-# deep; %r formats a float with float.__repr__, as json.dumps does
-_COMMENT_ITEM = """\
-    {
-      "id": %s,
-      "labels": {
-        "pattern_avg": %s,
-        "synset": %s,
-        "valence_rule": %s
-      },
-      "scores": {
-        "pattern_avg": {
-          "polarity": %r,
-          "subjectivity": %r
-        },
-        "synset": {
-          "polarity": %r
-        },
-        "valence_rule": {
-          "polarity": %r,
-          "proportions": {
-            "neg": %r,
-            "neu": %r,
-            "pos": %r
-          }
-        }
-      }
-    }"""
-_DROPPED_ITEM = """\
-    {
-      "id": %s,
-      "reason": %s
-    }"""
+def _item_template(sample: dict) -> str:
+    """A list item as json.dumps(indent=2, sort_keys=True) writes it two
+    levels deep, with the sample's "%s" and "%r" leaves unquoted into format
+    fields in sorted-key order; %r formats a float with float.__repr__, as
+    json.dumps does."""
+    text = "    " + json.dumps(sample, indent=2, sort_keys=True).replace("\n", "\n    ")
+    return text.replace('"%s"', "%s").replace('"%r"', "%r")
+
+
+_COMMENT_ITEM = _item_template({
+    "id": "%s",
+    "labels": dict.fromkeys(ENGINES, "%s"),
+    "scores": {
+        ENGINE_PATTERN: {"polarity": "%r", "subjectivity": "%r"},
+        ENGINE_SYNSET: {"polarity": "%r"},
+        ENGINE_VALENCE: {"polarity": "%r",
+                         "proportions": dict.fromkeys(("neg", "neu", "pos"), "%r")},
+    },
+})
+_DROPPED_ITEM = _item_template({"id": "%s", "reason": "%s"})
 _ITEMS_PER_CHUNK = 1000
 # the meta section: these AnalysisReport fields under their own names
 _META_FIELDS = ("config_digest", "corpus_size", "dropped_count", "epsilon",

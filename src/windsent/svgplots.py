@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from pathlib import Path
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
 
 from .engines import ENGINES
 from .errors import write_file
@@ -25,6 +24,11 @@ LABEL_COLORS = {
 }
 BAR_COLOR = "#1565c0"
 FONT = "font-family=\"Helvetica, Arial, sans-serif\""
+
+
+def _escape(text: str) -> str:
+    """xml.sax.saxutils.escape, which would import urllib, http and email."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(value: float) -> str:
@@ -41,7 +45,7 @@ def _svg(width: int, height: int, body: list[str]) -> str:
 
 def _title(text: str, width: int) -> str:
     return (f"<text x=\"{width // 2}\" y=\"24\" text-anchor=\"middle\" "
-            f"{FONT} font-size=\"16\">{escape(text)}</text>")
+            f"{FONT} font-size=\"16\">{_escape(text)}</text>")
 
 
 def bar_chart_svg(title: str, labels: Sequence[str], values: Sequence[int | float],
@@ -68,9 +72,9 @@ def bar_chart_svg(title: str, labels: Sequence[str], values: Sequence[int | floa
             body.append(f"<rect x=\"{_fmt(x)}\" y=\"{_fmt(y)}\" width=\"{_fmt(bar_w)}\" "
                         f"height=\"{_fmt(h)}\" fill=\"{color}\"/>")
             body.append(f"<text x=\"{_fmt(x + bar_w / 2)}\" y=\"{_fmt(y - 6)}\" "
-                        f"text-anchor=\"middle\" {FONT} font-size=\"12\">{escape(str(value))}</text>")
+                        f"text-anchor=\"middle\" {FONT} font-size=\"12\">{_escape(str(value))}</text>")
             body.append(f"<text x=\"{_fmt(x + bar_w / 2)}\" y=\"{top + plot_h + 18}\" "
-                        f"text-anchor=\"middle\" {FONT} font-size=\"12\">{escape(str(lab))}</text>")
+                        f"text-anchor=\"middle\" {FONT} font-size=\"12\">{_escape(str(lab))}</text>")
     return _svg(width, height, body)
 
 
@@ -122,7 +126,7 @@ def pie_chart_svg(title: str, labels: Sequence[str], values: Sequence[int | floa
         body.append(f"<rect x=\"{legend_x}\" y=\"{y - 11}\" width=\"14\" height=\"14\" "
                     f"fill=\"{color}\"/>")
         body.append(f"<text x=\"{legend_x + 20}\" y=\"{y}\" {FONT} "
-                    f"font-size=\"12\">{escape(f'{lab}: {value}')}</text>")
+                    f"font-size=\"12\">{_escape(f'{lab}: {value}')}</text>")
     return _svg(width, height, body)
 
 
@@ -143,7 +147,7 @@ def hbar_chart_svg(title: str, entries: Sequence[tuple[str, int]]) -> str:
         y = top + i * row_h
         bar_w = 0.0 if peak <= 0 else count / peak * plot_w
         body.append(f"<text x=\"{left - 8}\" y=\"{y + 14}\" text-anchor=\"end\" {FONT} "
-                    f"font-size=\"12\">{escape(word)}</text>")
+                    f"font-size=\"12\">{_escape(word)}</text>")
         body.append(f"<rect x=\"{left}\" y=\"{y + 3}\" width=\"{_fmt(bar_w)}\" "
                     f"height=\"{row_h - 8}\" fill=\"{BAR_COLOR}\"/>")
         body.append(f"<text x=\"{_fmt(left + bar_w + 6)}\" y=\"{y + 14}\" {FONT} "

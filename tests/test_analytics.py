@@ -1,9 +1,14 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from windsent import analytics
 from windsent.analytics import (
     LABELS,
+    NEGATIVE,
+    POSITIVE,
     LabeledComment,
     MissingSubjectivityError,
     MixedEnginesError,
@@ -17,11 +22,14 @@ from windsent.analytics import (
     word_qualifies,
 )
 from windsent.engines import (
+    ENGINE_LEXICONS,
     ENGINE_PATTERN,
     ENGINE_VALENCE,
+    ENGINES,
     SentimentScore,
+    tag_pos,
 )
-from windsent.lexicons import WrongKindError
+from windsent.lexicons import PatternLexicon, ValenceLexicon, WrongKindError, load_lexicon_set
 from windsent.preprocess import CleanedDocument
 
 
@@ -151,6 +159,11 @@ class TestSubjectivityHistogram:
         hist = subjectivity_histogram([pscore(0.0, v) for v in (0.1, 0.2, 0.6, 0.8)])
         assert hist.median == (0.2 + 0.6) / 2
 
+    def test_mean_is_a_left_to_right_sum(self):
+        # Python 3.12's compensated sum() would give exactly 0.1 here
+        hist = subjectivity_histogram([pscore(0.0, 0.1)] * 10)
+        assert hist.mean == 0.9999999999999999 / 10
+
     @given(st.lists(st.floats(min_value=0, max_value=1, allow_nan=False), max_size=50))
     @settings(max_examples=200, deadline=None)
     def test_counts_always_partition(self, values):
@@ -248,3 +261,91 @@ def test_top_words_invalid_side_and_n(lexicons):
         top_words([], [], lexicons.valence, ENGINE_VALENCE, "sideways")
     with pytest.raises(ValueError):
         top_words([], [], lexicons.valence, ENGINE_VALENCE, "positive", n=0)
+
+
+def _occurrence_qualifies(lexicon, word, side):
+    """word_qualifies as it was written before the single sign rule."""
+    if isinstance(lexicon, ValenceLexicon):
+        value = lexicon._valence.get(word)
+        if value is None:
+            return False
+        return value > 0 if side == POSITIVE else value < 0
+    if isinstance(lexicon, PatternLexicon):
+        entry = lexicon._pattern.get(word)
+        if entry is None:
+            return False
+        return entry.polarity > 0 if side == POSITIVE else entry.polarity < 0
+    (_, tag), = tag_pos([word])
+    senses = lexicon._synsets.get((word, tag))
+    if not senses:
+        return False
+    diff = senses[0].pos_score - senses[0].neg_score
+    return diff > 0 if side == POSITIVE else diff < 0
+
+
+def _occurrence_top_words(documents, labeled, lexicon, engine, side, n):
+    """top_words as it was written before counting came first: one
+    qualification test per token occurrence."""
+    tokens_by_id = {doc.comment_id: doc.tokens for doc in documents}
+    counts = {}
+    for item in labeled:
+        if item.label != side:
+            continue
+        for token in tokens_by_id[item.comment_id]:
+            if _occurrence_qualifies(lexicon, token, side):
+                counts[token] = counts.get(token, 0) + 1
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return tuple(ranked[:n])
+
+
+def _ranking_words():
+    """Token strategy: lexicon words, synset lemmas, words that tag_pos tags
+    by their suffix, and pseudo-words, each drawn as often as the others."""
+    lexicons = load_lexicon_set()
+    lexicon_words = sorted(set(lexicons.valence._valence) | set(lexicons.pattern._pattern))
+    lemmas = sorted({lemma for lemma, _ in lexicons.synset._synsets})
+    inflected = [word + suffix for word in (lexicon_words + lemmas)[::7]
+                 for suffix in ("ly", "ing", "ed", "ous")]
+    pseudo = [f"zq{i}x" for i in range(40)]
+    return st.one_of(*map(st.sampled_from, (lexicon_words, lemmas, inflected, pseudo)))
+
+
+def _doc(cid, tokens):
+    return CleanedDocument(cid, " ".join(tokens), tuple(tokens), None)
+
+
+@given(docs=st.lists(st.lists(_ranking_words(), max_size=12)
+                     .map(lambda words: words + words[:2]), max_size=15),
+       labels=st.lists(st.sampled_from(LABELS), min_size=15, max_size=15),
+       n=st.integers(min_value=1, max_value=40))
+@settings(max_examples=150, deadline=None)
+def test_top_words_matches_per_occurrence_ranking(lexicons, docs, labels, n):
+    documents = [_doc(f"c{i}", tokens) for i, tokens in enumerate(docs)]
+    for engine in ENGINES:
+        lexicon = getattr(lexicons, ENGINE_LEXICONS[engine].kind)
+        labeled = [LabeledComment(doc.comment_id, engine, vscore(0.0), lab)
+                   for doc, lab in zip(documents, labels)]
+        for side in (POSITIVE, NEGATIVE):
+            ranking = top_words(documents, labeled, lexicon, engine, side, n)
+            assert ranking.entries == _occurrence_top_words(
+                documents, labeled, lexicon, engine, side, n)
+
+
+def test_top_words_tests_each_distinct_word_once(lexicons, monkeypatch):
+    calls = Counter()
+
+    def counting(lexicon, word, side):
+        calls[word] += 1
+        return _occurrence_qualifies(lexicon, word, side)
+
+    monkeypatch.setattr(analytics, "word_qualifies", counting)
+    documents = [_doc("a", ["good", "good", "zzz", "good"]),
+                 _doc("b", ["zzz", "great", "good"]),
+                 _doc("c", ["terrible", "terrible"])]
+    labeled = [LabeledComment("a", ENGINE_VALENCE, vscore(0.5), POSITIVE),
+               LabeledComment("b", ENGINE_VALENCE, vscore(0.5), POSITIVE),
+               LabeledComment("c", ENGINE_VALENCE, vscore(-0.5), NEGATIVE)]
+    ranking = top_words(documents, labeled, lexicons.valence, ENGINE_VALENCE, POSITIVE)
+    assert ranking.entries == (("good", 4), ("great", 1))
+    assert calls and max(calls.values()) == 1
+    assert set(calls) <= {"good", "zzz", "great"}

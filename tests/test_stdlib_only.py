@@ -2,6 +2,8 @@
 either the package itself or a standard-library module."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,3 +24,16 @@ def test_imports_are_stdlib_or_windsent(path):
     outside = {name for name in names
                if name.split(".")[0] not in sys.stdlib_module_names | {"windsent"}}
     assert not outside, f"{path.name} imports non-stdlib modules: {sorted(outside)}"
+
+
+def test_cli_import_loads_no_network_or_mail_modules():
+    # xml.sax.saxutils would bring in urllib.request, http.client, ssl and email
+    heavy = ("xml.sax", "urllib.request", "http.client", "ssl", "email")
+    code = ("import sys; before = set(sys.modules); import windsent.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    added = result.stdout.split()
+    assert "windsent.cli" in added
+    assert not [name for name in added
+                if any(name == h or name.startswith(h + ".") for h in heavy)]

@@ -1,8 +1,13 @@
 import math
+from xml.sax.saxutils import escape
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windsent.report import load_report
 from windsent.svgplots import (
     MAX_BINS,
+    _escape,
     bar_chart_svg,
     hbar_chart_svg,
     histogram_svg,
@@ -108,3 +113,9 @@ def test_wedge_angle_math_matches_fractions():
                        230 - 150 * math.cos(math.radians(angle))))
     assert (round(points[0][0], 6), round(points[0][1], 6)) == (200.0, 380.0)
     assert round(points[1][0], 6) == 50.0
+
+
+@given(st.text(alphabet=st.sampled_from("&<>\"'a; #x\u00e9"), max_size=30) | st.text())
+@settings(max_examples=300, deadline=None)
+def test_escape_matches_saxutils(text):
+    assert _escape(text) == escape(text)

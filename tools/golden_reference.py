@@ -9,10 +9,12 @@ windsent package. The outputs written to tests/golden/ are frozen reference
 values; the package implementation must reproduce them byte for byte.
 
 Conventions that the package must match exactly (float identity):
-  - left-to-right accumulation with the builtin sum / plain "+" loops
+  - left-to-right accumulation with plain "+" loops (builtin sum() of floats
+    is compensated from Python 3.12 on)
   - compound normalization s / sqrt(s*s + alpha) via math.sqrt
   - proportions as direct divisions by the total
-  - histogram mean = sum/len, median = middle of sorted (average of two mids)
+  - histogram mean = left-to-right sum / len, median = middle of sorted
+    (average of two mids)
   - JSON: json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 """
 
@@ -448,7 +450,10 @@ def histogram(values):
                 b = BINS - 1
         counts[b] += 1
     if values:
-        mean = sum(values) / len(values)
+        total = 0.0
+        for v in values:
+            total = total + v
+        mean = total / len(values)
         ordered = sorted(values)
         mid = len(ordered) // 2
         if len(ordered) % 2 == 1:
