@@ -10,7 +10,7 @@ shards and merged equal the whole-corpus distribution.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -119,28 +119,24 @@ class SubjectivityHistogram:
 
 def subjectivity_histogram(scores: Sequence[SentimentScore],
                            bin_count: int = 10) -> SubjectivityHistogram:
-    """Uniform bins over [0, 1]; a value on a bin boundary joins the lower
-    bin (1.0 therefore joins the top bin); the mean is a plain left-to-right
-    sum, which builtin sum() is not from Python 3.12 on."""
+    """Uniform bins over [0, 1]. A value v joins bin k when
+    bin_edges[k] < v <= bin_edges[k + 1], compared with the recorded edges,
+    so a value on an interior edge joins the lower bin; 0.0 joins the first
+    bin and 1.0 the last. The mean is a plain left-to-right sum, which
+    builtin sum() is not from Python 3.12 on."""
     if bin_count < 1:
         raise ValueError("bin_count must be >= 1")
-    values = []
-    for score in scores:
-        if score.subjectivity is None:
-            raise MissingSubjectivityError(score.engine)
-        values.append(score.subjectivity)
     edges = tuple(i / bin_count for i in range(bin_count + 1))
     counts = [0] * bin_count
+    values = []
     total = 0.0
-    for v in values:
+    for score in scores:
+        v = score.subjectivity
+        if v is None:
+            raise MissingSubjectivityError(score.engine)
+        values.append(v)
         total += v
-        if v <= 0:
-            index = 0
-        else:
-            index = math.ceil(v * bin_count) - 1
-            if index > bin_count - 1:
-                index = bin_count - 1
-        counts[index] += 1
+        counts[min(max(bisect_left(edges, v) - 1, 0), bin_count - 1)] += 1
     if values:
         mean = total / len(values)
         ordered = sorted(values)

@@ -5,6 +5,9 @@ valence_rule : per-token valences from a valence lexicon, adjusted by
                emphasis and exclamation amplification (the latter two only
                when raw text is supplied), contrast-clause weighting around
                "but", then normalized to a compound via s/sqrt(s^2 + alpha).
+               One pass in token order weights each valence as it is made
+               and adds it to the sum and the pos/neu/neg masses, with the
+               same float operations in the same order as a pass per step.
 pattern_avg  : mean polarity and subjectivity over matched pattern entries;
                intensifier entries multiply the next matched word, negation
                within a 3-token window damps it by -0.5.
@@ -126,16 +129,18 @@ def _caps_profile(raw_text: str) -> tuple[frozenset[str], bool]:
     """Words written in ALL CAPS in the raw text (lowercased, with
     punctuation deleted like the cleaning pass does), plus whether the text
     is uniformly caps, in which case emphasis carries no signal."""
-    cased = []
+    caps_words = set()
+    cased = upper = 0
     for piece in raw_text.split():
         if piece.lower().startswith(URL_PREFIXES):
             continue
         cleaned = piece.translate(DELETE_PUNCTUATION)
-        if cleaned and any(c.isalpha() for c in cleaned):
-            cased.append(cleaned)
-    upper = [w for w in cased if w.isupper()]
-    all_caps = bool(cased) and len(upper) == len(cased)
-    return frozenset(w.lower() for w in upper), all_caps
+        if any(c.isalpha() for c in cleaned):
+            cased += 1
+            if cleaned.isupper():
+                upper += 1
+                caps_words.add(cleaned.lower())
+    return frozenset(caps_words), cased > 0 and upper == cased
 
 
 def score_valence_rule(tokens: Sequence[str], lexicon: ValenceLexicon,
@@ -147,56 +152,58 @@ def score_valence_rule(tokens: Sequence[str], lexicon: ValenceLexicon,
     all_caps = False
     if raw_text is not None:
         caps_words, all_caps = _caps_profile(raw_text)
-
-    valences: list[float] = []
-    for i, token in enumerate(tokens):
-        if token in MODIFIER_WORDS:
-            valences.append(0.0)
-            continue
-        base = table.get(token)
-        if base is None:
-            valences.append(0.0)
-            continue
-        v = base
-        # negation: flip and damp when a negation word sits in the window
-        lo = i - VALENCE_NEGATION_WINDOW
-        if lo < 0:
-            lo = 0
-        if any(t in NEGATION_WORDS for t in tokens[lo:i]):
-            v = v * VALENCE_NEGATION_FACTOR
-        # adjacent run of degree modifiers, nearest first, sign-following
-        j = i - 1
-        while j >= 0 and tokens[j] in DEGREE_WORDS:
-            if v > 0:
-                sign = 1.0
-            elif v < 0:
-                sign = -1.0
-            else:
-                sign = 0.0
-            if tokens[j] in AMPLIFIERS:
-                v = v + sign * BOOSTER_INCREMENT
-            else:
-                v = v - sign * BOOSTER_INCREMENT
-            j -= 1
-        # ALL-CAPS emphasis only when the whole text is not shouting
-        if caps_words and not all_caps and token in caps_words:
-            if v > 0:
-                v = v + CAPS_INCREMENT
-            elif v < 0:
-                v = v - CAPS_INCREMENT
-        valences.append(v)
-
-    if CONTRAST_WORD in tokens:
-        pivot = list(tokens).index(CONTRAST_WORD)
-        for k in range(len(valences)):
-            if k < pivot:
-                valences[k] = valences[k] * BUT_DISCOUNT
-            elif k > pivot:
-                valences[k] = valences[k] * BUT_BOOST
+    pivot = tokens.index(CONTRAST_WORD) if CONTRAST_WORD in tokens else -1
 
     s = 0.0
-    for v in valences:
+    pos_mass = 0.0
+    neg_mass = 0.0
+    neu_mass = 0.0
+    last_negation = -VALENCE_NEGATION_WINDOW - 1
+    for i, token in enumerate(tokens):
+        base = None if token in MODIFIER_WORDS else table.get(token)
+        if base is None:
+            v = 0.0
+        else:
+            v = base
+            # negation: flip and damp when a negation word sits in the window
+            if i - last_negation <= VALENCE_NEGATION_WINDOW:
+                v = v * VALENCE_NEGATION_FACTOR
+            # adjacent run of degree modifiers, nearest first, sign-following
+            j = i - 1
+            while j >= 0 and tokens[j] in DEGREE_WORDS:
+                if v > 0:
+                    sign = 1.0
+                elif v < 0:
+                    sign = -1.0
+                else:
+                    sign = 0.0
+                if tokens[j] in AMPLIFIERS:
+                    v = v + sign * BOOSTER_INCREMENT
+                else:
+                    v = v - sign * BOOSTER_INCREMENT
+                j -= 1
+            # ALL-CAPS emphasis only when the whole text is not shouting
+            if caps_words and not all_caps and token in caps_words:
+                if v > 0:
+                    v = v + CAPS_INCREMENT
+                elif v < 0:
+                    v = v - CAPS_INCREMENT
+        # contrast: the clause before the first "but" counts less, the rest more
+        if pivot >= 0:
+            if i < pivot:
+                v = v * BUT_DISCOUNT
+            elif i > pivot:
+                v = v * BUT_BOOST
         s = s + v
+        if v > 0:
+            pos_mass = pos_mass + v
+        elif v < 0:
+            neg_mass = neg_mass - v
+        else:
+            neu_mass = neu_mass + 1.0
+        if token in NEGATION_WORDS:
+            last_negation = i
+
     if raw_text is not None and s != 0.0:
         amplification = min(raw_text.count("!"), MAX_EXCLAMATIONS) \
             * EXCLAMATION_INCREMENT
@@ -206,16 +213,6 @@ def score_valence_rule(tokens: Sequence[str], lexicon: ValenceLexicon,
             s = s - amplification
     compound = compound_from_sum(s)
 
-    pos_mass = 0.0
-    neg_mass = 0.0
-    neu_mass = 0.0
-    for v in valences:
-        if v > 0:
-            pos_mass = pos_mass + v
-        elif v < 0:
-            neg_mass = neg_mass - v
-        else:
-            neu_mass = neu_mass + 1.0
     total = pos_mass + neg_mass + neu_mass
     if total == 0.0:
         proportions = (0.0, 1.0, 0.0)
@@ -230,28 +227,28 @@ def score_pattern_avg(tokens: Sequence[str], lexicon: PatternLexicon) -> Sentime
     polarity_sum = 0.0
     subjectivity_sum = 0.0
     matched = 0
+    previous = None
+    last_negation = -PATTERN_NEGATION_WINDOW - 1
     for i, token in enumerate(tokens):
         entry = table.get(token)
-        if entry is None or entry.is_intensifier:
-            continue
-        p = entry.polarity
-        if i > 0:
-            previous = table.get(tokens[i - 1])
+        if entry is not None and not entry.is_intensifier:
+            p = entry.polarity
             if previous is not None and previous.is_intensifier:
                 p = p * previous.intensity_factor
-        lo = i - PATTERN_NEGATION_WINDOW
-        if lo < 0:
-            lo = 0
-        if any(t in NEGATION_WORDS for t in tokens[lo:i]):
-            p = p * PATTERN_NEGATION_FACTOR
-        # per-word clamp keeps boosted words inside the polarity scale
-        if p > 1.0:
-            p = 1.0
-        elif p < -1.0:
-            p = -1.0
-        polarity_sum = polarity_sum + p
-        subjectivity_sum = subjectivity_sum + entry.subjectivity
-        matched += 1
+            if i - last_negation <= PATTERN_NEGATION_WINDOW:
+                p = p * PATTERN_NEGATION_FACTOR
+            # per-word clamp keeps boosted words inside the polarity scale
+            if p > 1.0:
+                p = 1.0
+            elif p < -1.0:
+                p = -1.0
+            polarity_sum = polarity_sum + p
+            subjectivity_sum = subjectivity_sum + entry.subjectivity
+            matched += 1
+        # a negation word is recorded after scoring: it never negates itself
+        if token in NEGATION_WORDS:
+            last_negation = i
+        previous = entry
     if matched == 0:
         return SentimentScore(ENGINE_PATTERN, 0.0, subjectivity=0.0)
     return SentimentScore(ENGINE_PATTERN, polarity_sum / matched,

@@ -4,6 +4,8 @@ Per comment, in order: null/empty check, normalize (lowercase, drop URL
 tokens, delete punctuation including '#', collapse whitespace), tokenize,
 stopword removal, lemmatization (plus optional stemming), and a length
 threshold that drops documents with fewer than ``min_token_count`` tokens.
+After normalize, one loop over the words does the stopword, transform and
+second stopword steps for each word in turn.
 
 The normalization order is a fixed pipeline constant: URLs are removed
 before punctuation is deleted, otherwise punctuation stripping would shred
@@ -22,7 +24,7 @@ import string
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import CommentCollection
 from .errors import data_lines
@@ -97,14 +99,6 @@ def normalize(text: str) -> str:
     return " ".join(text.split())
 
 
-def tokenize(text: str) -> list[str]:
-    return text.split()
-
-
-def remove_stopwords(tokens: Iterable[str], stopwords: frozenset[str]) -> list[str]:
-    return [t for t in tokens if t not in stopwords]
-
-
 def _suffix_lemma(token: str) -> str | None:
     """One application of the fallback rules; None when nothing matches."""
     n = len(token)
@@ -176,10 +170,13 @@ def preprocess_text(text: str | None, config: PreprocessConfig) -> tuple[tuple[s
     """Clean one text; returns (tokens, drop_reason)."""
     if text is None or not text.strip():
         return (), "null"
-    tokens = tokenize(normalize(text))
-    tokens = remove_stopwords(tokens, config.stopwords)
-    tokens = [_transform_token(t, config) for t in tokens]
-    tokens = remove_stopwords(tokens, config.stopwords)
+    stopwords = config.stopwords
+    tokens = []
+    for word in normalize(text).split():
+        if word not in stopwords:
+            word = _transform_token(word, config)
+            if word not in stopwords:
+                tokens.append(word)
     if len(tokens) < config.min_token_count:
         return tuple(tokens), "too_short"
     return tuple(tokens), None

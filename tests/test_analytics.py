@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -163,6 +164,15 @@ class TestSubjectivityHistogram:
         # Python 3.12's compensated sum() would give exactly 0.1 here
         hist = subjectivity_histogram([pscore(0.0, 0.1)] * 10)
         assert hist.mean == 0.9999999999999999 / 10
+
+    def test_every_interior_edge_joins_the_lower_bin(self):
+        # v * bins rounds: at bins=100, 0.55 * 100 is 55.00000000000001
+        for bins in range(1, 281):
+            edges = subjectivity_histogram([], bin_count=bins).bin_edges
+            for k in range(1, bins):
+                for value, index in ((edges[k], k - 1), (math.nextafter(edges[k], 2), k)):
+                    counts = subjectivity_histogram([pscore(0.0, value)], bins).counts
+                    assert counts[index] == 1, (bins, k, value)
 
     @given(st.lists(st.floats(min_value=0, max_value=1, allow_nan=False), max_size=50))
     @settings(max_examples=200, deadline=None)

@@ -11,13 +11,12 @@ from windsent.preprocess import (
     URL_PREFIXES,
     CleanedDocument,
     PreprocessConfig,
+    _transform_token,
     default_config,
     lemmatize,
     normalize,
     preprocess_corpus,
     preprocess_text,
-    remove_stopwords,
-    tokenize,
 )
 
 
@@ -35,28 +34,35 @@ class TestNormalize:
         assert normalize(raw) == expected
 
 
+def _split_only(stopwords=frozenset()):
+    # no lemma or stem transform and no length threshold: only the split and
+    # the stopword filter act
+    return PreprocessConfig(stopwords=stopwords, lemma_table={}, min_token_count=1,
+                            apply_lemmatization=False)
+
+
 class TestTokenize:
     def test_basic(self):
-        assert tokenize("offshore wind energy") == ["offshore", "wind", "energy"]
+        assert preprocess_text("offshore wind energy", _split_only()) \
+            == (("offshore", "wind", "energy"), None)
 
     def test_empty(self):
-        assert tokenize("") == []
+        assert preprocess_text("", _split_only()) == ((), "null")
 
     def test_double_space(self):
-        assert tokenize("a  b") == ["a", "b"]
+        assert preprocess_text("a  b", _split_only()) == (("a", "b"), None)
 
 
 class TestStopwords:
     def test_default_list(self):
-        config = default_config()
-        assert remove_stopwords(["the", "wind", "is", "clean"], config.stopwords) \
-            == ["wind", "clean"]
+        config = default_config(min_token_count=1)
+        assert preprocess_text("the wind is clean", config) == (("wind", "clean"), None)
 
     def test_empty_token_list(self):
-        assert remove_stopwords([], frozenset({"the"})) == []
+        assert preprocess_text("the", _split_only(frozenset({"the"}))) == ((), "too_short")
 
     def test_empty_stopword_list_is_identity(self):
-        assert remove_stopwords(["wind"], frozenset()) == ["wind"]
+        assert preprocess_text("wind", _split_only()) == (("wind",), None)
 
 
 class TestLemmatize:
@@ -188,11 +194,33 @@ class TestPipelineProperties:
     @settings(max_examples=200, deadline=None)
     def test_monotone_shrinkage(self, text):
         config = default_config()
-        normalized = tokenize(normalize(text))
-        after_stop = remove_stopwords(normalized, config.stopwords)
+        normalized = normalize(text).split()
+        after_stop = [t for t in normalized if t not in config.stopwords]
         tokens, _ = preprocess_text(text, config)
         assert len(after_stop) <= len(normalized)
         assert len(tokens) <= len(after_stop)
+
+
+def _multipass_preprocess_text(text, config):
+    # the four list passes preprocess_text made before it became one loop
+    if text is None or not text.strip():
+        return (), "null"
+    tokens = normalize(text).split()
+    tokens = [t for t in tokens if t not in config.stopwords]
+    tokens = [_transform_token(t, config) for t in tokens]
+    tokens = [t for t in tokens if t not in config.stopwords]
+    if len(tokens) < config.min_token_count:
+        return tuple(tokens), "too_short"
+    return tuple(tokens), None
+
+
+@pytest.mark.parametrize("overrides", [{}, {"apply_stemming": True},
+                                       {"apply_lemmatization": False, "min_token_count": 1}])
+@given(text=st.one_of(comment_texts, st.none()))
+@settings(max_examples=200, deadline=None)
+def test_preprocess_text_matches_multipass(overrides, text):
+    config = default_config(**overrides)
+    assert preprocess_text(text, config) == _multipass_preprocess_text(text, config)
 
 
 def test_config_rejects_zero_threshold():

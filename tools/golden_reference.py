@@ -15,6 +15,9 @@ Conventions that the package must match exactly (float identity):
   - proportions as direct divisions by the total
   - histogram mean = left-to-right sum / len, median = middle of sorted
     (average of two mids)
+  - histogram bin of v = first b with v <= edges[b + 1], where edges are
+    i / BINS, so a value on an edge joins the lower bin (compared with the
+    edge itself, not via v * BINS, which rounds)
   - JSON: json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 """
 
@@ -442,12 +445,10 @@ def histogram(values):
     edges = [i / BINS for i in range(BINS + 1)]
     counts = [0] * BINS
     for v in values:
-        if v <= 0:
-            b = 0
-        else:
-            b = math.ceil(v * BINS) - 1
-            if b > BINS - 1:
-                b = BINS - 1
+        # bin b holds edges[b] < v <= edges[b + 1]: an edge joins the lower bin
+        b = 0
+        while b < BINS - 1 and v > edges[b + 1]:
+            b += 1
         counts[b] += 1
     if values:
         total = 0.0
