@@ -112,10 +112,6 @@ class SubjectivityHistogram:
     mean: float | None
     median: float | None
 
-    @property
-    def empty(self) -> bool:
-        return self.mean is None
-
 
 def subjectivity_histogram(scores: Sequence[SentimentScore],
                            bin_count: int = 10) -> SubjectivityHistogram:

@@ -181,6 +181,8 @@ def _iter_jsonl(text: str) -> Iterator[tuple[int, Mapping[str, object]]]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedRecordError(lineno, f"invalid JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
+            raise MalformedRecordError(lineno, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise MalformedRecordError(lineno, "record is not a JSON object")
         yield lineno, obj
@@ -226,23 +228,10 @@ def load_corpus_lenient(path: str | Path, fmt: str) -> tuple[CommentCollection, 
     return _load(path, fmt, lenient=True)
 
 
-def comment_to_record(comment: Comment) -> dict[str, str]:
-    record = {"id": comment.id, "text": comment.text}
-    if comment.source_group is not None:
-        record["source_group"] = comment.source_group
-    if comment.timestamp is not None:
-        record["timestamp"] = comment.timestamp
-    return record
-
-
 def jsonl_text(records: Iterable[Mapping[str, object]]) -> str:
     """One compact JSON object per line, keys sorted, non-ASCII kept."""
     return "".join(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
                    for record in records)
-
-
-def write_jsonl(collection: CommentCollection, path: str | Path) -> None:
-    write_file(path, jsonl_text(comment_to_record(c) for c in collection))
 
 
 def write_skip_report(skipped: tuple[SkippedRecord, ...], path: str | Path) -> None:

@@ -249,5 +249,5 @@ def load_report(path: str | Path) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReportNotReadableError(f"{path}: invalid JSON ({exc.msg})") from exc
-    except ValueError as exc:  # an integer too long to parse
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
         raise ReportNotReadableError(f"{path}: {exc}") from exc

@@ -145,7 +145,6 @@ class TestSubjectivityHistogram:
         hist = subjectivity_histogram([], bin_count=4)
         assert hist.counts == (0, 0, 0, 0)
         assert hist.mean is None and hist.median is None
-        assert hist.empty
 
     def test_edges_span_unit_interval(self):
         hist = subjectivity_histogram([pscore(0.0, 0.3)], bin_count=10)

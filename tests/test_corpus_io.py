@@ -15,7 +15,6 @@ from windsent.corpus import (
     load_corpus,
     load_corpus_lenient,
     validate_record,
-    write_jsonl,
 )
 
 
@@ -160,13 +159,6 @@ class TestGoldenCorpus:
         second = load_corpus(golden_corpus_path, "jsonl")
         assert first == second
 
-    def test_jsonl_round_trip(self, golden_corpus_path, tmp_path):
-        original = load_corpus(golden_corpus_path, "jsonl")
-        out = tmp_path / "roundtrip.jsonl"
-        write_jsonl(original, out)
-        reloaded = load_corpus(out, "jsonl")
-        assert reloaded.comments == original.comments
-
 
 class TestEncodingEdgeCases:
     def test_utf8_bom_tolerated(self, tmp_path):
@@ -211,10 +203,8 @@ class TestEncodingEdgeCases:
         # U+2028 is a legal raw character inside a JSON string and must not
         # be misread as a record break
         text = "before after \U0001f642"
-        collection = CommentCollection((Comment(id="a", text=text),), "mem")
-        out = tmp_path / "sep.jsonl"
-        write_jsonl(collection, out)
-        reloaded = load_corpus(out, "jsonl")
+        line = json.dumps({"id": "a", "text": text}, ensure_ascii=False)
+        reloaded = load_corpus(write(tmp_path / "sep.jsonl", line + "\n"), "jsonl")
         assert reloaded.comments[0].text == text
 
 

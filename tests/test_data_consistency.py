@@ -3,27 +3,49 @@
 The pipeline relies on a few cross-file properties: modifier vocabularies
 never appear in the stopword list, lexicon words survive the cleaning
 pipeline unchanged (otherwise corpus tokens could never match them), and
-every synset lemma is reachable under the tag its entries carry.
+every synset lemma is reachable under the tag its entries carry. The two
+key/value tables must also be unambiguous, which their loader does not
+check: it keeps the last value of a repeated key.
+
+Per-file checks (duplicate words, score ranges, finite numbers, synset tags)
+are the lexicon loaders' own and run whenever the ``lexicons`` fixture loads.
 """
 
-import subprocess
-import sys
-from pathlib import Path
+from collections import Counter
 
 from windsent.engines import (
     AMPLIFIERS,
     CONTRAST_WORD,
     DAMPENERS,
+    DEFAULT_POS_TABLE_PATH,
     NEGATION_WORDS,
     tag_pos,
 )
-from windsent.preprocess import default_config, lemmatize, load_stopwords
+from windsent.errors import data_lines
+from windsent.lexicons import POS_TAGS, LexiconFileError
+from windsent.preprocess import DEFAULT_LEMMAS_PATH, default_config, lemmatize, load_stopwords
+
+
+def _table_rows(path):
+    return [tuple(line.split("\t")) for _, line in data_lines(path, LexiconFileError)]
 
 
 def test_stopwords_exclude_modifier_vocabulary():
     stop = load_stopwords()
     reserved = NEGATION_WORDS | AMPLIFIERS | DAMPENERS | {CONTRAST_WORD}
     assert not stop & reserved
+
+
+def test_lemma_table_has_no_repeated_key():
+    keys = Counter(key for key, _ in _table_rows(DEFAULT_LEMMAS_PATH))
+    assert [key for key, n in keys.items() if n > 1] == []
+
+
+def test_pos_table_tags_are_known_and_unambiguous():
+    tags = {}
+    for word, tag in _table_rows(DEFAULT_POS_TABLE_PATH):
+        assert tag in POS_TAGS, word
+        assert tags.setdefault(word, tag) == tag, word
 
 
 def test_lemma_table_values_are_fixpoints():
@@ -58,10 +80,8 @@ def test_synset_lemmas_reachable_under_their_tags(lexicons):
         assert lemma not in config.stopwords
         assert lemmatize(lemma, table=config.lemma_table) == lemma
         (_, tagged), = tag_pos([lemma])
-        reachable = lexicons.synset._synsets.get((lemma, tagged))
         tags_for_lemma = {p for (l, p) in lexicons.synset._synsets if l == lemma}
-        if tagged in tags_for_lemma:
-            assert reachable
+        assert tagged in tags_for_lemma, (lemma, tagged, sorted(tags_for_lemma))
 
 
 def test_intensifier_entries_carry_zero_polarity(lexicons):
@@ -69,9 +89,3 @@ def test_intensifier_entries_carry_zero_polarity(lexicons):
         if entry.is_intensifier:
             assert entry.polarity == 0.0
 
-
-def test_check_data_script_passes():
-    script = Path(__file__).resolve().parents[1] / "tools" / "check_data.py"
-    result = subprocess.run([sys.executable, str(script)], capture_output=True,
-                            text=True, timeout=120)
-    assert result.returncode == 0, result.stdout + result.stderr

@@ -63,10 +63,21 @@ def _corpus(tmp_path: Path, name: str, text: str) -> list[str]:
     return ["--input", str(path)]
 
 
-def _plot(tmp_path: Path) -> list[str]:
+def _plot(tmp_path: Path, data: bytes = b'{"meta": "\xff"}\n') -> list[str]:
     report = tmp_path / "report.json"
-    report.write_bytes(b'{"meta": "\xff"}\n')
+    report.write_bytes(data)
     return ["plot", "--report", str(report)]
+
+
+# JSON the parser refuses without a JSONDecodeError; in a corpus line it sits
+# under a key the loader ignores
+_DEEP = "[" * 100_000 + "]" * 100_000
+_LONG_INT = "1" + "0" * 5_000
+
+
+def _jsonl_extra_key(tmp_path: Path, value: str) -> list[str]:
+    return _corpus(tmp_path, "c.jsonl",
+                   '{"id": "a", "text": "good wind farm here", "x": %s}\n' % value)
 
 
 # case -> (arguments after the command and --input/--out, expected line start)
@@ -114,6 +125,21 @@ BAD_INPUTS = {
         lambda t: _corpus(t, "c.jsonl", '{"id": "a", "text": "good"}\n'
                                         '{"id": "b", "text": "wind \\ud800 farm"}\n'),
         "ERROR corpus/malformed-record: line 2: field text: contains a lone surrogate"),
+    "plot-report-nested-too-deep": (
+        lambda t: _plot(t, _DEEP.encode()),
+        "ERROR report/file-not-readable: {tmp}/report.json: maximum recursion depth"),
+    "jsonl-nested-too-deep": (
+        lambda t: _jsonl_extra_key(t, _DEEP),
+        "ERROR corpus/malformed-record: line 1: invalid JSON: maximum recursion depth"),
+    "jsonl-nested-too-deep-lenient": (
+        lambda t: _jsonl_extra_key(t, _DEEP) + ["--lenient"],
+        "ERROR corpus/malformed-record: line 1: invalid JSON: maximum recursion depth"),
+    "jsonl-int-too-long": (
+        lambda t: _jsonl_extra_key(t, _LONG_INT),
+        "ERROR corpus/malformed-record: line 1: invalid JSON: Exceeds the limit"),
+    "jsonl-int-too-long-lenient": (
+        lambda t: _jsonl_extra_key(t, _LONG_INT) + ["--lenient"],
+        "ERROR corpus/malformed-record: line 1: invalid JSON: Exceeds the limit"),
 }
 
 

@@ -66,7 +66,7 @@ class TestRunAnalyze:
                            out_dir=tmp_path / "out")
         report = run_analyze(config)
         assert report.corpus_size == 0
-        assert report.histogram.empty
+        assert report.histogram.mean is None
         for dist in report.distributions.values():
             assert sum(dist.counts.values()) == 0
 

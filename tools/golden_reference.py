@@ -501,6 +501,68 @@ def top_words(kept, labels, engine, side):
 # run everything
 # ---------------------------------------------------------------------------
 
+def report(records, input_file, native=False, disambiguation="first_sense"):
+    """The report.json document for (id, text) records, without
+    meta.config_digest. native scores the valence rule on the raw text as
+    engine-native mode does; disambiguation is the synset sense rule."""
+    kept = []
+    dropped = []
+    rows = []
+    subjectivities = []
+    labels = {"pattern_avg": {}, "synset": {}, "valence_rule": {}}
+    for cid, text in records:
+        tokens, reason = preprocess(text)
+        if reason is not None:
+            dropped.append({"id": cid, "reason": reason})
+            continue
+        kept.append((cid, tokens))
+        comp, props = score_valence(tokens, text if native else None)
+        pol_p, subj = score_pattern(tokens)
+        pol_s = score_synset([(t, tag_token(t)) for t in tokens], disambiguation)
+        row_labels = {"pattern_avg": label_of(pol_p), "synset": label_of(pol_s),
+                      "valence_rule": label_of(comp)}
+        for engine, lab in row_labels.items():
+            labels[engine][cid] = lab
+        subjectivities.append(subj)
+        rows.append({
+            "id": cid,
+            "labels": row_labels,
+            "scores": {
+                "pattern_avg": {"polarity": pol_p, "subjectivity": subj},
+                "synset": {"polarity": pol_s},
+                "valence_rule": {
+                    "polarity": comp,
+                    "proportions": {"neg": props[2], "neu": props[1], "pos": props[0]},
+                },
+            },
+        })
+
+    distributions = {}
+    rankings = {}
+    for engine in labels:
+        counts, props = distribution([labels[engine][cid] for cid, _ in kept])
+        distributions[engine] = {"counts": counts, "proportions": props}
+        rankings[engine] = {side: top_words(kept, labels, engine, side)
+                            for side in ("negative", "positive")}
+    edges, counts, mean, median = histogram(subjectivities)
+    return {
+        "comments": rows,
+        "distributions": distributions,
+        "dropped": dropped,
+        "meta": {
+            "corpus_size": len(records),
+            "dropped_count": len(dropped),
+            "epsilon": EPSILON,
+            "input_file": input_file,
+            "kept_count": len(kept),
+            "pipeline_mode": "engine_native" if native else "paper_faithful",
+            "top_n": TOP_N,
+        },
+        "rankings": rankings,
+        "subjectivity": {"bin_edges": edges, "counts": counts, "mean": mean, "median": median},
+    }
+
+
 def main():
     OUT.mkdir(parents=True, exist_ok=True)
 
@@ -516,69 +578,30 @@ def main():
 
     id_checksum = hashlib.sha256("".join(cid for cid, _, _, _ in COMMENTS).encode("utf-8")).hexdigest()
 
+    records = [(cid, text) for cid, text, _, _ in COMMENTS]
+    doc = report(records, "corpus.jsonl")
+
+    # manifest-only extras: every comment's cleaning, and for kept ones the
+    # engine-native valence record and the average-senses synset score
     cleaned = []
-    kept = []
-    dropped = []
-    for cid, text, _, _ in COMMENTS:
+    comment_rows = []
+    rows = iter(doc["comments"])
+    for cid, text in records:
         tokens, reason = preprocess(text)
         cleaned.append({"id": cid, "tokens": tokens, "drop_reason": reason})
-        if reason is None:
-            kept.append((cid, tokens, text))
-        else:
-            dropped.append({"id": cid, "reason": reason})
-
-    comment_rows = []
-    labels = {"pattern_avg": {}, "synset": {}, "valence_rule": {}}
-    subjectivities = []
-    for cid, tokens, raw in kept:
-        comp, props = score_valence(tokens, None)  # paper-faithful: no raw text
-        ncomp, nprops = score_valence(tokens, raw)  # engine-native extra record
-        pol_p, subj = score_pattern(tokens)
-        tagged = [(t, tag_token(t)) for t in tokens]
-        pol_s = score_synset(tagged, "first_sense")
-        pol_s_avg = score_synset(tagged, "average_senses")
-        lab_v = label_of(comp)
-        lab_p = label_of(pol_p)
-        lab_s = label_of(pol_s)
-        labels["valence_rule"][cid] = lab_v
-        labels["pattern_avg"][cid] = lab_p
-        labels["synset"][cid] = lab_s
-        subjectivities.append(subj)
-        comment_rows.append({
-            "id": cid,
-            "labels": {"pattern_avg": lab_p, "synset": lab_s, "valence_rule": lab_v},
-            "scores": {
-                "pattern_avg": {"polarity": pol_p, "subjectivity": subj},
-                "synset": {"polarity": pol_s},
-                "valence_rule": {
-                    "polarity": comp,
-                    "proportions": {"neg": props[2], "neu": props[1], "pos": props[0]},
-                },
-            },
-            "native_valence": {
+        if reason is not None:
+            continue
+        ncomp, nprops = score_valence(tokens, text)
+        comment_rows.append(dict(
+            next(rows),
+            native_valence={
                 "polarity": ncomp,
                 "proportions": {"neg": nprops[2], "neu": nprops[1], "pos": nprops[0]},
                 "label": label_of(ncomp),
             },
-            "synset_average_senses": pol_s_avg,
-        })
-
-    distributions = {}
-    for engine in ("pattern_avg", "synset", "valence_rule"):
-        ordered = [labels[engine][cid] for cid, _, _ in kept]
-        counts, props = distribution(ordered)
-        distributions[engine] = {"counts": counts, "proportions": props}
-
-    edges, counts, mean, median = histogram(subjectivities)
-    subjectivity = {"bin_edges": edges, "counts": counts, "mean": mean, "median": median}
-
-    kept_tokens = [(cid, tokens) for cid, tokens, _ in kept]
-    rankings = {}
-    for engine in ("pattern_avg", "synset", "valence_rule"):
-        rankings[engine] = {
-            "negative": top_words(kept_tokens, labels, engine, "negative"),
-            "positive": top_words(kept_tokens, labels, engine, "positive"),
-        }
+            synset_average_senses=score_synset([(t, tag_token(t)) for t in tokens],
+                                               "average_senses"),
+        ))
 
     digest_source = {
         "bins": BINS,
@@ -610,60 +633,43 @@ def main():
         json.dumps(digest_source, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ).hexdigest()
 
-    report = {
-        "comments": [
-            {"id": row["id"], "labels": row["labels"], "scores": row["scores"]}
-            for row in comment_rows
-        ],
-        "distributions": distributions,
-        "dropped": dropped,
-        "meta": {
-            "config_digest": config_digest,
-            "corpus_size": len(COMMENTS),
-            "dropped_count": len(dropped),
-            "epsilon": EPSILON,
-            "input_file": "corpus.jsonl",
-            "kept_count": len(kept),
-            "pipeline_mode": "paper_faithful",
-            "top_n": TOP_N,
-        },
-        "rankings": rankings,
-        "subjectivity": subjectivity,
-    }
-    report_text = json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    doc["meta"]["config_digest"] = config_digest
+    report_text = json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
     (OUT / "golden_report.json").write_text(report_text, encoding="utf-8")
 
     manifest = {
         "cleaned": cleaned,
         "comments": comment_rows,
         "config_digest": config_digest,
-        "distributions": distributions,
+        "distributions": doc["distributions"],
         "id_checksum": id_checksum,
         "lexicons": {
             "pattern": {w: [e[0], e[1], e[2], e[3]] for w, e in PATTERN.items()},
             "synset": SYNSET_ROWS,
             "valence": VALENCE,
         },
-        "rankings": rankings,
+        "rankings": doc["rankings"],
         "record_count": len(COMMENTS),
         "report_sha256": hashlib.sha256(report_text.encode("utf-8")).hexdigest(),
-        "subjectivity": subjectivity,
+        "subjectivity": doc["subjectivity"],
     }
     (OUT / "manifest.json").write_text(
         json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
 
-    print(f"corpus: {len(COMMENTS)} comments, kept {len(kept)}, dropped {len(dropped)}")
+    meta, subjectivity = doc["meta"], doc["subjectivity"]
+    print(f"corpus: {meta['corpus_size']} comments, kept {meta['kept_count']}, "
+          f"dropped {meta['dropped_count']}")
     print(f"id_checksum: {id_checksum}")
     print(f"config_digest: {config_digest}")
     for engine in ("pattern_avg", "synset", "valence_rule"):
-        print(f"{engine}: {distributions[engine]['counts']}")
-    print(f"subjectivity mean {mean} median {median}")
-    print(f"histogram {counts}")
+        print(f"{engine}: {doc['distributions'][engine]['counts']}")
+    print(f"subjectivity mean {subjectivity['mean']} median {subjectivity['median']}")
+    print(f"histogram {subjectivity['counts']}")
     for engine in ("pattern_avg", "synset", "valence_rule"):
         for side in ("positive", "negative"):
-            head = rankings[engine][side][:5]
+            head = doc["rankings"][engine][side][:5]
             print(f"top {engine}/{side}: {head}")
 
 
