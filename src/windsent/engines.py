@@ -128,19 +128,20 @@ def compound_from_sum(raw_sum: float, alpha: float = NORMALIZATION_ALPHA) -> flo
 def _caps_profile(raw_text: str) -> tuple[frozenset[str], bool]:
     """Words written in ALL CAPS in the raw text (lowercased, with
     punctuation deleted like the cleaning pass does), plus whether the text
-    is uniformly caps, in which case emphasis carries no signal."""
+    is uniformly caps, in which case emphasis carries no signal. An upper
+    piece may have no letter (``Ⓐ``); other pieces matter only until one has."""
     caps_words = set()
-    cased = upper = 0
+    mixed = False
     for piece in raw_text.split():
         if piece.lower().startswith(URL_PREFIXES):
             continue
         cleaned = piece.translate(DELETE_PUNCTUATION)
-        if any(c.isalpha() for c in cleaned):
-            cased += 1
-            if cleaned.isupper():
-                upper += 1
+        if cleaned.isupper():
+            if any(c.isalpha() for c in cleaned):
                 caps_words.add(cleaned.lower())
-    return frozenset(caps_words), cased > 0 and upper == cased
+        elif not mixed and any(c.isalpha() for c in cleaned):
+            mixed = True
+    return frozenset(caps_words), bool(caps_words) and not mixed
 
 
 def score_valence_rule(tokens: Sequence[str], lexicon: ValenceLexicon,

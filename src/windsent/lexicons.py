@@ -292,8 +292,8 @@ def load_lexicon(path: str | Path, kind: str) -> AnyLexicon:
 
 
 def load_table(path: str | Path) -> dict[str, str]:
-    """A two-column ``key<TAB>value`` file such as the lemma or POS table;
-    a repeated key keeps its last value."""
+    """A two-column ``key<TAB>value`` file such as the POS table; a repeated
+    key keeps its last value."""
     return _load(lambda p: dict(fields for _, fields in _rows(p, 2)), path)
 
 

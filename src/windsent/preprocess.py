@@ -12,10 +12,11 @@ before punctuation is deleted, otherwise punctuation stripping would shred
 URLs into residue tokens.
 
 Idempotence guarantee: re-running the pipeline over the space-joined token
-output reproduces the token sequence exactly. Two consequences shape the
-implementation: the per-token transform is applied to a fixpoint, and
-stopwords are filtered once more after lemmatization (a lemma such as
-"ours" -> "our" may land on a stopword).
+output reproduces the token sequence exactly. Hence the per-token transform
+ends on a fixpoint (``lemmatize`` is idempotent by itself; only stemming
+needs a joint lemmatize/stem loop), stopwords are filtered once more after
+lemmatization ("ours" -> "our" may land on a stopword), and every lemma-table
+key and value must be one clean token.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Mapping, Sequence
 
 from .corpus import CommentCollection
 from .errors import data_lines
-from .lexicons import LexiconFileError, load_table
+from .lexicons import LexiconFileError, MalformedEntryError, _load, _rows
 from .stemming import stem
 
 URL_PREFIXES = ("http://", "https://", "www.")
@@ -50,9 +51,21 @@ def _cached_stopwords(path: str) -> frozenset[str]:
     return load_stopwords(path)
 
 
+def _parse_lemma_table(path: Path) -> dict[str, str]:
+    """A ``key<TAB>value`` lemma table of clean tokens (so cleaning's output
+    stays a fixpoint of cleaning); a repeated key keeps its last value."""
+    table = {}
+    for lineno, fields in _rows(path, 2):
+        for word in fields:
+            if normalize(word).split() != [word]:
+                raise MalformedEntryError(lineno, f"not one clean token: {word!r}")
+        table[fields[0]] = fields[1]
+    return table
+
+
 @lru_cache(maxsize=None)
 def _cached_lemma_table(path: str) -> Mapping[str, str]:
-    return load_table(path)
+    return _load(_parse_lemma_table, path)
 
 
 @dataclass(frozen=True)
@@ -100,18 +113,21 @@ def normalize(text: str) -> str:
 
 
 def _suffix_lemma(token: str) -> str | None:
-    """One application of the fallback rules; None when nothing matches."""
+    """One application of the fallback rules, by last letter; else None."""
     n = len(token)
-    if token.endswith("ies") and n >= 5:
-        return token[:-3] + "y"
-    if n >= 5 and token.endswith(("ches", "shes", "xes", "zes", "sses")):
-        return token[:-2]
-    if (token.endswith("s") and not token.endswith(("ss", "us", "is")) and n >= 4):
-        return token[:-1]
-    if token.endswith("ing") and n >= 6 and any(c in _VOWELS for c in token[:-3]):
+    last = token[-1:]
+    if last == "s":
+        if token.endswith("ies") and n >= 5:
+            return token[:-3] + "y"
+        if n >= 5 and token.endswith(("ches", "shes", "xes", "zes", "sses")):
+            return token[:-2]
+        if n >= 4 and not token.endswith(("ss", "us", "is")):
+            return token[:-1]
+    elif (last == "g" and token.endswith("ing") and n >= 6
+          and any(c in _VOWELS for c in token[:-3])):
         return token[:-3]
-    if (token.endswith("ed") and not token.endswith("eed") and n >= 5
-            and any(c in _VOWELS for c in token[:-2])):
+    elif (last == "d" and token.endswith("ed") and not token.endswith("eed") and n >= 5
+          and any(c in _VOWELS for c in token[:-2])):
         return token[:-2]
     return None
 
@@ -135,7 +151,7 @@ def lemmatize(token: str, table: Mapping[str, str] | None = None) -> str:
         if reduced is None:
             return current
         current = reduced
-    return current  # defensive: table cycle
+    return current  # table cycle: its first repeated element is a fixpoint too
 
 
 def _stem_fixpoint(token: str) -> str:
@@ -149,8 +165,13 @@ def _stem_fixpoint(token: str) -> str:
 
 
 def _transform_token(token: str, config: PreprocessConfig) -> str:
-    """Lemma/stem transform iterated to a joint fixpoint so that re-running
-    the pipeline over its own output cannot shift a token further."""
+    """Lemma/stem transform to a fixpoint, so that re-running the pipeline
+    over its own output cannot shift a token further. ``lemmatize`` alone
+    returns a fixpoint of itself; only stemming needs the joint loop."""
+    if not config.apply_stemming:
+        if config.apply_lemmatization:
+            return lemmatize(token, table=config.lemma_table)
+        return token
     seen = set()
     current = token
     while current not in seen:
@@ -158,8 +179,7 @@ def _transform_token(token: str, config: PreprocessConfig) -> str:
         candidate = current
         if config.apply_lemmatization:
             candidate = lemmatize(candidate, table=config.lemma_table)
-        if config.apply_stemming:
-            candidate = _stem_fixpoint(candidate)
+        candidate = _stem_fixpoint(candidate)
         if candidate == current:
             return current
         current = candidate

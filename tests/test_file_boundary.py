@@ -110,6 +110,18 @@ BAD_INPUTS = {
         lambda t: _lemmas(t, "running\trun\tverb"),
         "ERROR lexicon/malformed-entry: {tmp}/lemmas.tsv: line 3: "
         "expected 2 fields, got 3"),
+    "lemma-value-not-one-clean-token": (
+        lambda t: _lemmas(t, "cars\tGreen Car!"),
+        "ERROR lexicon/malformed-entry: {tmp}/lemmas.tsv: line 3: "
+        "not one clean token: 'Green Car!'"),
+    "lemma-key-not-lowercase": (
+        lambda t: _lemmas(t, "Cars\tcar"),
+        "ERROR lexicon/malformed-entry: {tmp}/lemmas.tsv: line 3: "
+        "not one clean token: 'Cars'"),
+    "lemma-value-url": (
+        lambda t: _lemmas(t, "site\twww.site"),
+        "ERROR lexicon/malformed-entry: {tmp}/lemmas.tsv: line 3: "
+        "not one clean token: 'www.site'"),
     "plot-report-not-utf8": (
         _plot,
         "ERROR report/file-not-readable: {tmp}/report.json: not valid UTF-8"),
@@ -157,6 +169,21 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, case):
     err = captured.err.splitlines()
     assert len(err) == 1, captured.err
     assert err[0].startswith(expected.format(tmp=tmp_path))
+    assert not out.exists()
+
+
+def test_unclean_lemma_entry_stops_preprocess_before_writing(tmp_path, capsys):
+    # a lemma that cleaning would split and lowercase made the cleaned output
+    # clean differently when fed back in
+    args = _lemmas(tmp_path, "cars\tGreen Car!")
+    corpus = tmp_path / "c.csv"
+    corpus.write_text("id,text\nc1,cars wind farm good turbines\n", encoding="utf-8")
+    out = tmp_path / "clean.jsonl"
+    code = main(["preprocess", "--input", str(corpus), *args, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (f"ERROR lexicon/malformed-entry: {tmp_path}/lemmas.tsv: line 3: "
+                            "not one clean token: 'Green Car!'\n")
     assert not out.exists()
 
 

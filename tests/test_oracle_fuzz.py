@@ -6,7 +6,10 @@ lemmas, modifier words, several "but"s, ALL-CAPS words, runs of '!', URLs,
 or too-short texts. Each corpus is analyzed in both pipeline modes and with
 both disambiguations, and every report section except meta.config_digest
 must equal what tools/golden_reference.py's report() computes, byte for
-byte. Single texts are also cleaned by both sides, dropped ones included.
+byte. Single texts are also cleaned by both sides, dropped ones included,
+and the valence rule is scored by both on raw texts whose pieces stress the
+ALL-CAPS test: cased symbols that are not letters, capitals with no
+lowercase, titlecase letters, uncased scripts and mixed-case URLs.
 """
 
 import importlib.util
@@ -27,6 +30,7 @@ from windsent.engines import (
     MODE_NATIVE,
     MODE_PAPER,
     NEGATION_WORDS,
+    score_valence_rule,
 )
 from windsent.lexicons import load_lexicon_set
 from windsent.pipeline import analyze_collection
@@ -108,3 +112,27 @@ def test_preprocess_matches_oracle(text):
     # `windsent preprocess` writes them
     tokens, reason = preprocess_text(text, default_config(min_token_count=ORACLE.MIN_TOKENS))
     assert (list(tokens), reason) == ORACLE.preprocess(text)
+
+
+_valence_words = sorted(ORACLE.VALENCE)
+_caps_stress = ["Ⓐ", "ϒ", "ǅ", "ß", "風", "123", "7", "?!", "...",
+                "--", "HTTP://X.Y", "Www.Z", "https://a.b/GOOD", "WWW.BAD.ORG"]
+_caps_word = st.one_of(
+    st.tuples(st.sampled_from(_valence_words + _modifiers),
+              st.sampled_from([str.lower, str.upper, str.title])).map(lambda p: p[1](p[0])),
+    st.sampled_from(_caps_stress),
+)
+_caps_piece = st.tuples(_caps_word, st.sampled_from(["", "", "", "!"] + _caps_stress),
+                        st.sampled_from(["", "", ",", "!", "!!"])).map("".join)
+_caps_texts = st.one_of(
+    st.lists(_caps_piece, min_size=1, max_size=12).map(" ".join),
+    st.lists(_caps_piece, min_size=1, max_size=6).map(" ".join).map(str.upper),
+)
+
+
+@given(raw=_caps_texts)
+@settings(max_examples=500, deadline=None)
+def test_valence_rule_matches_oracle(raw):
+    tokens, _ = preprocess_text(raw, default_config(min_token_count=1))
+    score = score_valence_rule(tokens, LEXICONS.valence, raw_text=raw)
+    assert repr((score.polarity, score.proportions)) == repr(ORACLE.score_valence(tokens, raw))

@@ -2,10 +2,12 @@
 test-local copies of their earlier multi-pass versions: a list of valences
 rescaled around "but" and summed in separate passes, and a negation window
 re-sliced and a previous entry looked up again for every matched word.
-Floats are compared by repr, so -0.0 against 0.0 counts as a difference."""
+Floats are compared by repr, so -0.0 against 0.0 counts as a difference.
+Cleaning's one lemmatize per token is checked against the joint
+lemmatize/stem loop it replaced, and the suffix rules against their chain."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from windsent.engines import (
@@ -34,7 +36,16 @@ from windsent.engines import (
     score_valence_rule,
 )
 from windsent.lexicons import PatternEntry, PatternLexicon, ValenceLexicon, load_lexicon_set
-from windsent.preprocess import DELETE_PUNCTUATION, URL_PREFIXES
+from windsent.preprocess import (
+    DELETE_PUNCTUATION,
+    URL_PREFIXES,
+    PreprocessConfig,
+    _stem_fixpoint,
+    _suffix_lemma,
+    _transform_token,
+    default_config,
+    lemmatize,
+)
 
 
 def multipass_caps_profile(raw_text):
@@ -255,8 +266,114 @@ def test_valence_rule_matches_multipass_with_raw_text(lexicon, data, tokens):
           multipass_valence_rule(tokens, lexicon, raw_text=raw))
 
 
+# cased but not a letter, upper with no lowercase, titlecase, lowercase with
+# a two-letter upper form, uncased, and pieces with no letter at all
+_unusual_pieces = st.sampled_from(["Ⓐ", "ϒ", "ǅ", "ß", "風", "123", "?!", "GOOD", "good",
+                                   "Good", "ⒶGOOD", "GOOD7", "HTTP://X.Y", "Www.Z"])
+
+
+@given(raw=st.lists(st.lists(_unusual_pieces, min_size=1, max_size=3).map("".join),
+                    max_size=6).map(" ".join))
+@example(raw="Ⓐ GOOD bad")
+@settings(max_examples=400, deadline=None)
+def test_caps_profile_matches_multipass_on_unusual_letters(raw):
+    assert _caps_profile(raw) == multipass_caps_profile(raw)
+
+
+def test_caps_profile_needs_a_letter():
+    # an upper piece with no letter is not a caps word and does not make
+    # the text uniformly caps
+    assert _caps_profile("Ⓐ GOOD bad") == (frozenset({"good"}), False)
+    assert _caps_profile("Ⓐ 123 ?!") == (frozenset(), False)
+    assert _caps_profile("Ⓐ GOOD ϒ") == (frozenset({"good", "ϒ"}), True)
+
+
 @pytest.mark.parametrize("lexicon", PATTERN_LEXICONS, ids=["bundled", "extended"])
 @given(tokens=tokens_strategy)
 @settings(max_examples=400, deadline=None)
 def test_pattern_avg_matches_multipass(lexicon, tokens):
     _same(score_pattern_avg(tokens, lexicon), multipass_pattern_avg(tokens, lexicon))
+
+
+def joint_transform_token(token, config):
+    seen = set()
+    current = token
+    while current not in seen:
+        seen.add(current)
+        candidate = current
+        if config.apply_lemmatization:
+            candidate = lemmatize(candidate, table=config.lemma_table)
+        if config.apply_stemming:
+            candidate = _stem_fixpoint(candidate)
+        if candidate == current:
+            return current
+        current = candidate
+    return current
+
+
+def chained_suffix_lemma(token):
+    n = len(token)
+    if token.endswith("ies") and n >= 5:
+        return token[:-3] + "y"
+    if n >= 5 and token.endswith(("ches", "shes", "xes", "zes", "sses")):
+        return token[:-2]
+    if (token.endswith("s") and not token.endswith(("ss", "us", "is")) and n >= 4):
+        return token[:-1]
+    if token.endswith("ing") and n >= 6 and any(c in "aeiou" for c in token[:-3]):
+        return token[:-3]
+    if (token.endswith("ed") and not token.endswith("eed") and n >= 5
+            and any(c in "aeiou" for c in token[:-2])):
+        return token[:-2]
+    return None
+
+
+_STEMS = ["farm", "car", "cary", "box", "bus", "class", "run", "feed", "bed", "ing", "sky", "x"]
+_ENDINGS = ["", "s", "es", "ies", "ses", "ing", "ed", "eed", "ss", "us", "is", "d", "g"]
+_lemma_words = st.one_of(
+    st.tuples(st.sampled_from(_STEMS), st.sampled_from(_ENDINGS)).map("".join),
+    st.text("aeiouydgsbchxz", max_size=8),
+)
+# small tables: self-maps, chains into the suffix rules and cycles through them
+_lemma_tables = st.dictionaries(_lemma_words, _lemma_words, max_size=6)
+
+
+@given(table=_lemma_tables, token=_lemma_words)
+@example(table={"farm": "farms"}, token="farming")
+@example(table={"cars": "carsing", "car": "car"}, token="carsing")
+@example(table={"box": "boxed", "boxe": "box"}, token="boxes")
+@settings(max_examples=1000, deadline=None)
+def test_lemmatize_is_idempotent(table, token):
+    once = lemmatize(token, table=table)
+    assert lemmatize(once, table=table) == once
+
+
+def test_lemma_table_cycle_ends_on_a_fixpoint():
+    # farm -> farms by the table, farms -> farm by the suffix rule
+    table = {"farm": "farms"}
+    assert lemmatize("farming", table=table) == "farm"
+    assert lemmatize("farm", table=table) == "farm"
+    assert lemmatize("farms", table=table) == "farms"
+
+
+@pytest.mark.parametrize("lemmatization", [True, False])
+@given(table=_lemma_tables, token=_lemma_words)
+@example(table={"farm": "farms"}, token="farming")
+@settings(max_examples=500, deadline=None)
+def test_transform_token_matches_joint_loop(lemmatization, table, token):
+    config = PreprocessConfig(stopwords=frozenset(), lemma_table=table,
+                              apply_lemmatization=lemmatization)
+    assert _transform_token(token, config) == joint_transform_token(token, config)
+
+
+def test_transform_token_matches_joint_loop_on_bundled_table():
+    config = default_config()
+    words = set(config.lemma_table) | set(config.lemma_table.values())
+    for word in sorted(words):
+        for token in (word, word + "s", word + "ing", word + "ed", word + "es"):
+            assert _transform_token(token, config) == joint_transform_token(token, config)
+
+
+@given(token=st.one_of(_lemma_words, st.text(max_size=10)))
+@settings(max_examples=1000, deadline=None)
+def test_suffix_lemma_matches_chained_rules(token):
+    assert _suffix_lemma(token) == chained_suffix_lemma(token)
