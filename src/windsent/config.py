@@ -23,8 +23,8 @@ from .engines import (
     PIPELINE_MODES,
 )
 from .errors import WindsentError, data_lines
-from .lexicons import LEXICON_FILENAMES, bundled_lexicon_dir
-from .preprocess import DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH
+from .lexicons import (DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, LEXICON_FILENAMES,
+                       bundled_lexicon_dir)
 from .svgplots import MAX_BINS
 
 

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .lexicons import (
+    DEFAULT_POS_TABLE_PATH,
     LexiconSet,
     PatternLexicon,
     SynsetLexicon,
@@ -92,10 +93,6 @@ NORMALIZATION_ALPHA = 15.0
 
 PATTERN_NEGATION_WINDOW = 3
 PATTERN_NEGATION_FACTOR = -0.5
-
-_DATA_DIR = Path(__file__).resolve().parent / "data"
-DEFAULT_POS_TABLE_PATH = _DATA_DIR / "pos_tags.tsv"
-
 
 @dataclass(frozen=True)
 class SentimentScore:

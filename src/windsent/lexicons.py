@@ -1,21 +1,28 @@
-"""The three lexicon kinds backing the sentiment engines, plus the
-two-column tables (lemmas, POS tags) that share their file format.
+"""Every data file the pipeline reads: the three lexicon kinds backing the
+sentiment engines, the stopword list, and the two-column tables (lemmas, POS
+tags) that share the lexicons' file format.
 
 File formats (UTF-8 with optional BOM, blank and '#'-prefixed lines ignored):
-  valence : word<TAB>valence                       valence in [-4, +4]
-  pattern : word<TAB>polarity<TAB>subjectivity<TAB>intensifier_flag<TAB>intensity_factor
-  synset  : synset_id<TAB>pos<TAB>pos_score<TAB>neg_score<TAB>sense_rank<TAB>lemma1,lemma2,...
-  table   : key<TAB>value
+  valence   : word<TAB>valence                       valence in [-4, +4]
+  pattern   : word<TAB>polarity<TAB>subjectivity<TAB>intensifier_flag<TAB>intensity_factor
+  synset    : synset_id<TAB>pos<TAB>pos_score<TAB>neg_score<TAB>sense_rank<TAB>lemma1,lemma2,...
+  stopwords : word
+  table     : key<TAB>value
 
-Every invariant is checked at load time; a file that violates one never
-produces a partially valid lexicon. Each kind loads into its own frozen type
-whose table callers read directly; loaded lexicons are immutable and safe
-for concurrent lookup.
+One contract holds for every file. Each word field (lexicon words, synset
+lemmas, stopwords, table keys and values) must be one clean token: a word
+that cleaning leaves unchanged, so corpus tokens can match it and cleaning's
+output stays a fixpoint of cleaning. A key may appear once per file. Every
+invariant is checked at load time; a file that violates one never produces
+a partially valid lexicon or table, and the error names the file and line.
+Each lexicon kind loads into its own frozen type whose table callers read
+directly; loaded lexicons are immutable and safe for concurrent lookup.
 """
 
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, ClassVar, Iterator, Mapping, TypeVar
@@ -35,6 +42,12 @@ LEXICON_FILENAMES = {
 }
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
+DEFAULT_STOPWORDS_PATH = _DATA_DIR / "stopwords.txt"
+DEFAULT_LEMMAS_PATH = _DATA_DIR / "lemmas.tsv"
+DEFAULT_POS_TABLE_PATH = _DATA_DIR / "pos_tags.tsv"
+
+# the characters cleaning deletes, so no data-file word may hold one
+PUNCTUATION = frozenset(string.punctuation)
 
 
 def bundled_lexicon_dir() -> Path:
@@ -42,9 +55,14 @@ def bundled_lexicon_dir() -> Path:
 
 
 class _EntryError(WindsentError):
-    """A bad line in a lexicon or table file; ``_load`` sets ``path`` so the
-    message reads ``<path>: line N: <reason>``."""
+    """A bad line in a data file; ``_load`` sets ``path`` so the message
+    reads ``<path>: line N: <reason>``."""
     path: Path | None = None
+
+    def __init__(self, line: int, reason: str):
+        super().__init__(f"line {line}: {reason}")
+        self.line = line
+        self.reason = reason
 
     def __str__(self) -> str:
         message = super().__str__()
@@ -54,28 +72,17 @@ class _EntryError(WindsentError):
 class MalformedEntryError(_EntryError):
     code = "lexicon/malformed-entry"
 
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
-        self.line = line
-        self.reason = reason
-
 
 class OutOfRangeScoreError(_EntryError):
     code = "lexicon/out-of-range"
-
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
-        self.line = line
-        self.reason = reason
 
 
 class DuplicateWordError(_EntryError):
     code = "lexicon/duplicate-word"
 
     def __init__(self, word: str, line: int):
-        super().__init__(f"line {line}: duplicate word {word!r}")
+        super().__init__(line, f"duplicate word {word!r}")
         self.word = word
-        self.line = line
 
 
 class WrongKindError(WindsentError):
@@ -167,11 +174,19 @@ def _parse_float(value: str, lineno: int, what: str) -> float:
 
 
 def _check_word(word: str, lineno: int) -> str:
-    if not word:
-        raise MalformedEntryError(lineno, "empty word")
-    if word != word.lower():
-        raise MalformedEntryError(lineno, f"word not lowercase: {word!r}")
+    """The word rule: ``word`` must be one clean token, i.e. one that
+    ``preprocess.normalize`` maps to itself (no whitespace, no upper case,
+    no punctuation, hence no URL prefix either)."""
+    if word.split() != [word] or word != word.lower() or not PUNCTUATION.isdisjoint(word):
+        raise MalformedEntryError(lineno, f"not one clean token: {word!r}")
     return word
+
+
+def _put(entries: dict, key: str, value, lineno: int) -> None:
+    """The repeated-key rule: a key may appear once per file."""
+    if key in entries:
+        raise DuplicateWordError(key, lineno)
+    entries[key] = value
 
 
 def _load_valence(path: Path) -> ValenceLexicon:
@@ -181,9 +196,7 @@ def _load_valence(path: Path) -> ValenceLexicon:
         valence = _parse_float(fields[1], lineno, "valence")
         if not -VALENCE_BOUND <= valence <= VALENCE_BOUND:
             raise OutOfRangeScoreError(lineno, f"valence {valence} outside [-4, 4]")
-        if word in entries:
-            raise DuplicateWordError(word, lineno)
-        entries[word] = valence
+        _put(entries, word, valence, lineno)
     return ValenceLexicon(str(path), len(entries), entries)
 
 
@@ -211,23 +224,20 @@ def _load_pattern(path: Path) -> PatternLexicon:
             raise OutOfRangeScoreError(lineno, f"subjectivity {subjectivity} outside [0, 1]")
         if factor <= 0.0:
             raise OutOfRangeScoreError(lineno, f"intensity_factor {factor} not positive")
-        if word in entries:
-            raise DuplicateWordError(word, lineno)
-        entries[word] = PatternEntry(word, polarity, subjectivity, is_intensifier, factor)
+        _put(entries, word, PatternEntry(word, polarity, subjectivity, is_intensifier, factor),
+             lineno)
     return PatternLexicon(str(path), len(entries), entries)
 
 
 def _load_synset(path: Path) -> SynsetLexicon:
     by_key: dict[tuple[str, str], list[SynsetEntry]] = {}
-    seen_ids: set[str] = set()
+    seen_ids: dict[str, None] = {}
     seen_ranks: set[tuple[str, str, int]] = set()
-    count = 0
     for lineno, fields in _rows(path, 6):
         synset_id = fields[0]
         if not synset_id:
             raise MalformedEntryError(lineno, "empty synset id")
-        if synset_id in seen_ids:
-            raise DuplicateWordError(synset_id, lineno)
+        _put(seen_ids, synset_id, None, lineno)
         pos_tag = fields[1]
         if pos_tag not in POS_TAGS:
             raise MalformedEntryError(lineno, f"bad pos tag: {pos_tag!r}")
@@ -257,13 +267,11 @@ def _load_synset(path: Path) -> SynsetLexicon:
                     lineno, f"duplicate sense_rank {sense_rank} for ({lemma}, {pos_tag})")
             seen_ranks.add(key)
             by_key.setdefault((lemma, pos_tag), []).append(entry)
-        seen_ids.add(synset_id)
-        count += 1
     indexed = {
         key: tuple(sorted(senses, key=lambda e: e.sense_rank))
         for key, senses in by_key.items()
     }
-    return SynsetLexicon(str(path), count, indexed)
+    return SynsetLexicon(str(path), len(seen_ids), indexed)
 
 
 _LOADERS = {
@@ -291,10 +299,22 @@ def load_lexicon(path: str | Path, kind: str) -> AnyLexicon:
     return _load(_LOADERS[kind], path)
 
 
+def _parse_table(path: Path) -> dict[str, str]:
+    table: dict[str, str] = {}
+    for lineno, (key, value) in _rows(path, 2):
+        _put(table, _check_word(key, lineno), _check_word(value, lineno), lineno)
+    return table
+
+
 def load_table(path: str | Path) -> dict[str, str]:
-    """A two-column ``key<TAB>value`` file such as the POS table; a repeated
-    key keeps its last value."""
-    return _load(lambda p: dict(fields for _, fields in _rows(p, 2)), path)
+    """A two-column ``key<TAB>value`` table such as the lemma or POS table."""
+    return _load(_parse_table, path)
+
+
+def load_stopwords(path: str | Path = DEFAULT_STOPWORDS_PATH) -> frozenset[str]:
+    """A stopword list, one word per line."""
+    return _load(lambda p: frozenset(_check_word(word, lineno) for lineno, word
+                                     in data_lines(p, LexiconFileError)), path)
 
 
 @dataclass(frozen=True)

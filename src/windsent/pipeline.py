@@ -130,7 +130,9 @@ def run_analyze(config: RunConfig) -> report_mod.AnalysisReport:
 
 def cleaned_document_record(doc: CleanedDocument) -> dict:
     """JSONL record for one cleaned document. The ``text`` field holds the
-    space-joined tokens so the file is itself loadable as a corpus."""
+    space-joined tokens so the file loads back as a corpus under
+    ``--lenient``; a document that cleaned to no tokens has an empty
+    ``text``, which a strict load rejects."""
     return {
         "id": doc.comment_id,
         "text": " ".join(doc.tokens),

@@ -16,56 +16,32 @@ output reproduces the token sequence exactly. Hence the per-token transform
 ends on a fixpoint (``lemmatize`` is idempotent by itself; only stemming
 needs a joint lemmatize/stem loop), stopwords are filtered once more after
 lemmatization ("ours" -> "our" may land on a stopword), and every lemma-table
-key and value must be one clean token.
+key and value is one clean token.
+
+The stopword list and lemma table are read, and their words checked, by
+``windsent.lexicons``; this module loads each file once per path.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .corpus import CommentCollection
-from .errors import data_lines
-from .lexicons import LexiconFileError, MalformedEntryError, _load, _rows
+from .lexicons import (DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, PUNCTUATION,
+                       load_stopwords, load_table)
 from .stemming import stem
 
 URL_PREFIXES = ("http://", "https://", "www.")
-PUNCTUATION = frozenset(string.punctuation)
 DELETE_PUNCTUATION = str.maketrans(dict.fromkeys(PUNCTUATION))
 _VOWELS = frozenset("aeiou")
 
-_DATA_DIR = Path(__file__).resolve().parent / "data"
-DEFAULT_STOPWORDS_PATH = _DATA_DIR / "stopwords.txt"
-DEFAULT_LEMMAS_PATH = _DATA_DIR / "lemmas.tsv"
-
-
-def load_stopwords(path: str | Path = DEFAULT_STOPWORDS_PATH) -> frozenset[str]:
-    return frozenset(line for _, line in data_lines(path, LexiconFileError))
-
-
 @lru_cache(maxsize=None)
-def _cached_stopwords(path: str) -> frozenset[str]:
-    return load_stopwords(path)
-
-
-def _parse_lemma_table(path: Path) -> dict[str, str]:
-    """A ``key<TAB>value`` lemma table of clean tokens (so cleaning's output
-    stays a fixpoint of cleaning); a repeated key keeps its last value."""
-    table = {}
-    for lineno, fields in _rows(path, 2):
-        for word in fields:
-            if normalize(word).split() != [word]:
-                raise MalformedEntryError(lineno, f"not one clean token: {word!r}")
-        table[fields[0]] = fields[1]
-    return table
-
-
-@lru_cache(maxsize=None)
-def _cached_lemma_table(path: str) -> Mapping[str, str]:
-    return _load(_parse_lemma_table, path)
+def _load_once(load: Callable, path: str):
+    """A data file loaded once per process and path."""
+    return load(path)
 
 
 @dataclass(frozen=True)
@@ -88,8 +64,8 @@ def default_config(
 ) -> PreprocessConfig:
     """Config backed by the bundled stopword list and lemma table; both
     paths are overridable."""
-    stop = _cached_stopwords(str(stopwords_path or DEFAULT_STOPWORDS_PATH))
-    table = _cached_lemma_table(str(lemmas_path or DEFAULT_LEMMAS_PATH))
+    stop = _load_once(load_stopwords, str(stopwords_path or DEFAULT_STOPWORDS_PATH))
+    table = _load_once(load_table, str(lemmas_path or DEFAULT_LEMMAS_PATH))
     return PreprocessConfig(stopwords=stop, lemma_table=table, **overrides)
 
 
@@ -136,7 +112,7 @@ def lemmatize(token: str, table: Mapping[str, str] | None = None) -> str:
     """Dictionary lemma when the token is in the table, else suffix-rule
     fallback, iterated to a fixpoint. Unknown tokens pass through."""
     if table is None:
-        table = _cached_lemma_table(str(DEFAULT_LEMMAS_PATH))
+        table = _load_once(load_table, str(DEFAULT_LEMMAS_PATH))
     seen = set()
     current = token
     while current not in seen:

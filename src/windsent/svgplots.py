@@ -216,9 +216,11 @@ def _drawn_values(summary: Mapping) -> tuple[dict, list, list, dict]:
     }
     subjectivity = summary["subjectivity"]
     counts = [_count(count, "subjectivity.counts") for count in subjectivity["counts"]]
-    if len(counts) > MAX_BINS:
-        raise ValueError(f"subjectivity.counts: {len(counts)} bins, at most {MAX_BINS} fit")
+    if not 1 <= len(counts) <= MAX_BINS:
+        raise ValueError(f"subjectivity.counts: {len(counts)} bins, not 1..{MAX_BINS}")
     edges = list(subjectivity["bin_edges"])
+    if len(edges) != len(counts) + 1:
+        raise ValueError(f"subjectivity.bin_edges: {len(edges)} edges for {len(counts)} bins")
     for edge in edges:
         if type(edge) not in (int, float):
             raise TypeError(f"subjectivity.bin_edges: expected a number, got {edge!r}")

@@ -4,8 +4,7 @@ The pipeline relies on a few cross-file properties: modifier vocabularies
 never appear in the stopword list, lexicon words survive the cleaning
 pipeline unchanged (otherwise corpus tokens could never match them), and
 every synset lemma is reachable under the tag its entries carry. The two
-key/value tables must also be unambiguous, which their loader does not
-check: it keeps the last value of a repeated key.
+key/value tables must also be unambiguous.
 
 Per-file checks (duplicate words, score ranges, finite numbers, synset tags)
 are the lexicon loaders' own and run whenever the ``lexicons`` fixture loads.
@@ -13,17 +12,16 @@ are the lexicon loaders' own and run whenever the ``lexicons`` fixture loads.
 
 from collections import Counter
 
-from windsent.engines import (
-    AMPLIFIERS,
-    CONTRAST_WORD,
-    DAMPENERS,
-    DEFAULT_POS_TABLE_PATH,
-    NEGATION_WORDS,
-    tag_pos,
-)
+from windsent.engines import AMPLIFIERS, CONTRAST_WORD, DAMPENERS, NEGATION_WORDS, tag_pos
 from windsent.errors import data_lines
-from windsent.lexicons import POS_TAGS, LexiconFileError
-from windsent.preprocess import DEFAULT_LEMMAS_PATH, default_config, lemmatize, load_stopwords
+from windsent.lexicons import (
+    DEFAULT_LEMMAS_PATH,
+    DEFAULT_POS_TABLE_PATH,
+    POS_TAGS,
+    LexiconFileError,
+    load_stopwords,
+)
+from windsent.preprocess import default_config, lemmatize
 
 
 def _table_rows(path):

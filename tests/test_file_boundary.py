@@ -14,8 +14,7 @@ from pathlib import Path
 import pytest
 
 from windsent.cli import main
-from windsent.lexicons import bundled_lexicon_dir
-from windsent.preprocess import DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH
+from windsent.lexicons import DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, bundled_lexicon_dir
 from windsent.svgplots import CHART_FILES
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "windsent"
@@ -40,6 +39,26 @@ def test_only_errors_module_opens_files(path):
     assert not calls, f"{path.name} touches files outside errors.py: {calls}"
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reaches_into_another_modules_private_names(path):
+    # a private name is its own module's business; a rule two modules need
+    # (such as the data-file word rule) belongs, public, to one of them
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules, reaches = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "windsent"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    reaches.append(f"line {node.lineno}: import {alias.name}")
+                elif node.module is None or node.module == "windsent":
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            reaches.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    assert not reaches, f"{path.name} uses private names of other modules: {reaches}"
+
+
 def _not_utf8(path: Path, good: bytes) -> Path:
     path.write_bytes(good + b"\xff\n")
     return path
@@ -49,6 +68,21 @@ def _lexicon_copy(tmp_path: Path, name: str) -> list[str]:
     lexicons = shutil.copytree(bundled_lexicon_dir(), tmp_path / "lexicons")
     _not_utf8(lexicons / name, (bundled_lexicon_dir() / name).read_bytes())
     return ["--lexicons", str(lexicons)]
+
+
+def _lexicon_line(tmp_path: Path, name: str, line: str) -> list[str]:
+    """A copy of the bundled lexicons whose ``name`` file starts with ``line``."""
+    lexicons = shutil.copytree(bundled_lexicon_dir(), tmp_path / "lexicons")
+    (lexicons / name).write_text(
+        line + "\n" + (bundled_lexicon_dir() / name).read_text(encoding="utf-8"),
+        encoding="utf-8")
+    return ["--lexicons", str(lexicons)]
+
+
+def _stopwords(tmp_path: Path, line: str) -> list[str]:
+    path = tmp_path / "stop.txt"
+    path.write_text("# one word a line\nthe\n" + line + "\n", encoding="utf-8")
+    return ["--stopwords", str(path)]
 
 
 def _lemmas(tmp_path: Path, line: str) -> list[str]:
@@ -122,6 +156,22 @@ BAD_INPUTS = {
         lambda t: _lemmas(t, "site\twww.site"),
         "ERROR lexicon/malformed-entry: {tmp}/lemmas.tsv: line 3: "
         "not one clean token: 'www.site'"),
+    "lemma-key-repeated": (
+        lambda t: _lemmas(t, "farms\tfarm\nfarms\tfarms"),
+        "ERROR lexicon/duplicate-word: {tmp}/lemmas.tsv: line 4: duplicate word 'farms'"),
+    # words cleaning can never produce: they loaded, then silently matched nothing
+    "stopword-not-lowercase": (
+        lambda t: _stopwords(t, "Wind"),
+        "ERROR lexicon/malformed-entry: {tmp}/stop.txt: line 3: "
+        "not one clean token: 'Wind'"),
+    "valence-word-with-apostrophe": (
+        lambda t: _lexicon_line(t, "valence.tsv", "don't\t-2.0"),
+        "ERROR lexicon/malformed-entry: {tmp}/lexicons/valence.tsv: line 1: "
+        "not one clean token: \"don't\""),
+    "synset-lemma-with-underscore": (
+        lambda t: _lexicon_line(t, "synset.tsv", "wind_farm.n.01\tnoun\t0.5\t0.0\t1\twind_farm"),
+        "ERROR lexicon/malformed-entry: {tmp}/lexicons/synset.tsv: line 1: "
+        "not one clean token: 'wind_farm'"),
     "plot-report-not-utf8": (
         _plot,
         "ERROR report/file-not-readable: {tmp}/report.json: not valid UTF-8"),

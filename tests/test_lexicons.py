@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from windsent.analytics import top_words
 from windsent.engines import score_pattern_avg, score_synset, score_valence_rule
@@ -8,10 +10,12 @@ from windsent.lexicons import (
     MalformedEntryError,
     OutOfRangeScoreError,
     WrongKindError,
+    _check_word,
     bundled_lexicon_dir,
     load_lexicon,
     load_lexicon_set,
 )
+from windsent.preprocess import normalize
 
 
 def write(path, text):
@@ -228,3 +232,24 @@ def test_empty_lexicon_files_load_as_empty(tmp_path):
             assert score_pattern_avg(["good"], lex).polarity == 0.0
         else:
             assert score_synset([("good", "adj")], lex).polarity == 0.0
+
+
+# short strings over every code point, and over the characters where
+# lowercasing, punctuation and URL prefixes interact
+_word_chars = st.sampled_from([*"aZ_'.:/-#ßİǅΣς\u212a\u0307\u00a0\u3000\x1c\t ",
+                               "www.", "http://"])
+
+
+@given(st.one_of(st.text(max_size=6),
+                 st.lists(_word_chars, max_size=5).map("".join)))
+@example("don't")
+@example("wind_farm")
+@example(":)")
+@example("")
+@settings(max_examples=500, deadline=None)
+def test_word_rule_accepts_exactly_what_cleaning_leaves_unchanged(word):
+    try:
+        accepted = _check_word(word, 1) == word
+    except MalformedEntryError:
+        accepted = False
+    assert accepted == (normalize(word).split() == [word])

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from windsent.corpus import Comment, CommentCollection
-from windsent.engines import _caps_profile
+from windsent.lexicons import PUNCTUATION
 from windsent.preprocess import (
-    PUNCTUATION,
     URL_PREFIXES,
     CleanedDocument,
     PreprocessConfig,
@@ -234,27 +233,14 @@ def test_cleaned_document_flags():
     assert CleanedDocument("a", "", (), "null").dropped
 
 
-# The per-character punctuation deletion both cleaning passes used before
-# they shared one translate table; the table must delete exactly the same.
+# The per-character punctuation deletion cleaning used before it shared one
+# translate table with the caps profile; the table must delete exactly the same.
 def _generator_normalize(text):
     text = text.lower()
     kept = [piece for piece in text.split() if not piece.startswith(URL_PREFIXES)]
     text = " ".join(kept)
     text = "".join(c for c in text if c not in PUNCTUATION)
     return " ".join(text.split())
-
-
-def _generator_caps_profile(raw_text):
-    cased = []
-    for piece in raw_text.split():
-        if piece.lower().startswith(URL_PREFIXES):
-            continue
-        cleaned = "".join(c for c in piece if c not in PUNCTUATION)
-        if cleaned and any(c.isalpha() for c in cleaned):
-            cased.append(cleaned)
-    upper = [w for w in cased if w.isupper()]
-    all_caps = bool(cased) and len(upper) == len(cased)
-    return frozenset(w.lower() for w in upper), all_caps
 
 
 def _any_case(word):
@@ -273,12 +259,13 @@ _pieces = st.one_of(_punctuation, _urls, st.text(string.digits, min_size=1, max_
                     _words, st.tuples(_punctuation, _words, _punctuation).map("".join))
 _spaces = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\x0b",
                           "\u00a0", "\u2003", "\u3000"])
-_mixed_texts = st.lists(st.tuples(_pieces, _spaces), max_size=12).map(
+# comments mixing cases, scripts, punctuation, URLs and whitespace kinds;
+# test_single_pass also checks the caps profile on them
+mixed_texts = st.lists(st.tuples(_pieces, _spaces), max_size=12).map(
     lambda parts: "".join(piece + space for piece, space in parts))
 
 
-@given(_mixed_texts)
+@given(mixed_texts)
 @settings(max_examples=300, deadline=None)
 def test_translate_table_deletes_what_the_generator_did(text):
     assert normalize(text) == _generator_normalize(text)
-    assert _caps_profile(text) == _generator_caps_profile(text)

@@ -295,6 +295,14 @@ def _more_bins_than_drawable(data):
                                 bin_edges=[i / 300 for i in range(301)])
 
 
+def _bin_edges(count: int):
+    """Mutator: ``count`` evenly spaced histogram edges for the report's
+    unchanged bins."""
+    def mutate(data):
+        data["subjectivity"]["bin_edges"] = [i / (count - 1) for i in range(count)]
+    return mutate
+
+
 class TestCli:
     def test_analyze_subcommand(self, golden_corpus_path, golden_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -413,6 +421,9 @@ class TestCli:
         _more_bins_than_drawable,
         _set_leaf("rankings.valence_rule.positive", [["a", 5], ["b", -3]]),
         _set_leaf("distributions.pattern_avg.counts.negative", 10**400),
+        pytest.param(_bin_edges(5), id="edges-too-few"),
+        pytest.param(_bin_edges(30), id="edges-too-many"),
+        pytest.param(_set_leaf("subjectivity.counts", []), id="no-bins"),
     ])
     def test_plot_wrong_leaf_types_error(self, golden_dir, tmp_path, capsys, mutate):
         data = read_json(golden_dir / "golden_report.json")

@@ -47,6 +47,8 @@ from windsent.preprocess import (
     lemmatize,
 )
 
+from test_preprocess import mixed_texts
+
 
 def multipass_caps_profile(raw_text):
     cased = []
@@ -272,8 +274,10 @@ _unusual_pieces = st.sampled_from(["Ⓐ", "ϒ", "ǅ", "ß", "風", "123", "?!", 
                                    "Good", "ⒶGOOD", "GOOD7", "HTTP://X.Y", "Www.Z"])
 
 
-@given(raw=st.lists(st.lists(_unusual_pieces, min_size=1, max_size=3).map("".join),
-                    max_size=6).map(" ".join))
+@given(raw=st.one_of(
+    st.lists(st.lists(_unusual_pieces, min_size=1, max_size=3).map("".join),
+             max_size=6).map(" ".join),
+    mixed_texts))
 @example(raw="Ⓐ GOOD bad")
 @settings(max_examples=400, deadline=None)
 def test_caps_profile_matches_multipass_on_unusual_letters(raw):
