@@ -165,6 +165,8 @@ def word_qualifies(lexicon: AnyLexicon, word: str, side: str) -> bool:
     elif isinstance(lexicon, PatternLexicon):
         entry = lexicon._pattern.get(word)
         value = None if entry is None else entry.polarity
+    elif word not in lexicon.lemmas:
+        value = None
     else:
         (_, tag), = tag_pos([word])
         senses = lexicon._synsets.get((word, tag))

@@ -181,13 +181,17 @@ class RunConfig:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat ``key = value`` file; '#' comments and blank lines ignored."""
+    """Flat ``key = value`` file; '#' comments and blank lines ignored. A key
+    may appear once."""
     values: dict[str, str] = {}
     for lineno, line in data_lines(path, ConfigError):
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"config line {lineno}: repeated key {key!r}")
+        values[key] = value.strip()
     return values
 
 

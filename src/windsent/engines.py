@@ -340,8 +340,11 @@ def score_all(document: CleanedDocument, lexicons: LexiconSet,
         raise ValueError(f"unknown pipeline mode: {mode!r}")
     raw = document.raw_text if mode == MODE_NATIVE else None
     tokens = document.tokens
+    # only synset lemmas can have senses, so only they are tagged
+    lemmas = lexicons.synset.lemmas
     return EngineScores(
         pattern_avg=score_pattern_avg(tokens, lexicons.pattern),
-        synset=score_synset(tag_pos(tokens), lexicons.synset, disambiguation),
+        synset=score_synset(tag_pos([t for t in tokens if t in lemmas]),
+                            lexicons.synset, disambiguation),
         valence_rule=score_valence_rule(tokens, lexicons.valence, raw_text=raw),
     )

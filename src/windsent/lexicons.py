@@ -137,11 +137,17 @@ class PatternLexicon:
 
 @dataclass(frozen=True)
 class SynsetLexicon:
-    """(lemma, pos) -> all senses in ascending sense_rank order."""
+    """(lemma, pos) -> all senses in ascending sense_rank order. ``lemmas``
+    holds every lemma under any tag: a word outside it has no sense under
+    any tag, so scoring need not tag it."""
     kind: ClassVar[str] = "synset"
     source_path: str
     entry_count: int
     _synsets: Mapping[tuple[str, str], tuple[SynsetEntry, ...]] = field(repr=False)
+    lemmas: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lemmas", frozenset(lemma for lemma, _ in self._synsets))
 
 
 AnyLexicon = ValenceLexicon | PatternLexicon | SynsetLexicon

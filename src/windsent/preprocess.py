@@ -5,7 +5,12 @@ tokens, delete punctuation including '#', collapse whitespace), tokenize,
 stopword removal, lemmatization (plus optional stemming), and a length
 threshold that drops documents with fewer than ``min_token_count`` tokens.
 After normalize, one loop over the words does the stopword, transform and
-second stopword steps for each word in turn.
+second stopword steps for each word in turn. Social-media text repeats its
+words, so one ``preprocess_corpus`` call cleans each distinct normalized
+word once: a memo owned by that call maps the word to its cleaned token, or
+to None when a stopword drops it. The memo admits at most ``MEMO_CAP``
+words; later new words are cleaned without being stored, which keeps a
+corpus of mostly distinct words from growing it without bound.
 
 The normalization order is a fixed pipeline constant: URLs are removed
 before punctuation is deleted, otherwise punctuation stripping would shred
@@ -37,6 +42,8 @@ from .stemming import stem
 URL_PREFIXES = ("http://", "https://", "www.")
 DELETE_PUNCTUATION = str.maketrans(dict.fromkeys(PUNCTUATION))
 _VOWELS = frozenset("aeiou")
+MEMO_CAP = 4096
+_UNSEEN = object()
 
 @lru_cache(maxsize=None)
 def _load_once(load: Callable, path: str):
@@ -162,20 +169,37 @@ def _transform_token(token: str, config: PreprocessConfig) -> str:
     return current
 
 
-def preprocess_text(text: str | None, config: PreprocessConfig) -> tuple[tuple[str, ...], str | None]:
-    """Clean one text; returns (tokens, drop_reason)."""
+def _clean_word(word: str, config: PreprocessConfig) -> str | None:
+    """One normalized word's cleaned token, or None when a stopword drops it
+    before or after the transform."""
+    if word in config.stopwords:
+        return None
+    word = _transform_token(word, config)
+    return None if word in config.stopwords else word
+
+
+def _clean_text(text: str | None, config: PreprocessConfig,
+                memo: dict[str, str | None]) -> tuple[tuple[str, ...], str | None]:
     if text is None or not text.strip():
         return (), "null"
-    stopwords = config.stopwords
     tokens = []
+    seen = memo.get
     for word in normalize(text).split():
-        if word not in stopwords:
-            word = _transform_token(word, config)
-            if word not in stopwords:
-                tokens.append(word)
+        cleaned = seen(word, _UNSEEN)
+        if cleaned is _UNSEEN:
+            cleaned = _clean_word(word, config)
+            if len(memo) < MEMO_CAP:
+                memo[word] = cleaned
+        if cleaned is not None:
+            tokens.append(cleaned)
     if len(tokens) < config.min_token_count:
         return tuple(tokens), "too_short"
     return tuple(tokens), None
+
+
+def preprocess_text(text: str | None, config: PreprocessConfig) -> tuple[tuple[str, ...], str | None]:
+    """Clean one text; returns (tokens, drop_reason)."""
+    return _clean_text(text, config, {})
 
 
 def preprocess_corpus(collection: CommentCollection | Sequence,
@@ -185,8 +209,9 @@ def preprocess_corpus(collection: CommentCollection | Sequence,
     if config is None:
         config = default_config()
     docs = []
+    memo: dict[str, str | None] = {}
     for comment in collection:
-        tokens, reason = preprocess_text(comment.text, config)
+        tokens, reason = _clean_text(comment.text, config, memo)
         docs.append(CleanedDocument(
             comment_id=comment.id,
             raw_text=comment.text if comment.text is not None else "",

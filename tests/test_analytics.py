@@ -23,14 +23,26 @@ from windsent.analytics import (
     word_qualifies,
 )
 from windsent.engines import (
+    DISAMBIGUATION_AVERAGE,
+    DISAMBIGUATION_FIRST,
     ENGINE_LEXICONS,
     ENGINE_PATTERN,
     ENGINE_VALENCE,
     ENGINES,
     SentimentScore,
+    score_all,
+    score_synset,
     tag_pos,
 )
-from windsent.lexicons import PatternLexicon, ValenceLexicon, WrongKindError, load_lexicon_set
+from windsent.lexicons import (
+    LexiconSet,
+    PatternLexicon,
+    SynsetEntry,
+    SynsetLexicon,
+    ValenceLexicon,
+    WrongKindError,
+    load_lexicon_set,
+)
 from windsent.preprocess import CleanedDocument
 
 
@@ -358,3 +370,49 @@ def test_top_words_tests_each_distinct_word_once(lexicons, monkeypatch):
     assert ranking.entries == (("good", 4), ("great", 1))
     assert calls and max(calls.values()) == 1
     assert set(calls) <= {"good", "zzz", "great"}
+
+
+def _sense(lemma, tag, pos_score, neg_score, rank):
+    return SynsetEntry(f"{lemma}.{tag}.{rank:02d}", tag, pos_score, neg_score,
+                       frozenset({lemma}), rank)
+
+
+# built by position, as a caller outside the loader would; "zqxly" (tagged
+# adv by its suffix) and "kill" (verb in the POS table) are lemmas only under
+# a tag that tag_pos never gives them, so they can never match
+_CUSTOM_SYNSET = SynsetLexicon("custom", 5, {
+    ("zqxly", "noun"): (_sense("zqxly", "noun", 0.5, 0.0, 1),),
+    ("kill", "noun"): (_sense("kill", "noun", 0.0, 0.75, 1),),
+    ("breeze", "noun"): (_sense("breeze", "noun", 0.25, 0.0, 1),
+                         _sense("breeze", "noun", 0.0, 0.5, 2)),
+    ("good", "adj"): (_sense("good", "adj", 0.625, 0.0, 1),),
+})
+_gate_words = st.one_of(_ranking_words(),
+                        st.sampled_from(["zqxly", "kill", "breeze", "good", "zqx"]))
+
+
+def test_custom_synset_lexicon_derives_its_lemmas():
+    assert _CUSTOM_SYNSET.lemmas == {"zqxly", "kill", "breeze", "good"}
+    assert (_CUSTOM_SYNSET.source_path, _CUSTOM_SYNSET.entry_count) == ("custom", 5)
+
+
+@pytest.mark.parametrize("disambiguation", [DISAMBIGUATION_FIRST, DISAMBIGUATION_AVERAGE])
+@given(tokens=st.lists(_gate_words, max_size=20))
+@settings(max_examples=150, deadline=None)
+def test_score_all_tags_only_lemmas_with_the_same_synset_score(lexicons, disambiguation,
+                                                                tokens):
+    doc = _doc("c", tokens)
+    custom = LexiconSet(lexicons.valence, lexicons.pattern, _CUSTOM_SYNSET)
+    for lexicon_set in (lexicons, custom):
+        scores = score_all(doc, lexicon_set, disambiguation=disambiguation)
+        assert scores.synset == score_synset(tag_pos(doc.tokens), lexicon_set.synset,
+                                             disambiguation)
+
+
+@given(word=_gate_words)
+@settings(max_examples=200, deadline=None)
+def test_word_qualifies_lemma_gate_matches_reference(lexicons, word):
+    for lexicon in (lexicons.synset, _CUSTOM_SYNSET):
+        for side in (POSITIVE, NEGATIVE):
+            assert word_qualifies(lexicon, word, side) == \
+                _occurrence_qualifies(lexicon, word, side)

@@ -1,12 +1,16 @@
+import dataclasses
 import string
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from windsent import preprocess
 from windsent.corpus import Comment, CommentCollection
 from windsent.lexicons import PUNCTUATION
 from windsent.preprocess import (
+    MEMO_CAP,
     URL_PREFIXES,
     CleanedDocument,
     PreprocessConfig,
@@ -220,6 +224,69 @@ def _multipass_preprocess_text(text, config):
 def test_preprocess_text_matches_multipass(overrides, text):
     config = default_config(**overrides)
     assert preprocess_text(text, config) == _multipass_preprocess_text(text, config)
+
+
+# words that repeat within and across comments: inflections, a lemma that
+# lands on a stopword, stopwords, caps, punctuation and a URL, plus numbered
+# pseudo-words, so that a corpus holds more distinct words than the cap
+_memo_words = st.one_of(
+    st.sampled_from(["Turbines", "turbine", "running", "ours", "OUR", "the",
+                     "relational", "energies", "whales!!", "don't", "#Wind",
+                     "https://x.co/a", "killed", "greatly", "thes", "10%"]),
+    st.integers(min_value=0, max_value=60).map(lambda i: f"zq{i}ings"),
+)
+_memo_corpora = st.lists(st.one_of(st.lists(_memo_words, max_size=10).map(" ".join),
+                                   st.none()),
+                         max_size=12)
+_MEMO_TEST_CAP = 8
+
+
+def _memo_sizes(collection, config):
+    """Run preprocess_corpus and record the memo's size after each text."""
+    sizes = []
+    clean_text = preprocess._clean_text
+
+    def recording(text, config, memo):
+        result = clean_text(text, config, memo)
+        sizes.append(len(memo))
+        return result
+
+    with mock.patch.object(preprocess, "_clean_text", recording):
+        docs = preprocess_corpus(collection, config)
+    return docs, sizes
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"apply_stemming": True}, {"apply_lemmatization": False},
+    {"apply_stemming": True, "apply_lemmatization": False},
+    # "ours" is kept by the first stopword test and dropped only as "our"
+    {"stopwords": frozenset({"our", "the", "turbine"})},
+], ids=["default", "stem", "no-lemmatize", "stem-no-lemmatize", "stopword-after-lemma"])
+@given(texts=_memo_corpora)
+@settings(max_examples=150, deadline=None)
+def test_corpus_memo_matches_per_text_reference(overrides, texts):
+    config = dataclasses.replace(default_config(min_token_count=2), **overrides)
+    collection = CommentCollection(
+        tuple(Comment(id=f"c{i}", text=t) for i, t in enumerate(texts)), "mem")
+    with mock.patch.object(preprocess, "MEMO_CAP", _MEMO_TEST_CAP):
+        docs, sizes = _memo_sizes(collection, config)
+    assert [(d.tokens, d.drop_reason) for d in docs] == \
+        [_multipass_preprocess_text(t, config) for t in texts]
+    assert all(size <= _MEMO_TEST_CAP for size in sizes)
+
+
+def test_memo_stops_at_the_cap():
+    # twice as many distinct words as the cap, each repeated in a later comment
+    words = [f"zq{i}ed" for i in range(2 * MEMO_CAP)]
+    texts = [" ".join(words[i:i + 50]) for i in range(0, len(words), 50)]
+    texts += texts[::-1]
+    collection = CommentCollection(
+        tuple(Comment(id=f"c{i}", text=t) for i, t in enumerate(texts)), "mem")
+    config = default_config()
+    docs, sizes = _memo_sizes(collection, config)
+    assert max(sizes) == MEMO_CAP
+    assert [(d.tokens, d.drop_reason) for d in docs] == \
+        [_multipass_preprocess_text(t, config) for t in texts]
 
 
 def test_config_rejects_zero_threshold():

@@ -169,6 +169,22 @@ class TestConfigHandling:
         assert config.mode == "engine_native"
         assert config.input_path == golden_corpus_path
 
+    def test_repeated_key_is_one_error_line(self, tmp_path, golden_corpus_path, capsys):
+        out = tmp_path / "out"
+        config_file = tmp_path / "run.conf"
+        config_file.write_text(
+            f"input = {golden_corpus_path}\n"
+            f"out = {out}\n"
+            "top_n = 5\n"
+            "# the second value must not win silently\n"
+            "top_n = 7\n",
+            encoding="utf-8")
+        code = main(["analyze", "--config", str(config_file)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["ERROR config/invalid: config line 5: repeated key 'top_n'"]
+        assert not out.exists()
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             build_run_config({"inputt": "x"}, {"input": "a", "out": "b"})
