@@ -179,9 +179,11 @@ def top_words(documents: Sequence[CleanedDocument],
               lexicon: AnyLexicon, engine: str, side: str,
               n: int = 30) -> WordRanking:
     """The n most frequent side-qualifying words over the comments the
-    engine labeled with that side; every token occurrence counts, and each
-    distinct word is tested once, since whether it qualifies depends on the
-    word alone; ties break by ascending word order for reproducibility."""
+    engine labeled with that side; every token occurrence counts. Whether a
+    word qualifies depends on the word alone, and a word outside the
+    lexicon never does, so only counted lexicon words are tested, each
+    once. Ties break by ascending word order for reproducibility. Document
+    ids must be distinct, and every labeled id must name a document."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine: {engine!r}")
     if side not in (POSITIVE, NEGATIVE):
@@ -190,6 +192,9 @@ def top_words(documents: Sequence[CleanedDocument],
     if n < 1:
         raise ValueError("n must be >= 1")
     tokens_by_id = {doc.comment_id: doc.tokens for doc in documents}
+    if len(tokens_by_id) < len(documents):
+        (repeated, _), = Counter(doc.comment_id for doc in documents).most_common(1)
+        raise ValueError(f"repeated document id {repeated!r}")
     counts: Counter[str] = Counter()
     for item in labeled:
         if item.engine != engine:
@@ -201,7 +206,13 @@ def top_words(documents: Sequence[CleanedDocument],
         except KeyError:
             raise ValueError(f"no document for labeled comment {item.comment_id!r}") from None
         counts.update(tokens)
-    ranked = sorted(((word, count) for word, count in counts.items()
+    if isinstance(lexicon, ValenceLexicon):
+        vocabulary = lexicon._valence.keys()
+    elif isinstance(lexicon, PatternLexicon):
+        vocabulary = lexicon._pattern.keys()
+    else:
+        vocabulary = lexicon.lemmas
+    ranked = sorted(((word, counts[word]) for word in counts.keys() & vocabulary
                      if word_qualifies(lexicon, word, side)),
                     key=lambda kv: (-kv[1], kv[0]))
     return WordRanking(engine, side, tuple(ranked[:n]))

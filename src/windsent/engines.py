@@ -125,19 +125,22 @@ def compound_from_sum(raw_sum: float, alpha: float = NORMALIZATION_ALPHA) -> flo
 def _caps_profile(raw_text: str) -> tuple[frozenset[str], bool]:
     """Words written in ALL CAPS in the raw text (lowercased, with
     punctuation deleted like the cleaning pass does), plus whether the text
-    is uniformly caps, in which case emphasis carries no signal. An upper
-    piece may have no letter (``Ⓐ``); other pieces matter only until one has."""
+    is uniformly caps, in which case emphasis carries no signal. URL pieces
+    are skipped. Punctuation is uncased and no letter, so deleting it
+    changes neither ``isupper()`` nor whether a piece has a letter: only an
+    upper piece is translated and lowercased. An upper piece may have no
+    letter (``Ⓐ``); other pieces matter only until one has."""
     caps_words = set()
     mixed = False
     for piece in raw_text.split():
-        if piece.lower().startswith(URL_PREFIXES):
-            continue
-        cleaned = piece.translate(DELETE_PUNCTUATION)
-        if cleaned.isupper():
+        if piece.isupper():
+            if piece.lower().startswith(URL_PREFIXES):
+                continue
+            cleaned = piece.translate(DELETE_PUNCTUATION)
             if any(c.isalpha() for c in cleaned):
                 caps_words.add(cleaned.lower())
-        elif not mixed and any(c.isalpha() for c in cleaned):
-            mixed = True
+        elif not mixed and (piece.isalpha() or any(c.isalpha() for c in piece)):
+            mixed = not piece.lower().startswith(URL_PREFIXES)
     return frozenset(caps_words), bool(caps_words) and not mixed
 
 

@@ -1,5 +1,7 @@
+import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,8 @@ from windsent.analytics import (
     top_words,
     word_qualifies,
 )
+from windsent.config import RunConfig
+from windsent.corpus import Comment, CommentCollection
 from windsent.engines import (
     DISAMBIGUATION_AVERAGE,
     DISAMBIGUATION_FIRST,
@@ -36,6 +40,7 @@ from windsent.engines import (
 )
 from windsent.lexicons import (
     LexiconSet,
+    PatternEntry,
     PatternLexicon,
     SynsetEntry,
     SynsetLexicon,
@@ -43,7 +48,8 @@ from windsent.lexicons import (
     WrongKindError,
     load_lexicon_set,
 )
-from windsent.preprocess import CleanedDocument
+from windsent.pipeline import analyze_collection
+from windsent.preprocess import CleanedDocument, default_config
 
 
 def vscore(polarity):
@@ -335,15 +341,46 @@ def _doc(cid, tokens):
     return CleanedDocument(cid, " ".join(tokens), tuple(tokens), None)
 
 
-@given(docs=st.lists(st.lists(_ranking_words(), max_size=12)
+def _sense(lemma, tag, pos_score, neg_score, rank):
+    return SynsetEntry(f"{lemma}.{tag}.{rank:02d}", tag, pos_score, neg_score,
+                       frozenset({lemma}), rank)
+
+
+# built by position, as a caller outside the loader would; "zqxly" (tagged
+# adv by its suffix) and "kill" (verb in the POS table) are lemmas only under
+# a tag that tag_pos never gives them, so they can never match
+_CUSTOM_SYNSET = SynsetLexicon("custom", 5, {
+    ("zqxly", "noun"): (_sense("zqxly", "noun", 0.5, 0.0, 1),),
+    ("kill", "noun"): (_sense("kill", "noun", 0.0, 0.75, 1),),
+    ("breeze", "noun"): (_sense("breeze", "noun", 0.25, 0.0, 1),
+                         _sense("breeze", "noun", 0.0, 0.5, 2)),
+    ("good", "adj"): (_sense("good", "adj", 0.625, 0.0, 1),),
+})
+# an intensifier with a polarity of its own ("zqxly"), intensifiers with none,
+# and a word whose polarity is zero ("breeze"): each is a lexicon word
+_CUSTOM_PATTERN = PatternLexicon("custom", 5, {
+    "zqxly": PatternEntry("zqxly", -0.5, 0.75, True, 1.5),
+    "very": PatternEntry("very", 0.0, 0.0, True, 1.3),
+    "utterly": PatternEntry("utterly", 0.0, 0.0, True, 2.0),
+    "breeze": PatternEntry("breeze", 0.0, 0.25),
+    "good": PatternEntry("good", 0.75, 0.5),
+})
+_CUSTOM_VALENCE = ValenceLexicon("custom", 4, {
+    "breeze": 1.5, "kill": -3.0, "zqxly": 0.0, "very": 0.5})
+_CUSTOM_LEXICONS = LexiconSet(_CUSTOM_VALENCE, _CUSTOM_PATTERN, _CUSTOM_SYNSET)
+_custom_words = ["zqxly", "kill", "breeze", "good", "zqx", "very", "utterly"]
+_gate_words = st.one_of(_ranking_words(), st.sampled_from(_custom_words))
+
+
+@given(docs=st.lists(st.lists(_gate_words, max_size=12)
                      .map(lambda words: words + words[:2]), max_size=15),
        labels=st.lists(st.sampled_from(LABELS), min_size=15, max_size=15),
        n=st.integers(min_value=1, max_value=40))
 @settings(max_examples=150, deadline=None)
 def test_top_words_matches_per_occurrence_ranking(lexicons, docs, labels, n):
     documents = [_doc(f"c{i}", tokens) for i, tokens in enumerate(docs)]
-    for engine in ENGINES:
-        lexicon = getattr(lexicons, ENGINE_LEXICONS[engine].kind)
+    for lexicon_set, engine in itertools.product((lexicons, _CUSTOM_LEXICONS), ENGINES):
+        lexicon = getattr(lexicon_set, ENGINE_LEXICONS[engine].kind)
         labeled = [LabeledComment(doc.comment_id, engine, vscore(0.0), lab)
                    for doc, lab in zip(documents, labels)]
         for side in (POSITIVE, NEGATIVE):
@@ -372,23 +409,49 @@ def test_top_words_tests_each_distinct_word_once(lexicons, monkeypatch):
     assert set(calls) <= {"good", "zzz", "great"}
 
 
-def _sense(lemma, tag, pos_score, neg_score, rank):
-    return SynsetEntry(f"{lemma}.{tag}.{rank:02d}", tag, pos_score, neg_score,
-                       frozenset({lemma}), rank)
+def _lexicon_words(lexicon):
+    if isinstance(lexicon, ValenceLexicon):
+        return set(lexicon._valence)
+    if isinstance(lexicon, PatternLexicon):
+        return set(lexicon._pattern)
+    return {lemma for lemma, _ in lexicon._synsets}
 
 
-# built by position, as a caller outside the loader would; "zqxly" (tagged
-# adv by its suffix) and "kill" (verb in the POS table) are lemmas only under
-# a tag that tag_pos never gives them, so they can never match
-_CUSTOM_SYNSET = SynsetLexicon("custom", 5, {
-    ("zqxly", "noun"): (_sense("zqxly", "noun", 0.5, 0.0, 1),),
-    ("kill", "noun"): (_sense("kill", "noun", 0.0, 0.75, 1),),
-    ("breeze", "noun"): (_sense("breeze", "noun", 0.25, 0.0, 1),
-                         _sense("breeze", "noun", 0.0, 0.5, 2)),
-    ("good", "adj"): (_sense("good", "adj", 0.625, 0.0, 1),),
-})
-_gate_words = st.one_of(_ranking_words(),
-                        st.sampled_from(["zqxly", "kill", "breeze", "good", "zqx"]))
+def test_top_words_tests_only_lexicon_words(lexicons, monkeypatch):
+    calls = Counter()
+
+    def counting(lexicon, word, side):
+        calls[word] += 1
+        return _occurrence_qualifies(lexicon, word, side)
+
+    monkeypatch.setattr(analytics, "word_qualifies", counting)
+    documents = [_doc("a", ["good", "zzz", "breeze", "zqxly", "kill", "zzz", "good"]),
+                 _doc("b", ["zzz", "kill", "very", "zqx", "terrible", "utterly"])]
+    for lexicon_set, engine in itertools.product((lexicons, _CUSTOM_LEXICONS), ENGINES):
+        lexicon = getattr(lexicon_set, ENGINE_LEXICONS[engine].kind)
+        labeled = [LabeledComment("a", engine, vscore(0.0), POSITIVE),
+                   LabeledComment("b", engine, vscore(0.0), NEGATIVE)]
+        for side, doc in ((POSITIVE, documents[0]), (NEGATIVE, documents[1])):
+            calls.clear()
+            ranking = top_words(documents, labeled, lexicon, engine, side)
+            assert ranking.entries == _occurrence_top_words(
+                documents, labeled, lexicon, engine, side, 30)
+            assert set(calls) == set(doc.tokens) & _lexicon_words(lexicon)
+            assert "zzz" not in calls and max(calls.values(), default=1) == 1
+
+
+def test_top_words_repeated_document_id_rejected(lexicons):
+    # each duplicate's label used to count the last duplicate's tokens
+    texts = ("good great wonderful day", "terrible awful horrible day")
+    collection = CommentCollection(tuple(Comment(id="c1", text=t) for t in texts), "dup.jsonl")
+    config = RunConfig(input_path=Path("dup.jsonl"), input_format="jsonl",
+                       out_dir=Path("unused"))
+    with pytest.raises(ValueError, match="repeated document id 'c1'"):
+        analyze_collection(collection, lexicons, default_config(), config)
+    documents = [_doc("c0", ["good"]), _doc("c1", ["good"]), _doc("c1", ["terrible"])]
+    labeled = [LabeledComment("c1", ENGINE_VALENCE, vscore(-0.5), NEGATIVE)]
+    with pytest.raises(ValueError, match="repeated document id 'c1'"):
+        top_words(documents, labeled, lexicons.valence, ENGINE_VALENCE, NEGATIVE)
 
 
 def test_custom_synset_lexicon_derives_its_lemmas():

@@ -35,7 +35,13 @@ from windsent.engines import (
     score_pattern_avg,
     score_valence_rule,
 )
-from windsent.lexicons import PatternEntry, PatternLexicon, ValenceLexicon, load_lexicon_set
+from windsent.lexicons import (
+    PUNCTUATION,
+    PatternEntry,
+    PatternLexicon,
+    ValenceLexicon,
+    load_lexicon_set,
+)
 from windsent.preprocess import (
     DELETE_PUNCTUATION,
     URL_PREFIXES,
@@ -269,9 +275,11 @@ def test_valence_rule_matches_multipass_with_raw_text(lexicon, data, tokens):
 
 
 # cased but not a letter, upper with no lowercase, titlecase, lowercase with
-# a two-letter upper form, uncased, and pieces with no letter at all
+# a two-letter upper form, uncased, pieces with no letter at all, and caps
+# pieces wrapped in punctuation
 _unusual_pieces = st.sampled_from(["Ⓐ", "ϒ", "ǅ", "ß", "風", "123", "?!", "GOOD", "good",
-                                   "Good", "ⒶGOOD", "GOOD7", "HTTP://X.Y", "Www.Z"])
+                                   "Good", "ⒶGOOD", "GOOD7", "HTTP://X.Y", "Www.Z",
+                                   "#GOOD", "GOOD's", "(OK)", "!!!", "HTTP://X.Y,"])
 
 
 @given(raw=st.one_of(
@@ -282,6 +290,13 @@ _unusual_pieces = st.sampled_from(["Ⓐ", "ϒ", "ǅ", "ß", "風", "123", "?!", 
 @settings(max_examples=400, deadline=None)
 def test_caps_profile_matches_multipass_on_unusual_letters(raw):
     assert _caps_profile(raw) == multipass_caps_profile(raw)
+
+
+def test_punctuation_is_uncased_and_no_letter():
+    # _caps_profile tests a piece for upper case and for a letter before it
+    # deletes punctuation, which is sound only while this holds
+    for c in PUNCTUATION:
+        assert c.lower() == c.upper() == c and not c.isalpha()
 
 
 def test_caps_profile_needs_a_letter():
