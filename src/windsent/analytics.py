@@ -10,6 +10,7 @@ shards and merged equal the whole-corpus distribution.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -41,8 +42,8 @@ class MissingSubjectivityError(WindsentError):
 
 
 def label_polarity(phi: float, epsilon: float = 0.0) -> str:
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if not 0 <= epsilon < math.inf:  # False for NaN too
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
     if phi > epsilon:
         return POSITIVE
     if abs(phi) <= epsilon:
@@ -183,7 +184,8 @@ def top_words(documents: Sequence[CleanedDocument],
     word qualifies depends on the word alone, and a word outside the
     lexicon never does, so only counted lexicon words are tested, each
     once. Ties break by ascending word order for reproducibility. Document
-    ids must be distinct, and every labeled id must name a document."""
+    ids and labeled ids must each be distinct, and every labeled id must
+    name a document."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine: {engine!r}")
     if side not in (POSITIVE, NEGATIVE):
@@ -195,6 +197,9 @@ def top_words(documents: Sequence[CleanedDocument],
     if len(tokens_by_id) < len(documents):
         (repeated, _), = Counter(doc.comment_id for doc in documents).most_common(1)
         raise ValueError(f"repeated document id {repeated!r}")
+    if len({item.comment_id for item in labeled}) < len(labeled):
+        (repeated, _), = Counter(item.comment_id for item in labeled).most_common(1)
+        raise ValueError(f"repeated labeled id {repeated!r}")
     counts: Counter[str] = Counter()
     for item in labeled:
         if item.engine != engine:

@@ -2,11 +2,12 @@
 
 Input formats:
   CSV   - UTF-8, header row ``id,text,source_group,timestamp``, RFC-4180
-          quoting. Extra columns are ignored; empty optional cells mean
-          "absent".
+          quoting. Extra columns are ignored; a known column named twice is
+          an error; empty optional cells mean "absent".
   JSONL - one JSON object per line with the same field names. Unknown keys
           are ignored so that files with extra annotations (for example the
-          cleaned-corpus output of the preprocess subcommand) stay loadable.
+          cleaned-corpus output of the preprocess subcommand) stay loadable;
+          a repeated key keeps its last value, as in JSON.
 
 Loading is strict by default: the first malformed record aborts with an
 error naming its line. ``load_corpus_lenient`` instead skips bad records and
@@ -155,6 +156,9 @@ def _iter_csv(text: str) -> Iterator[tuple[int, Mapping[str, object]]]:
         for required in REQUIRED_FIELDS:
             if required not in columns:
                 raise MalformedRecordError(1, f"header lacks required column {required!r}")
+        for name in REQUIRED_FIELDS + OPTIONAL_FIELDS:
+            if columns.count(name) > 1:
+                raise MalformedRecordError(1, f"header repeats column {name!r}")
         known = set(REQUIRED_FIELDS) | set(OPTIONAL_FIELDS)
         for row in reader:
             if not row:

@@ -2,10 +2,15 @@
 
 Operates on lowercase ASCII-letter tokens; anything else (digits, mixed
 alphanumerics, non-ASCII) passes through unchanged, as do tokens of one or
-two characters. Includes the two customary refinements found in virtually
-every circulating implementation of the algorithm ("bli" -> "ble" in step 2
-and the "logi" -> "log" rule). Steps 2-4 are ordered suffix tables, as in the
-algorithm's published statement; steps 1 and 5 are code.
+two characters. Includes the two customary refinements ("bli" -> "ble" in
+step 2 and the "logi" -> "log" rule). Steps 2-4 are ordered suffix tables, as
+in the algorithm's published statement; steps 1 and 5 are code.
+
+Each step maps a word to a word. A rule's condition reads the stem (the word
+less the rule's suffix) through its pattern: one "c" or "v" per letter, ``y``
+being a vowel right after a consonant and a consonant elsewhere. m is the
+number of "vc" pairs; *v* is a "v" anywhere; *d is a final pair of equal
+letters with pattern "c"; *o is a final "cvc" whose last letter is not w, x, y.
 """
 
 from __future__ import annotations
@@ -38,142 +43,73 @@ _STEP4 = {
 }
 
 
-class _Stemmer:
-    """Per-call working state: the buffer ``b`` with live end index ``k``
-    and the rule offset ``j`` set by suffix matches."""
+def _pattern(stem: str) -> str:
+    pattern = ""
+    for ch in stem:
+        vowel = ch in "aeiou" or (ch == "y" and pattern[-1:] == "c")
+        pattern += "v" if vowel else "c"
+    return pattern
 
-    def __init__(self, word: str):
-        self.b = word
-        self.k = len(word) - 1
-        self.j = 0
 
-    def cons(self, i: int) -> bool:
-        ch = self.b[i]
-        if ch in "aeiou":
-            return False
-        if ch == "y":
-            return i == 0 or not self.cons(i - 1)
-        return True
+def _measure(stem: str) -> int:
+    return _pattern(stem).count("vc")
 
-    def m(self) -> int:
-        # number of consonant-vowel sequences in b[0..j]
-        i = 0
-        while True:
-            if i > self.j:
-                return 0
-            if not self.cons(i):
-                break
-            i += 1
-        i += 1
-        n = 0
-        while True:
-            while True:
-                if i > self.j:
-                    return n
-                if self.cons(i):
-                    break
-                i += 1
-            i += 1
-            n += 1
-            while True:
-                if i > self.j:
-                    return n
-                if not self.cons(i):
-                    break
-                i += 1
-            i += 1
 
-    def vowel_in_stem(self) -> bool:
-        return any(not self.cons(i) for i in range(self.j + 1))
+def _double_consonant(stem: str) -> bool:
+    return len(stem) >= 2 and stem[-1] == stem[-2] and _pattern(stem)[-1] == "c"
 
-    def double_cons(self, j: int) -> bool:
-        return j > 0 and self.b[j] == self.b[j - 1] and self.cons(j)
 
-    def cvc(self, i: int) -> bool:
-        if i < 2 or not self.cons(i) or self.cons(i - 1) or not self.cons(i - 2):
-            return False
-        return self.b[i] not in "wxy"
+def _cvc(stem: str) -> bool:
+    return _pattern(stem)[-3:] == "cvc" and stem[-1] not in "wxy"
 
-    def ends(self, s: str) -> bool:
-        length = len(s)
-        if s[-1] != self.b[self.k]:
-            return False
-        if length > self.k + 1:
-            return False
-        if self.b[self.k - length + 1 : self.k + 1] != s:
-            return False
-        self.j = self.k - length
-        return True
 
-    def set_to(self, s: str) -> None:
-        self.b = self.b[: self.j + 1] + s
-        self.k = len(self.b) - 1
+def _step1ab(word: str) -> str:
+    # plurals and -ed / -ing; "sses" -> "ss" and "ies" -> "i" both drop two
+    if word.endswith(("sses", "ies")):
+        word = word[:-2]
+    elif word.endswith("s") and not word.endswith("ss"):
+        word = word[:-1]
+    if word.endswith("eed"):
+        return word[:-1] if _measure(word[:-3]) > 0 else word
+    for suffix in ("ed", "ing"):
+        stem = word[: -len(suffix)]
+        if word.endswith(suffix) and "v" in _pattern(stem):
+            if stem.endswith(("at", "bl", "iz")):
+                return stem + "e"
+            if _double_consonant(stem):
+                return stem if stem[-1] in "lsz" else stem[:-1]
+            return stem + "e" if _measure(stem) == 1 and _cvc(stem) else stem
+    return word
 
-    def r(self, s: str) -> None:
-        if self.m() > 0:
-            self.set_to(s)
 
-    def step1ab(self) -> None:
-        # plurals and -ed / -ing
-        if self.b[self.k] == "s":
-            if self.ends("sses"):
-                self.k -= 2
-            elif self.ends("ies"):
-                self.set_to("i")
-            elif self.b[self.k - 1] != "s":
-                self.k -= 1
-        if self.ends("eed"):
-            if self.m() > 0:
-                self.k -= 1
-        elif (self.ends("ed") or self.ends("ing")) and self.vowel_in_stem():
-            self.k = self.j
-            if self.ends("at"):
-                self.set_to("ate")
-            elif self.ends("bl"):
-                self.set_to("ble")
-            elif self.ends("iz"):
-                self.set_to("ize")
-            elif self.double_cons(self.k):
-                if self.b[self.k - 1] not in "lsz":
-                    self.k -= 1
-            elif self.m() == 1 and self.cvc(self.k):
-                self.set_to("e")
+def _replace_suffix(word: str, rules: tuple[tuple[str, str], ...]) -> str:
+    # steps 2 and 3: (m > 0) suffix -> replacement
+    for suffix, replacement in rules:
+        if word.endswith(suffix):
+            stem = word[: -len(suffix)]
+            return stem + replacement if _measure(stem) > 0 else word
+    return word
 
-    def step1c(self) -> None:
-        if self.ends("y") and self.vowel_in_stem():
-            self.b = self.b[: self.k] + "i"
 
-    def replace_suffix(self, rules: tuple[tuple[str, str], ...]) -> None:
-        # steps 2 and 3
-        for suffix, replacement in rules:
-            if self.ends(suffix):
-                self.r(replacement)
-                return
+def _step4(word: str) -> str:
+    # (m > 1) suffix -> nothing; "ion" also needs the stem to end in s or t
+    for suffix in _STEP4.get(word[-2:-1], ()):
+        if word.endswith(suffix):
+            stem = word[: -len(suffix)]
+            if _measure(stem) > 1 and (suffix != "ion" or stem.endswith(("s", "t"))):
+                return stem
+            return word
+    return word
 
-    def step4(self) -> None:
-        for suffix in _STEP4.get(self.b[self.k - 1], ()):
-            if self.ends(suffix):
-                if (suffix != "ion" or self.b[self.j] in "st") and self.m() > 1:
-                    self.k = self.j
-                return
 
-    def step5(self) -> None:
-        self.j = self.k
-        if self.b[self.k] == "e":
-            a = self.m()
-            if a > 1 or (a == 1 and not self.cvc(self.k - 1)):
-                self.k -= 1
-        if self.b[self.k] == "l" and self.double_cons(self.k) and self.m() > 1:
-            self.k -= 1
-
-    def run(self) -> str:
-        self.step1ab()
-        self.step1c()
-        self.replace_suffix(_STEP2.get(self.b[self.k - 1], ()))
-        self.replace_suffix(_STEP3.get(self.b[self.k], ()))
-        self.step4()
-        self.step5()
-        return self.b[: self.k + 1]
+def _step5(word: str) -> str:
+    # dropping a final vowel leaves m unchanged, so one measure serves both
+    m = _measure(word)
+    if word.endswith("e") and (m > 1 or (m == 1 and not _cvc(word[:-1]))):
+        word = word[:-1]
+    if m > 1 and word.endswith("l") and _double_consonant(word):
+        word = word[:-1]
+    return word
 
 
 def stem(token: str) -> str:
@@ -181,4 +117,9 @@ def stem(token: str) -> str:
     shorter than three characters pass through unchanged."""
     if len(token) <= 2 or not token.isascii() or not token.isalpha():
         return token
-    return _Stemmer(token).run()
+    word = _step1ab(token)
+    if word.endswith("y") and "v" in _pattern(word[:-1]):  # step 1c
+        word = word[:-1] + "i"
+    word = _replace_suffix(word, _STEP2.get(word[-2:-1], ()))
+    word = _replace_suffix(word, _STEP3.get(word[-1:], ()))
+    return _step5(_step4(word))

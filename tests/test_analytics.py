@@ -79,8 +79,10 @@ class TestLabel:
         assert label_polarity(-0.11, epsilon=0.1) == "negative"
 
     def test_negative_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            label_polarity(0.5, epsilon=-0.1)
+        # a NaN epsilon used to label everything negative, an infinite one neutral
+        for epsilon in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="epsilon must be a finite number >= 0"):
+                label_polarity(0.5, epsilon=epsilon)
 
     @given(st.floats(min_value=-1, max_value=1, allow_nan=False),
            st.floats(min_value=-1, max_value=1, allow_nan=False))
@@ -452,6 +454,11 @@ def test_top_words_repeated_document_id_rejected(lexicons):
     labeled = [LabeledComment("c1", ENGINE_VALENCE, vscore(-0.5), NEGATIVE)]
     with pytest.raises(ValueError, match="repeated document id 'c1'"):
         top_words(documents, labeled, lexicons.valence, ENGINE_VALENCE, NEGATIVE)
+    # a repeated labeled id used to count its document's tokens once per repeat
+    documents = [_doc("a", ["good", "day"])]
+    labeled = [LabeledComment("a", ENGINE_VALENCE, vscore(0.5), POSITIVE)] * 2
+    with pytest.raises(ValueError, match="repeated labeled id 'a'"):
+        top_words(documents, labeled, lexicons.valence, ENGINE_VALENCE, POSITIVE)
 
 
 def test_custom_synset_lexicon_derives_its_lemmas():

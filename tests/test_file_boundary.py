@@ -183,6 +183,13 @@ BAD_INPUTS = {
         lambda t: _corpus(t, "c.csv", 'id,text\na,"good\n'
                           + "b,fine words here\n" * 10_000) + ["--lenient"],
         "ERROR corpus/malformed-record: line "),
+    # the last of the two columns used to load without an error
+    "csv-header-repeats-column": (
+        lambda t: _corpus(t, "c.csv", "id,text,text\na,good,bad\n"),
+        "ERROR corpus/malformed-record: line 1: header repeats column 'text'"),
+    "csv-header-repeats-column-lenient": (
+        lambda t: _corpus(t, "c.csv", "id,text,text\na,good,bad\n") + ["--lenient"],
+        "ERROR corpus/malformed-record: line 1: header repeats column 'text'"),
     "jsonl-lone-surrogate": (
         lambda t: _corpus(t, "c.jsonl", '{"id": "a", "text": "good"}\n'
                                         '{"id": "b", "text": "wind \\ud800 farm"}\n'),

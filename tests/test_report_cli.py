@@ -1,6 +1,9 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,9 @@ from windsent.config import (
     parse_config_file,
 )
 from windsent.pipeline import run_analyze, run_preprocess_only
+from windsent.svgplots import CHART_FILES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_json(path: Path) -> dict:
@@ -589,3 +595,22 @@ class TestStemmingMode:
         report = read_json(out / "report.json")
         for row in report["comments"]:
             assert -1.0 <= row["scores"]["valence_rule"]["polarity"] <= 1.0
+
+
+@pytest.mark.parametrize("mode", ["paper-faithful", "engine-native"])
+def test_output_tree_does_not_depend_on_the_hash_seed(golden_corpus_path, tmp_path, mode):
+    # several stages iterate over sets of strings, whose order follows the
+    # per-process hash seed; no output byte may follow it
+    python_path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    trees = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        subprocess.run(
+            [sys.executable, "-m", "windsent.cli", "analyze", "--input", str(golden_corpus_path),
+             "--mode", mode, "--stem", "--plots", "--out", str(out)],
+            check=True, capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": python_path})
+        trees.append({path.relative_to(out): path.read_bytes()
+                      for path in sorted(out.rglob("*")) if path.is_file()})
+    assert len(trees[0]) == 2 + 6 + len(CHART_FILES)  # report, comments, rankings, charts
+    assert trees[0] == trees[1]

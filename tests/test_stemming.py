@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import string
 
@@ -124,6 +125,21 @@ def pinned_words(count=50_000, seed=1980):
     return words
 
 
+def short_words():
+    """Every 3-letter word, and every 4-letter word over letters that reach
+    the vowel, y, double-consonant and cvc cases; suffix stripping can leave
+    one or two letters of these, where off-by-one slicing shows."""
+    words = ["".join(p) for p in itertools.product(string.ascii_lowercase, repeat=3)]
+    words += ["".join(p) for p in itertools.product("aeiouysdgnlztbwx", repeat=4)]
+    return words
+
+
+# sha256 of the newline-joined stems of short_words() (83,112 words), recorded
+# from the cursor-based implementation that preceded the string functions.
+SHORT_DIGEST = "4d2dbee59024cedeb7613e26e6b3db676d97847467f204532dc1df988ec66039"
+
+
 def test_stems_match_the_pinned_digest():
-    joined = "\n".join(stem(word) for word in pinned_words())
-    assert hashlib.sha256(joined.encode("ascii")).hexdigest() == PINNED_DIGEST
+    for words, digest in ((pinned_words(), PINNED_DIGEST), (short_words(), SHORT_DIGEST)):
+        joined = "\n".join(stem(word) for word in words)
+        assert hashlib.sha256(joined.encode("ascii")).hexdigest() == digest
