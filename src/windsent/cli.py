@@ -89,7 +89,7 @@ def cmd_top_words(args: argparse.Namespace) -> int:
     if to_stdout:
         flag_values["out"] = "."  # analysis-only run, nothing is written there
     config = build_run_config(file_values, flag_values)
-    result = pipeline.analyze_only(config)
+    result = pipeline.analyze_only(config)[0]
     engines_wanted = [args.engine] if args.engine else sorted(result.rankings)
     sides_wanted = [args.side] if args.side else list(report_mod.SIDES)
     if to_stdout:

@@ -146,6 +146,9 @@ def validate_record(raw: Mapping[str, object]) -> Comment:
 
 
 def _iter_csv(text: str) -> Iterator[tuple[int, Mapping[str, object]]]:
+    if "\0" in text:  # Python 3.10's reader refuses it, later ones read it as data
+        line = len(io.StringIO(text[:text.index("\0") + 1], newline="").readlines())
+        raise MalformedRecordError(line, "invalid CSV: line contains NUL")
     reader = csv.reader(io.StringIO(text, newline=""))
     # the reader cannot resume after an error, so lenient loading aborts too
     try:

@@ -100,12 +100,14 @@ def _write_skip_report(skipped: tuple[corpus.SkippedRecord, ...], path: Path) ->
         remove_file(path)
 
 
-def analyze_only(config: RunConfig) -> report_mod.AnalysisReport:
-    """Validate, load and analyze without writing any files."""
+def analyze_only(config: RunConfig) -> tuple[report_mod.AnalysisReport, tuple]:
+    """Validate, load and analyze, writing no files: the report and the
+    records a lenient load skipped."""
     config.validate()
-    collection, _ = _load_collection(config)
+    collection, skipped = _load_collection(config)
     lexicons = load_lexicon_set(config.lexicon_dir)
-    return analyze_collection(collection, lexicons, _preprocess_config(config), config)
+    result = analyze_collection(collection, lexicons, _preprocess_config(config), config)
+    return result, skipped
 
 
 def run_analyze(config: RunConfig) -> report_mod.AnalysisReport:
@@ -113,10 +115,7 @@ def run_analyze(config: RunConfig) -> report_mod.AnalysisReport:
     enabled, else remove charts left by an earlier run) into the output
     directory. Validation happens before any output is written, so a bad
     configuration leaves no partial results."""
-    config.validate()
-    collection, skipped = _load_collection(config)
-    lexicons = load_lexicon_set(config.lexicon_dir)
-    result = analyze_collection(collection, lexicons, _preprocess_config(config), config)
+    result, skipped = analyze_only(config)
     report_mod.write_report_files(result, config.out_dir)
     _write_skip_report(skipped, config.out_dir / "skipped.jsonl")
     if config.plots:

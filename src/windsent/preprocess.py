@@ -115,11 +115,9 @@ def _suffix_lemma(token: str) -> str | None:
     return None
 
 
-def lemmatize(token: str, table: Mapping[str, str] | None = None) -> str:
+def lemmatize(token: str, table: Mapping[str, str]) -> str:
     """Dictionary lemma when the token is in the table, else suffix-rule
     fallback, iterated to a fixpoint. Unknown tokens pass through."""
-    if table is None:
-        table = _load_once(load_table, str(DEFAULT_LEMMAS_PATH))
     seen = set()
     current = token
     while current not in seen:

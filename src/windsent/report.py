@@ -12,11 +12,14 @@ template (strings through json's own ``encode_basestring``, numbers through
 ``float.__repr__``) and encoded in chunks into one buffer, and only the small
 sections go through json.dumps. A NaN or infinite number anywhere raises
 ValueError instead of writing ``NaN`` or ``Infinity``, which JSON lacks.
+
+comments.csv and the ranking CSVs come from one-line templates too. A cell is
+quoted (RFC 4180) only when it holds a comma, a quote, CR or LF, so their bytes
+do not depend on the Python version, as ``csv.writer``'s quoting does.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -117,7 +120,9 @@ _META_FIELDS = ("config_digest", "corpus_size", "dropped_count", "epsilon",
                 "input_file", "kept_count", "pipeline_mode", "top_n")
 
 
-def _comment_item(row: CommentRow) -> str:
+def _row_values(row: CommentRow) -> tuple:
+    """A row's id, its (pattern, synset, valence) labels, and its seven
+    scores in report.json order; a non-finite score raises ValueError."""
     scores = row.scores
     pattern, valence = scores.pattern_avg, scores.valence_rule
     pos, neu, neg = valence.proportions
@@ -127,9 +132,14 @@ def _comment_item(row: CommentRow) -> str:
         raise ValueError(f"comment {row.comment_id!r}: non-finite score in {numbers}; "
                          "not JSON compliant")
     labels = row.labels
-    return _COMMENT_ITEM % (_json_str(row.comment_id), _json_str(labels[ENGINE_PATTERN]),
-                            _json_str(labels[ENGINE_SYNSET]),
-                            _json_str(labels[ENGINE_VALENCE]), *numbers)
+    return (row.comment_id,
+            (labels[ENGINE_PATTERN], labels[ENGINE_SYNSET], labels[ENGINE_VALENCE]), numbers)
+
+
+def _comment_item(row: CommentRow) -> str:
+    comment_id, (pattern, synset, valence), numbers = _row_values(row)
+    return _COMMENT_ITEM % (_json_str(comment_id), _json_str(pattern), _json_str(synset),
+                            _json_str(valence), *numbers)
 
 
 def _dropped_item(dropped: tuple[str, str]) -> str:
@@ -177,43 +187,31 @@ def report_json_bytes(report: AnalysisReport) -> bytes:
     return out.getvalue()
 
 
-COMMENTS_CSV_COLUMNS = (
-    "id",
-    "pattern_polarity", "pattern_subjectivity", "pattern_label",
-    "synset_polarity", "synset_label",
-    "valence_polarity", "valence_pos", "valence_neu", "valence_neg",
-    "valence_label",
-)
+_COMMENTS_CSV_HEADER = ("id,pattern_polarity,pattern_subjectivity,pattern_label,"
+                        "synset_polarity,synset_label,valence_polarity,valence_pos,"
+                        "valence_neu,valence_neg,valence_label\n")
+_COMMENTS_CSV_ROW = "%s,%r,%r,%s,%r,%s,%r,%r,%r,%r,%s\n"
+
+
+def _csv_field(cell: str) -> str:
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _comments_csv_row(row: CommentRow) -> str:
+    cid, (pat, syn, val), (p_pol, p_subj, s_pol, v_pol, neg, neu, pos) = _row_values(row)
+    return _COMMENTS_CSV_ROW % (_csv_field(cid), p_pol, p_subj, pat, s_pol, syn, v_pol,
+                                pos, neu, neg, val)
 
 
 def comments_csv_text(report: AnalysisReport) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(COMMENTS_CSV_COLUMNS)
-    for row in report.comments:
-        scores = row.scores
-        pos, neu, neg = scores.valence_rule.proportions
-        writer.writerow([
-            row.comment_id,
-            str(scores.pattern_avg.polarity),
-            str(scores.pattern_avg.subjectivity),
-            row.labels[ENGINE_PATTERN],
-            str(scores.synset.polarity),
-            row.labels[ENGINE_SYNSET],
-            str(scores.valence_rule.polarity),
-            str(pos), str(neu), str(neg),
-            row.labels[ENGINE_VALENCE],
-        ])
-    return buffer.getvalue()
+    return _COMMENTS_CSV_HEADER + "".join(map(_comments_csv_row, report.comments))
 
 
 def ranking_csv_text(ranking: WordRanking) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["word", "frequency"])
-    for word, count in ranking.entries:
-        writer.writerow([word, str(count)])
-    return buffer.getvalue()
+    return "word,frequency\n" + "".join(f"{_csv_field(word)},{count}\n"
+                                        for word, count in ranking.entries)
 
 
 def write_ranking_files(rankings: Mapping[str, Mapping[str, WordRanking]],
@@ -231,14 +229,12 @@ def write_ranking_files(rankings: Mapping[str, Mapping[str, WordRanking]],
     return written
 
 
-def write_report_files(report: AnalysisReport, outdir: str | Path) -> list[Path]:
-    """Write report.json, comments.csv and the six ranking CSVs; returns the
-    paths written."""
+def write_report_files(report: AnalysisReport, outdir: str | Path) -> None:
+    """Write report.json, comments.csv and the six ranking CSVs."""
     outdir = Path(outdir)
     write_file(outdir / "report.json", report_json_bytes(report))
     write_file(outdir / "comments.csv", comments_csv_text(report))
-    return [outdir / "report.json", outdir / "comments.csv",
-            *write_ranking_files(report.rankings, outdir)]
+    write_ranking_files(report.rankings, outdir)
 
 
 def load_report(path: str | Path) -> object:

@@ -49,7 +49,7 @@ def _title(text: str, width: int) -> str:
 
 
 def bar_chart_svg(title: str, labels: Sequence[str], values: Sequence[int | float],
-                  colors: Sequence[str] | None = None) -> str:
+                  colors: Sequence[str]) -> str:
     """Vertical bar chart; zero-height bars are drawn as zero-height rects
     so degenerate distributions still render."""
     width, height = 640, 420
@@ -65,12 +65,11 @@ def bar_chart_svg(title: str, labels: Sequence[str], values: Sequence[int | floa
         slot = plot_w / n
         bar_w = slot * 0.6
         for i, (lab, value) in enumerate(zip(labels, values)):
-            color = colors[i] if colors else BAR_COLOR
             h = 0.0 if peak <= 0 else float(value) / peak * plot_h
             x = left + slot * i + (slot - bar_w) / 2
             y = top + plot_h - h
             body.append(f"<rect x=\"{_fmt(x)}\" y=\"{_fmt(y)}\" width=\"{_fmt(bar_w)}\" "
-                        f"height=\"{_fmt(h)}\" fill=\"{color}\"/>")
+                        f"height=\"{_fmt(h)}\" fill=\"{colors[i]}\"/>")
             body.append(f"<text x=\"{_fmt(x + bar_w / 2)}\" y=\"{_fmt(y - 6)}\" "
                         f"text-anchor=\"middle\" {FONT} font-size=\"12\">{_escape(str(value))}</text>")
             body.append(f"<text x=\"{_fmt(x + bar_w / 2)}\" y=\"{top + plot_h + 18}\" "

@@ -184,6 +184,14 @@ BAD_INPUTS = {
                           + "b,fine words here\n" * 10_000) + ["--lenient"],
         "ERROR corpus/malformed-record: line "),
     # the last of the two columns used to load without an error
+    # Python 3.10's csv reader refused NUL, later ones read it as data
+    "csv-nul": (
+        lambda t: _corpus(t, "c.csv", "id,text\na,good wind\x00 farm\nb,fine words\n"),
+        "ERROR corpus/malformed-record: line 2: invalid CSV: line contains NUL"),
+    "csv-nul-in-quoted-field-lenient": (
+        lambda t: _corpus(t, "c.csv", 'id,text\na,"good wind\nfarm\x00 here"\nb,fine\n')
+        + ["--lenient"],
+        "ERROR corpus/malformed-record: line 3: invalid CSV: line contains NUL"),
     "csv-header-repeats-column": (
         lambda t: _corpus(t, "c.csv", "id,text,text\na,good,bad\n"),
         "ERROR corpus/malformed-record: line 1: header repeats column 'text'"),

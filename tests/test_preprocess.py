@@ -86,7 +86,7 @@ class TestLemmatize:
         ("zzzq", "zzzq"),          # unknown token passes through
     ])
     def test_examples(self, token, lemma):
-        assert lemmatize(token) == lemma
+        assert lemmatize(token, table=default_config().lemma_table) == lemma
 
     def test_output_is_fixpoint(self):
         config = default_config()

@@ -614,3 +614,33 @@ def test_output_tree_does_not_depend_on_the_hash_seed(golden_corpus_path, tmp_pa
                       for path in sorted(out.rglob("*")) if path.is_file()})
     assert len(trees[0]) == 2 + 6 + len(CHART_FILES)  # report, comments, rankings, charts
     assert trees[0] == trees[1]
+
+
+CROSS_PYTHON = SRC.parent / "tools" / "cross_python.py"
+
+
+def test_cross_python_finds_the_same_bytes_under_the_same_interpreter():
+    result = subprocess.run([sys.executable, str(CROSS_PYTHON), sys.executable],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout == f"same bytes: {sys.executable}\n"
+
+
+def test_cross_python_names_a_file_that_differs(tmp_path):
+    # an "interpreter" that runs windsent, then appends a byte to comments.csv
+    fake = tmp_path / "fake-python"
+    fake.write_text(f"#!{sys.executable}\n"
+                    "import subprocess, sys\n"
+                    "from pathlib import Path\n"
+                    f"code = subprocess.run([{sys.executable!r}, *sys.argv[1:]]).returncode\n"
+                    "csv = Path(sys.argv[sys.argv.index('--out') + 1]) / 'comments.csv'\n"
+                    "if csv.is_file():\n"
+                    "    csv.write_bytes(csv.read_bytes() + b'x')\n"
+                    "sys.exit(code)\n", encoding="utf-8")
+    fake.chmod(0o755)
+    result = subprocess.run([sys.executable, str(CROSS_PYTHON), str(fake)],
+                            capture_output=True, text=True)
+    assert result.returncode == 1, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 4  # two corpora, two analyze runs each
+    assert lines[0].startswith(f"DIFFERS {fake}: golden/analyze: comments.csv differs at line ")

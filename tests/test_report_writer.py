@@ -1,6 +1,10 @@
 """report.json from the row templates equals json.dumps of the whole report
-dict, for any report, and a non-finite number is refused."""
+dict, for any report, and a non-finite number is refused. comments.csv and
+the ranking CSVs read back as written, and equal csv.writer's bytes wherever
+csv.writer gives the same bytes on every Python version."""
 
+import csv
+import io
 import json
 import math
 
@@ -22,7 +26,14 @@ from windsent.engines import (
     EngineScores,
     SentimentScore,
 )
-from windsent.report import SIDES, AnalysisReport, CommentRow, report_json_bytes
+from windsent.report import (
+    SIDES,
+    AnalysisReport,
+    CommentRow,
+    comments_csv_text,
+    ranking_csv_text,
+    report_json_bytes,
+)
 
 
 def reference(report: AnalysisReport) -> dict:
@@ -111,7 +122,7 @@ COUNT = st.integers(min_value=0, max_value=2**53)
 
 
 @st.composite
-def comment_rows(draw):
+def comment_rows(draw, ids=TEXT):
     scores = EngineScores(
         pattern_avg=unchecked_score(ENGINE_PATTERN, draw(FLOAT), subjectivity=draw(FLOAT)),
         synset=unchecked_score(ENGINE_SYNSET, draw(FLOAT)),
@@ -119,7 +130,7 @@ def comment_rows(draw):
                                      proportions=(draw(FLOAT), draw(FLOAT), draw(FLOAT))),
     )
     labels = {engine: draw(st.sampled_from(LABELS)) for engine in ENGINES}
-    return CommentRow(draw(TEXT), scores, labels)
+    return CommentRow(draw(ids), scores, labels)
 
 
 @st.composite
@@ -214,3 +225,64 @@ def test_non_finite_score_is_refused(value):
 def test_non_finite_histogram_mean_is_refused(value):
     with pytest.raises(ValueError, match="not JSON compliant"):
         report_json_bytes(_report(comments=[_row("a")], mean=value))
+
+
+COMMENTS_CSV_COLUMNS = (
+    "id",
+    "pattern_polarity", "pattern_subjectivity", "pattern_label",
+    "synset_polarity", "synset_label",
+    "valence_polarity", "valence_pos", "valence_neu", "valence_neg",
+    "valence_label",
+)
+
+
+def csv_cells(row: CommentRow) -> list[str]:
+    scores = row.scores
+    pos, neu, neg = scores.valence_rule.proportions
+    return [row.comment_id,
+            repr(scores.pattern_avg.polarity), repr(scores.pattern_avg.subjectivity),
+            row.labels[ENGINE_PATTERN],
+            repr(scores.synset.polarity), row.labels[ENGINE_SYNSET],
+            repr(scores.valence_rule.polarity), repr(pos), repr(neu), repr(neg),
+            row.labels[ENGINE_VALENCE]]
+
+
+def csv_writer_text(report: AnalysisReport) -> str:
+    """comments.csv as csv.writer once wrote it. Its quoting of CR and NUL
+    depends on the Python version."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(COMMENTS_CSV_COLUMNS)
+    for row in report.comments:
+        writer.writerow(csv_cells(row))
+    return buffer.getvalue()
+
+
+CSV_ID_CHARS = st.sampled_from([",", '"', "\r", "\n", "\x00", "\u2028", "\u00e9",
+                                "\U0001F32C", " ", "a"])
+CSV_ID = st.text(st.one_of(CSV_ID_CHARS, st.characters(exclude_categories=("Cs",))),
+                 max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(comment_rows(ids=CSV_ID), max_size=4))
+def test_comments_csv_reads_back_and_equals_csv_writer(rows):
+    report = _report(comments=rows)
+    text = comments_csv_text(report)
+    ids = [row.comment_id for row in rows]
+    if not any("\r" in cid or "\x00" in cid for cid in ids):
+        assert text == csv_writer_text(report)
+    if not any("\x00" in cid for cid in ids):  # Python 3.10's reader refuses NUL
+        cells = list(csv.reader(io.StringIO(text, newline="")))
+        assert cells == [list(COMMENTS_CSV_COLUMNS), *map(csv_cells, rows)]
+
+
+def test_comments_csv_quotes_cr_and_writes_nul_bare():
+    lines = comments_csv_text(_report(comments=[_row("c\rd"), _row("a\x00b")])).split("\n")
+    assert lines[1] == '"c\rd",0.5,0.6,positive,0.25,positive,-0.1,0.2,0.5,0.3,positive'
+    assert lines[2] == "a\x00b,0.5,0.6,positive,0.25,positive,-0.1,0.2,0.5,0.3,positive"
+
+
+def test_ranking_csv_quotes_a_word_that_needs_it():
+    ranking = WordRanking(ENGINE_PATTERN, "positive", (("a,b", 3), ('q"', 2), ("wind", 1)))
+    assert ranking_csv_text(ranking) == 'word,frequency\n"a,b",3\n"q""",2\nwind,1\n'

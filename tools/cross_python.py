@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Same bytes on every Python: run windsent under several interpreters and
+compare the files each one writes.
+
+    python3 tools/cross_python.py python3.10 python3.12 python3.13
+
+Under each interpreter given, and under the one running this script (the
+reference), it runs ``analyze --plots`` (paper-faithful, and engine-native
+with ``--stem``), ``preprocess`` and ``top-words --out`` on the golden corpus
+and on a small corpus of awkward comment ids (comma, quote, CR, LF, NUL,
+U+2028, non-ASCII and astral characters) that it writes to a temporary
+directory. For each interpreter and run whose exit status or files differ
+from the reference's, it names the first file that differs, then exits 1;
+it exits 0 when every byte matches. It needs only the standard library and
+searches for no interpreter: pass each one by path.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_CORPUS = ROOT / "tests" / "golden" / "corpus.jsonl"
+
+AWKWARD_IDS = ("c,1", 'q"2', "c\rd", "a\x00b", "l\nf", "u\u2028x", "\u00e9t\u00e9",
+               "\U0001F32C", "tab\tx", "semi;x", "  padded  ", "plain")
+TEXTS = ("Offshore wind turbines are great clean energy for the coast",
+         "Terrible noisy turbines ruin the ocean view and hurt whales",
+         "The wind farm is fine but the cables worry local fishermen")
+
+RUNS = {
+    "analyze": ["analyze", "--plots"],
+    "analyze-native-stem": ["analyze", "--plots", "--mode", "engine-native", "--stem"],
+    "preprocess": ["preprocess"],
+    "top-words": ["top-words"],
+}
+
+
+def write_awkward_corpus(path: Path) -> Path:
+    records = [{"id": cid, "text": TEXTS[i % len(TEXTS)]}
+               for i, cid in enumerate(AWKWARD_IDS)]
+    records.append({"id": 'dropped,"\r\x00', "text": "ok"})  # too short: a dropped item
+    path.write_text("".join(json.dumps(record) + "\n" for record in records),
+                    encoding="utf-8")
+    return path
+
+
+def run_all(interpreter: str, corpora: dict[str, Path], base: Path) -> dict[str, int]:
+    """Run every command on every corpus into ``base``; the exit status of
+    each run, keyed by its directory under ``base``."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    status = {}
+    for corpus_name, corpus in corpora.items():
+        for run_name, args in RUNS.items():
+            key = f"{corpus_name}/{run_name}"
+            out = base / key
+            if run_name == "preprocess":
+                out.mkdir(parents=True)
+                out = out / "clean.jsonl"
+            result = subprocess.run(
+                [interpreter, "-m", "windsent.cli", *args, "--input", str(corpus),
+                 "--out", str(out)],
+                env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+            status[key] = result.returncode
+            if result.returncode:
+                lines = result.stderr.strip().splitlines() or ["(no stderr)"]
+                print(f"{interpreter}: {key} exited {result.returncode}: {lines[-1]}")
+    return status
+
+
+def files_under(directory: Path) -> dict[str, bytes]:
+    if not directory.is_dir():
+        return {}
+    return {path.relative_to(directory).as_posix(): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
+
+
+def first_difference(reference: dict[str, bytes], other: dict[str, bytes]) -> str | None:
+    for name in sorted(set(reference) | set(other)):
+        if name not in other:
+            return f"{name} is missing"
+        if name not in reference:
+            return f"{name} is extra"
+        if reference[name] != other[name]:
+            ref_lines = reference[name].split(b"\n")
+            other_lines = other[name].split(b"\n")
+            line = next((i for i, (ours, theirs) in enumerate(zip(ref_lines, other_lines), 1)
+                         if ours != theirs), min(len(ref_lines), len(other_lines)) + 1)
+            return f"{name} differs at line {line}"
+    return None
+
+
+def main(argv: list[str]) -> int:
+    if not argv or argv[0] in ("-h", "--help"):
+        print(__doc__)
+        return 0 if argv else 2
+    with tempfile.TemporaryDirectory(prefix="windsent-cross-python-") as tmp:
+        tmp_path = Path(tmp)
+        corpora = {"golden": GOLDEN_CORPUS,
+                   "awkward": write_awkward_corpus(tmp_path / "awkward.jsonl")}
+        reference = sys.executable
+        ref_status = run_all(reference, corpora, tmp_path / "run-0")
+        differ = False
+        for index, interpreter in enumerate(argv, start=1):
+            base = tmp_path / f"run-{index}"
+            status = run_all(interpreter, corpora, base)
+            same = True
+            for key in ref_status:
+                if status[key] != ref_status[key]:
+                    problem = f"exit status {status[key]}, not {ref_status[key]}"
+                else:
+                    problem = first_difference(files_under(tmp_path / "run-0" / key),
+                                               files_under(base / key))
+                if problem:
+                    same = False
+                    print(f"DIFFERS {interpreter}: {key}: {problem} "
+                          f"(reference {reference})")
+            if same:
+                print(f"same bytes: {interpreter}")
+            differ = differ or not same
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
