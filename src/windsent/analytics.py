@@ -55,7 +55,7 @@ def label(score: SentimentScore, epsilon: float = 0.0) -> str:
     return label_polarity(score.polarity, epsilon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledComment:
     comment_id: str
     engine: str
@@ -68,7 +68,7 @@ def label_comment(comment_id: str, score: SentimentScore,
     return LabeledComment(comment_id, score.engine, score, label(score, epsilon))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistributionReport:
     engine: str
     counts: Mapping[str, int]
@@ -106,7 +106,7 @@ def merge_distributions(reports: Sequence[DistributionReport]) -> DistributionRe
     return _distribution_from_counts(engine, counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubjectivityHistogram:
     bin_edges: tuple[float, ...]
     counts: tuple[int, ...]
@@ -148,7 +148,7 @@ def subjectivity_histogram(scores: Sequence[SentimentScore],
     return SubjectivityHistogram(edges, tuple(counts), mean, median)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordRanking:
     engine: str
     side: str

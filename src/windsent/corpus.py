@@ -75,7 +75,7 @@ class InvalidFieldError(WindsentError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comment:
     """One social-media post. ``text`` is kept verbatim; ``id`` is trimmed."""
 
@@ -85,7 +85,7 @@ class Comment:
     timestamp: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommentCollection:
     comments: tuple[Comment, ...]
     source_path: str
@@ -101,7 +101,7 @@ class CommentCollection:
         return len(self.comments)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkippedRecord:
     line: int
     reason: str
@@ -110,6 +110,8 @@ class SkippedRecord:
 def _string(name: str, value: object) -> str:
     if not isinstance(value, str):
         raise InvalidFieldError(name, "must be a string")
+    if value.isascii():  # a lone surrogate is never ASCII
+        return value
     # a JSON escape such as "\ud800" decodes to a lone surrogate, which no
     # output file can encode
     try:

@@ -94,7 +94,7 @@ NORMALIZATION_ALPHA = 15.0
 PATTERN_NEGATION_WINDOW = 3
 PATTERN_NEGATION_FACTOR = -0.5
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentimentScore:
     engine: str
     polarity: float
@@ -318,7 +318,7 @@ def score_synset(tagged_tokens: Sequence[tuple[str, str]], lexicon: SynsetLexico
     return SentimentScore(ENGINE_SYNSET, polarity)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EngineScores:
     pattern_avg: SentimentScore
     synset: SentimentScore

@@ -98,7 +98,7 @@ class LexiconFileError(WindsentError):
     code = "lexicon/file-not-readable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternEntry:
     word: str
     polarity: float
@@ -107,7 +107,7 @@ class PatternEntry:
     intensity_factor: float = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SynsetEntry:
     synset_id: str
     pos_tag: str
@@ -180,9 +180,10 @@ def _parse_float(value: str, lineno: int, what: str) -> float:
 
 
 def _check_word(word: str, lineno: int) -> str:
-    """The word rule: ``word`` must be one clean token, i.e. one that
-    ``preprocess.normalize`` maps to itself (no whitespace, no upper case,
-    no punctuation, hence no URL prefix either)."""
+    """The word rule: ``word`` must be one clean token, i.e. a single
+    whitespace piece that ``preprocess.normalize``, which works piece by
+    piece, leaves as it is: no upper case and no punctuation, hence no URL
+    prefix either."""
     if word.split() != [word] or word != word.lower() or not PUNCTUATION.isdisjoint(word):
         raise MalformedEntryError(lineno, f"not one clean token: {word!r}")
     return word

@@ -4,13 +4,15 @@ Per comment, in order: null/empty check, normalize (lowercase, drop URL
 tokens, delete punctuation including '#', collapse whitespace), tokenize,
 stopword removal, lemmatization (plus optional stemming), and a length
 threshold that drops documents with fewer than ``min_token_count`` tokens.
-After normalize, one loop over the words does the stopword, transform and
-second stopword steps for each word in turn. Social-media text repeats its
-words, so one ``preprocess_corpus`` call cleans each distinct normalized
-word once: a memo owned by that call maps the word to its cleaned token, or
-to None when a stopword drops it. The memo admits at most ``MEMO_CAP``
-words; later new words are cleaned without being stored, which keeps a
-corpus of mostly distinct words from growing it without bound.
+Normalize acts on each whitespace piece of the raw text alone (lowercasing
+never makes or unmakes whitespace, nor reads across it), so one loop over
+the raw pieces does every step for each piece in turn. Social-media text
+repeats its words, so one ``preprocess_corpus`` call cleans each distinct
+raw piece once: a memo owned by that call maps the piece to its cleaned
+token, or to None when the piece normalizes to nothing or a stopword drops
+it. The memo admits at most ``MEMO_CAP`` pieces; later new pieces are
+cleaned without being stored, which keeps a corpus of mostly distinct words
+from growing it without bound.
 
 The normalization order is a fixed pipeline constant: URLs are removed
 before punctuation is deleted, otherwise punctuation stripping would shred
@@ -76,7 +78,7 @@ def default_config(
     return PreprocessConfig(stopwords=stop, lemma_table=table, **overrides)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CleanedDocument:
     comment_id: str
     raw_text: str
@@ -88,11 +90,17 @@ class CleanedDocument:
         return self.drop_reason is not None
 
 
+def _normalize_piece(piece: str) -> str:
+    """One whitespace piece of raw text lowercased, with its punctuation
+    deleted; "" for a URL. An alphanumeric word holds no punctuation."""
+    word = piece.lower()
+    if word.startswith(URL_PREFIXES):
+        return ""
+    return word if word.isalnum() else word.translate(DELETE_PUNCTUATION)
+
+
 def normalize(text: str) -> str:
-    text = text.lower()
-    kept = [piece for piece in text.split() if not piece.startswith(URL_PREFIXES)]
-    text = " ".join(kept).translate(DELETE_PUNCTUATION)
-    return " ".join(text.split())
+    return " ".join(filter(None, map(_normalize_piece, text.split())))
 
 
 def _suffix_lemma(token: str) -> str | None:
@@ -178,16 +186,18 @@ def _clean_word(word: str, config: PreprocessConfig) -> str | None:
 
 def _clean_text(text: str | None, config: PreprocessConfig,
                 memo: dict[str, str | None]) -> tuple[tuple[str, ...], str | None]:
-    if text is None or not text.strip():
+    pieces = text.split() if text is not None else ()
+    if not pieces:
         return (), "null"
     tokens = []
     seen = memo.get
-    for word in normalize(text).split():
-        cleaned = seen(word, _UNSEEN)
+    for piece in pieces:
+        cleaned = seen(piece, _UNSEEN)
         if cleaned is _UNSEEN:
-            cleaned = _clean_word(word, config)
+            word = _normalize_piece(piece)
+            cleaned = _clean_word(word, config) if word else None
             if len(memo) < MEMO_CAP:
-                memo[word] = cleaned
+                memo[piece] = cleaned
         if cleaned is not None:
             tokens.append(cleaned)
     if len(tokens) < config.min_token_count:

@@ -15,7 +15,9 @@ ValueError instead of writing ``NaN`` or ``Infinity``, which JSON lacks.
 
 comments.csv and the ranking CSVs come from one-line templates too. A cell is
 quoted (RFC 4180) only when it holds a comma, a quote, CR or LF, so their bytes
-do not depend on the Python version, as ``csv.writer``'s quoting does.
+do not depend on the Python version, as ``csv.writer``'s quoting does. Both
+report.json and comments.csv fill their row templates from one tuple of
+strings per row, so ``write_report_files`` formats each score once.
 """
 
 from __future__ import annotations
@@ -44,14 +46,14 @@ class ReportNotReadableError(WindsentError):
     code = "report/file-not-readable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommentRow:
     comment_id: str
     scores: EngineScores
     labels: Mapping[str, str]  # engine -> label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalysisReport:
     config_digest: str
     corpus_size: int
@@ -96,21 +98,20 @@ def summary_to_dict(report: AnalysisReport) -> dict:
 
 def _item_template(sample: dict) -> str:
     """A list item as json.dumps(indent=2, sort_keys=True) writes it two
-    levels deep, with the sample's "%s" and "%r" leaves unquoted into format
-    fields in sorted-key order; %r formats a float with float.__repr__, as
-    json.dumps does."""
+    levels deep, with the sample's "%s" leaves unquoted into format fields in
+    sorted-key order."""
     text = "    " + json.dumps(sample, indent=2, sort_keys=True).replace("\n", "\n    ")
-    return text.replace('"%s"', "%s").replace('"%r"', "%r")
+    return text.replace('"%s"', "%s")
 
 
 _COMMENT_ITEM = _item_template({
     "id": "%s",
     "labels": dict.fromkeys(ENGINES, "%s"),
     "scores": {
-        ENGINE_PATTERN: {"polarity": "%r", "subjectivity": "%r"},
-        ENGINE_SYNSET: {"polarity": "%r"},
-        ENGINE_VALENCE: {"polarity": "%r",
-                         "proportions": dict.fromkeys(("neg", "neu", "pos"), "%r")},
+        ENGINE_PATTERN: {"polarity": "%s", "subjectivity": "%s"},
+        ENGINE_SYNSET: {"polarity": "%s"},
+        ENGINE_VALENCE: {"polarity": "%s",
+                         "proportions": dict.fromkeys(("neg", "neu", "pos"), "%s")},
     },
 })
 _DROPPED_ITEM = _item_template({"id": "%s", "reason": "%s"})
@@ -120,9 +121,10 @@ _META_FIELDS = ("config_digest", "corpus_size", "dropped_count", "epsilon",
                 "input_file", "kept_count", "pipeline_mode", "top_n")
 
 
-def _row_values(row: CommentRow) -> tuple:
-    """A row's id, its (pattern, synset, valence) labels, and its seven
-    scores in report.json order; a non-finite score raises ValueError."""
+def _row_cells(row: CommentRow) -> tuple[str, ...]:
+    """A row's id, its pattern, synset and valence labels, and the
+    ``float.__repr__`` of its seven scores in report.json order, which is
+    how json.dumps writes a float; a non-finite score raises ValueError."""
     scores = row.scores
     pattern, valence = scores.pattern_avg, scores.valence_rule
     pos, neu, neg = valence.proportions
@@ -132,14 +134,13 @@ def _row_values(row: CommentRow) -> tuple:
         raise ValueError(f"comment {row.comment_id!r}: non-finite score in {numbers}; "
                          "not JSON compliant")
     labels = row.labels
-    return (row.comment_id,
-            (labels[ENGINE_PATTERN], labels[ENGINE_SYNSET], labels[ENGINE_VALENCE]), numbers)
+    return (row.comment_id, labels[ENGINE_PATTERN], labels[ENGINE_SYNSET],
+            labels[ENGINE_VALENCE], *map(repr, numbers))
 
 
-def _comment_item(row: CommentRow) -> str:
-    comment_id, (pattern, synset, valence), numbers = _row_values(row)
-    return _COMMENT_ITEM % (_json_str(comment_id), _json_str(pattern), _json_str(synset),
-                            _json_str(valence), *numbers)
+def _comment_item(cells: tuple[str, ...]) -> str:
+    return _COMMENT_ITEM % ((_json_str(cells[0]), _json_str(cells[1]), _json_str(cells[2]),
+                             _json_str(cells[3])) + cells[4:])
 
 
 def _dropped_item(dropped: tuple[str, str]) -> str:
@@ -170,13 +171,17 @@ def _section(value: object) -> bytes:
     return text.replace("\n", "\n  ").encode("utf-8")
 
 
-def report_json_bytes(report: AnalysisReport) -> bytes:
-    """The bytes of report.json (see the module docstring)."""
+def report_json_bytes(report: AnalysisReport,
+                      cells: Sequence[tuple[str, ...]] | None = None) -> bytes:
+    """The bytes of report.json (see the module docstring); ``cells`` are
+    the ``_row_cells`` of ``report.comments`` when the caller has them."""
+    if cells is None:
+        cells = list(map(_row_cells, report.comments))
     summary = summary_to_dict(report)
     meta = {name: getattr(report, name) for name in _META_FIELDS}
     out = io.BytesIO()
     out.write(b'{\n  "comments": ')
-    _write_items(out, report.comments, _comment_item)
+    _write_items(out, cells, _comment_item)
     out.write(b',\n  "distributions": ' + _section(summary["distributions"]))
     out.write(b',\n  "dropped": ')
     _write_items(out, report.dropped, _dropped_item)
@@ -190,7 +195,7 @@ def report_json_bytes(report: AnalysisReport) -> bytes:
 _COMMENTS_CSV_HEADER = ("id,pattern_polarity,pattern_subjectivity,pattern_label,"
                         "synset_polarity,synset_label,valence_polarity,valence_pos,"
                         "valence_neu,valence_neg,valence_label\n")
-_COMMENTS_CSV_ROW = "%s,%r,%r,%s,%r,%s,%r,%r,%r,%r,%s\n"
+_COMMENTS_CSV_ROW = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n"
 
 
 def _csv_field(cell: str) -> str:
@@ -199,14 +204,17 @@ def _csv_field(cell: str) -> str:
     return cell
 
 
-def _comments_csv_row(row: CommentRow) -> str:
-    cid, (pat, syn, val), (p_pol, p_subj, s_pol, v_pol, neg, neu, pos) = _row_values(row)
+def _comments_csv_row(cells: tuple[str, ...]) -> str:
+    cid, pat, syn, val, p_pol, p_subj, s_pol, v_pol, neg, neu, pos = cells
     return _COMMENTS_CSV_ROW % (_csv_field(cid), p_pol, p_subj, pat, s_pol, syn, v_pol,
                                 pos, neu, neg, val)
 
 
-def comments_csv_text(report: AnalysisReport) -> str:
-    return _COMMENTS_CSV_HEADER + "".join(map(_comments_csv_row, report.comments))
+def comments_csv_text(report: AnalysisReport,
+                      cells: Sequence[tuple[str, ...]] | None = None) -> str:
+    if cells is None:
+        cells = map(_row_cells, report.comments)
+    return _COMMENTS_CSV_HEADER + "".join(map(_comments_csv_row, cells))
 
 
 def ranking_csv_text(ranking: WordRanking) -> str:
@@ -230,10 +238,12 @@ def write_ranking_files(rankings: Mapping[str, Mapping[str, WordRanking]],
 
 
 def write_report_files(report: AnalysisReport, outdir: str | Path) -> None:
-    """Write report.json, comments.csv and the six ranking CSVs."""
+    """Write report.json, comments.csv and the six ranking CSVs, formatting
+    each row's cells once for both files."""
     outdir = Path(outdir)
-    write_file(outdir / "report.json", report_json_bytes(report))
-    write_file(outdir / "comments.csv", comments_csv_text(report))
+    cells = list(map(_row_cells, report.comments))
+    write_file(outdir / "report.json", report_json_bytes(report, cells))
+    write_file(outdir / "comments.csv", comments_csv_text(report, cells))
     write_ranking_files(report.rankings, outdir)
 
 

@@ -189,6 +189,16 @@ class TestEncodingEdgeCases:
             validate_record(record)
         assert exc.value.name == field
 
+    @pytest.mark.parametrize("value", ["\ud800", "\udfff wind", "wind\udc80",
+                                       "\u00e9t\u00e9 \ud83c", "\U0001F32C\udc00"])
+    def test_lone_surrogate_rejected_wherever_it_stands(self, value):
+        with pytest.raises(InvalidFieldError, match="lone surrogate"):
+            validate_record({"id": "a", "text": value})
+
+    def test_non_ascii_text_without_surrogates_is_kept(self):
+        text = "\u00e9t\u00e9 \U0001F32C \u2028 ok"
+        assert validate_record({"id": " \u00e9 ", "text": text}) == Comment("\u00e9", text)
+
     @pytest.mark.parametrize("lenient", [False, True])
     def test_csv_reader_error_is_malformed_record(self, tmp_path, lenient):
         # the reader cannot resume after a field over its size limit

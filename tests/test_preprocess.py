@@ -336,3 +336,71 @@ mixed_texts = st.lists(st.tuples(_pieces, _spaces), max_size=12).map(
 @settings(max_examples=300, deadline=None)
 def test_translate_table_deletes_what_the_generator_did(text):
     assert normalize(text) == _generator_normalize(text)
+
+
+# Cleaning works piece by piece on the raw text; the reference below cleans
+# the whole-text normalization instead. The alphabet holds what could make the
+# two differ: every whitespace character str.split knows, the Greek sigmas
+# (whose lower case depends on the letters around them), case-ignorable marks,
+# letters whose lower case grows ("İ"), non-ASCII letters and digits that are
+# alphanumeric, ASCII punctuation, and the letters of upper-case URL prefixes.
+_WHITESPACE = "".join(chr(i) for i in range(0x110000) if chr(i).isspace())
+_ADVERSARIAL = (_WHITESPACE + "\u03a3\u03c3\u03c2\u039f\u0394\u0391" + "\u0307\u0345\u00ad\u200b'\u2019:."
+                + "İıẞßǅﬁÉé½²٣x1" + "!#%-_/\"" + "HTPSWhtpsw")
+_adversarial_pieces = st.one_of(
+    st.text(_ADVERSARIAL, min_size=1, max_size=8),
+    st.sampled_from(["HTTP://X.COM", "WWW.", "Www.Wind", "hTtPs://a", "ΟΔΟΣ", "ΣΑΣ!",
+                     "!!!", "#", "...", "İstanbul", "ÉOLIENNE", "½", "٣٣", "turbines",
+                     "Running", "ours", "THE"]),
+)
+_adversarial_texts = st.lists(_adversarial_pieces, max_size=10).map(
+    lambda pieces: "".join(pieces))
+_adversarial_spaced = st.lists(st.tuples(_adversarial_pieces, st.sampled_from(_WHITESPACE)),
+                               max_size=10).map(
+    lambda parts: "".join(piece + space for piece, space in parts))
+
+
+def _whole_text_reference(text, config):
+    """The tokens and drop reason of one text, cleaned word by word from the
+    whole-text normalization."""
+    if text is None or not text.strip():
+        return (), "null"
+    cleaned = [preprocess._clean_word(word, config)
+               for word in _generator_normalize(text).split()]
+    tokens = tuple(token for token in cleaned if token is not None)
+    return tokens, "too_short" if len(tokens) < config.min_token_count else None
+
+
+@pytest.mark.parametrize("overrides", [{}, {"apply_stemming": True}],
+                         ids=["default", "stem"])
+@given(texts=st.lists(st.one_of(_adversarial_texts, _adversarial_spaced, st.none()),
+                      max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_piece_cleaning_matches_whole_text_normalize(overrides, texts):
+    config = default_config(min_token_count=2, **overrides)
+    collection = CommentCollection(
+        tuple(Comment(id=f"c{i}", text=t) for i, t in enumerate(texts)), "mem")
+    with mock.patch.object(preprocess, "MEMO_CAP", _MEMO_TEST_CAP):
+        docs = preprocess_corpus(collection, config)
+    assert [(d.tokens, d.drop_reason) for d in docs] == \
+        [_whole_text_reference(t, config) for t in texts]
+    for text in texts:
+        if text is not None:
+            assert normalize(text) == _generator_normalize(text)
+
+
+def test_piece_memo_past_the_cap_matches_whole_text_normalize():
+    # more distinct raw pieces than the cap: each word in three spellings,
+    # which the memo keys apart, then the whole corpus again reversed
+    spellings = (str.upper, lambda w: w.capitalize() + "!!", lambda w: "#" + w)
+    pieces = [spellings[i % 3](f"zq{i // 3}ings") for i in range(2 * MEMO_CAP + 30)]
+    assert len(set(pieces)) > MEMO_CAP
+    texts = [" ".join(pieces[i:i + 40]) for i in range(0, len(pieces), 40)]
+    texts += texts[::-1]
+    collection = CommentCollection(
+        tuple(Comment(id=f"c{i}", text=t) for i, t in enumerate(texts)), "mem")
+    config = default_config()
+    docs, sizes = _memo_sizes(collection, config)
+    assert max(sizes) == MEMO_CAP
+    assert [(d.tokens, d.drop_reason) for d in docs] == \
+        [_whole_text_reference(t, config) for t in texts]

@@ -7,6 +7,8 @@ import csv
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from windsent.report import (
     comments_csv_text,
     ranking_csv_text,
     report_json_bytes,
+    write_report_files,
 )
 
 
@@ -286,3 +289,21 @@ def test_comments_csv_quotes_cr_and_writes_nul_bare():
 def test_ranking_csv_quotes_a_word_that_needs_it():
     ranking = WordRanking(ENGINE_PATTERN, "positive", (("a,b", 3), ('q"', 2), ("wind", 1)))
     assert ranking_csv_text(ranking) == 'word,frequency\n"a,b",3\n"q""",2\nwind,1\n'
+
+
+@settings(max_examples=50, deadline=None)
+@given(reports())
+def test_written_files_equal_each_writer_on_its_own(report):
+    # write_report_files formats each row once for both files
+    with tempfile.TemporaryDirectory() as tmp:
+        write_report_files(report, tmp)
+        assert (Path(tmp) / "report.json").read_bytes() == expected_bytes(report)
+        assert (Path(tmp) / "comments.csv").read_bytes() == \
+            comments_csv_text(report).encode("utf-8")
+
+
+def test_non_finite_score_writes_no_report_file(tmp_path):
+    report = _report(comments=[_row("a"), _row("b", synset_polarity=math.nan)])
+    with pytest.raises(ValueError, match="'b'"):
+        write_report_files(report, tmp_path)
+    assert list(tmp_path.iterdir()) == []

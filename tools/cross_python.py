@@ -7,11 +7,13 @@ compare the files each one writes.
 Under each interpreter given, and under the one running this script (the
 reference), it runs ``analyze --plots`` (paper-faithful, and engine-native
 with ``--stem``), ``preprocess`` and ``top-words --out`` on the golden corpus
-and on a small corpus of awkward comment ids (comma, quote, CR, LF, NUL,
-U+2028, non-ASCII and astral characters) that it writes to a temporary
-directory. For each interpreter and run whose exit status or files differ
-from the reference's, it names the first file that differs, then exits 1;
-it exits 0 when every byte matches. It needs only the standard library and
+and on a small corpus that it writes to a temporary directory: awkward comment
+ids (comma, quote, CR, LF, NUL, U+2028, non-ASCII and astral characters) and
+awkward texts (Greek final sigma, dotted capital I, upper-case URLs,
+punctuation-only pieces, and words parted by NBSP, U+2028 or U+3000). For
+each interpreter and run whose exit status or files differ from the
+reference's, it names the first file that differs, then exits 1; it exits 0
+when every byte matches. It needs only the standard library and
 searches for no interpreter: pass each one by path.
 """
 
@@ -32,6 +34,12 @@ AWKWARD_IDS = ("c,1", 'q"2', "c\rd", "a\x00b", "l\nf", "u\u2028x", "\u00e9t\u00e
 TEXTS = ("Offshore wind turbines are great clean energy for the coast",
          "Terrible noisy turbines ruin the ocean view and hurt whales",
          "The wind farm is fine but the cables worry local fishermen")
+AWKWARD_TEXTS = ("ΟΔΟΣ ΣΑΣ: the GREAT wind farm ΣΑΣ!",
+                 "İstanbul ISTANBUL turbines are clean, İYİ energy",
+                 "HTTP://X.COM WWW.WIND.ORG Https://a.b terrible noisy cables",
+                 "good\u00a0wind\u2028farm\u3000whales\u2003turbines",
+                 "!!! wind ... turbines ### great !!!",
+                 "\u03a3 \u03c2 \u03c3 \u0391\u03a3\u0301 \u03a3-\u03a3 wind turbines")
 
 RUNS = {
     "analyze": ["analyze", "--plots"],
@@ -44,6 +52,7 @@ RUNS = {
 def write_awkward_corpus(path: Path) -> Path:
     records = [{"id": cid, "text": TEXTS[i % len(TEXTS)]}
                for i, cid in enumerate(AWKWARD_IDS)]
+    records += [{"id": f"text{i}", "text": text} for i, text in enumerate(AWKWARD_TEXTS)]
     records.append({"id": 'dropped,"\r\x00', "text": "ok"})  # too short: a dropped item
     path.write_text("".join(json.dumps(record) + "\n" for record in records),
                     encoding="utf-8")
