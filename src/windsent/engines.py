@@ -41,7 +41,7 @@ from .lexicons import (
     load_table,
     require_kind,
 )
-from .preprocess import DELETE_PUNCTUATION, URL_PREFIXES, CleanedDocument
+from .preprocess import URL_PREFIXES, CleanedDocument, normalize_piece
 
 ENGINE_VALENCE = "valence_rule"
 ENGINE_PATTERN = "pattern_avg"
@@ -128,17 +128,15 @@ def _caps_profile(raw_text: str) -> tuple[frozenset[str], bool]:
     is uniformly caps, in which case emphasis carries no signal. URL pieces
     are skipped. Punctuation is uncased and no letter, so deleting it
     changes neither ``isupper()`` nor whether a piece has a letter: only an
-    upper piece is translated and lowercased. An upper piece may have no
-    letter (``Ⓐ``); other pieces matter only until one has."""
+    upper piece is normalized. An upper piece may have no letter (``Ⓐ``);
+    other pieces matter only until one has."""
     caps_words = set()
     mixed = False
     for piece in raw_text.split():
         if piece.isupper():
-            if piece.lower().startswith(URL_PREFIXES):
-                continue
-            cleaned = piece.translate(DELETE_PUNCTUATION)
-            if any(c.isalpha() for c in cleaned):
-                caps_words.add(cleaned.lower())
+            word = normalize_piece(piece)
+            if word is not None and any(c.isalpha() for c in word):
+                caps_words.add(word)
         elif not mixed and (piece.isalpha() or any(c.isalpha() for c in piece)):
             mixed = not piece.lower().startswith(URL_PREFIXES)
     return frozenset(caps_words), bool(caps_words) and not mixed

@@ -10,9 +10,10 @@ the raw pieces does every step for each piece in turn. Social-media text
 repeats its words, so one ``preprocess_corpus`` call cleans each distinct
 raw piece once: a memo owned by that call maps the piece to its cleaned
 token, or to None when the piece normalizes to nothing or a stopword drops
-it. The memo admits at most ``MEMO_CAP`` pieces; later new pieces are
-cleaned without being stored, which keeps a corpus of mostly distinct words
-from growing it without bound.
+it. URL pieces, which seldom repeat, are never stored. The memo admits at
+most ``MEMO_CAP`` pieces; later new pieces are cleaned without being
+stored, which keeps a corpus of mostly distinct words from growing it
+without bound.
 
 The normalization order is a fixed pipeline constant: URLs are removed
 before punctuation is deleted, otherwise punctuation stripping would shred
@@ -90,17 +91,17 @@ class CleanedDocument:
         return self.drop_reason is not None
 
 
-def _normalize_piece(piece: str) -> str:
+def normalize_piece(piece: str) -> str | None:
     """One whitespace piece of raw text lowercased, with its punctuation
-    deleted; "" for a URL. An alphanumeric word holds no punctuation."""
+    deleted; None for a URL. An alphanumeric word holds no punctuation."""
     word = piece.lower()
     if word.startswith(URL_PREFIXES):
-        return ""
+        return None
     return word if word.isalnum() else word.translate(DELETE_PUNCTUATION)
 
 
 def normalize(text: str) -> str:
-    return " ".join(filter(None, map(_normalize_piece, text.split())))
+    return " ".join(filter(None, map(normalize_piece, text.split())))
 
 
 def _suffix_lemma(token: str) -> str | None:
@@ -194,7 +195,9 @@ def _clean_text(text: str | None, config: PreprocessConfig,
     for piece in pieces:
         cleaned = seen(piece, _UNSEEN)
         if cleaned is _UNSEEN:
-            word = _normalize_piece(piece)
+            word = normalize_piece(piece)
+            if word is None:
+                continue  # a URL: seldom repeated, so it takes no memo slot
             cleaned = _clean_word(word, config) if word else None
             if len(memo) < MEMO_CAP:
                 memo[piece] = cleaned

@@ -171,12 +171,9 @@ def _section(value: object) -> bytes:
     return text.replace("\n", "\n  ").encode("utf-8")
 
 
-def report_json_bytes(report: AnalysisReport,
-                      cells: Sequence[tuple[str, ...]] | None = None) -> bytes:
+def report_json_bytes(report: AnalysisReport, cells: Sequence[tuple[str, ...]]) -> bytes:
     """The bytes of report.json (see the module docstring); ``cells`` are
-    the ``_row_cells`` of ``report.comments`` when the caller has them."""
-    if cells is None:
-        cells = list(map(_row_cells, report.comments))
+    the ``_row_cells`` of ``report.comments``."""
     summary = summary_to_dict(report)
     meta = {name: getattr(report, name) for name in _META_FIELDS}
     out = io.BytesIO()
@@ -210,10 +207,9 @@ def _comments_csv_row(cells: tuple[str, ...]) -> str:
                                 pos, neu, neg, val)
 
 
-def comments_csv_text(report: AnalysisReport,
-                      cells: Sequence[tuple[str, ...]] | None = None) -> str:
-    if cells is None:
-        cells = map(_row_cells, report.comments)
+def comments_csv_text(cells: Sequence[tuple[str, ...]]) -> str:
+    """The text of comments.csv from the ``_row_cells`` of a report's
+    comments."""
     return _COMMENTS_CSV_HEADER + "".join(map(_comments_csv_row, cells))
 
 
@@ -243,7 +239,7 @@ def write_report_files(report: AnalysisReport, outdir: str | Path) -> None:
     outdir = Path(outdir)
     cells = list(map(_row_cells, report.comments))
     write_file(outdir / "report.json", report_json_bytes(report, cells))
-    write_file(outdir / "comments.csv", comments_csv_text(report, cells))
+    write_file(outdir / "comments.csv", comments_csv_text(cells))
     write_ranking_files(report.rankings, outdir)
 
 

@@ -35,7 +35,7 @@ from windsent.engines import (
 from windsent.lexicons import load_lexicon_set
 from windsent.pipeline import analyze_collection
 from windsent.preprocess import default_config, preprocess_text
-from windsent.report import report_json_bytes
+from windsent.report import _row_cells, report_json_bytes
 
 ORACLE_PATH = Path(__file__).resolve().parents[1] / "tools" / "golden_reference.py"
 
@@ -94,7 +94,8 @@ def test_report_matches_oracle(mode, disambiguation, texts):
                        top_n=ORACLE.TOP_N, bin_count=ORACLE.BINS,
                        min_token_count=ORACLE.MIN_TOKENS)
     cleaning = default_config(min_token_count=ORACLE.MIN_TOKENS)
-    data = report_json_bytes(analyze_collection(collection, LEXICONS, cleaning, config))
+    report = analyze_collection(collection, LEXICONS, cleaning, config)
+    data = report_json_bytes(report, list(map(_row_cells, report.comments)))
     actual = json.loads(data)
     expected = ORACLE.report(records, INPUT_NAME, mode == MODE_NATIVE, disambiguation)
     expected["meta"]["config_digest"] = actual["meta"]["config_digest"]

@@ -204,11 +204,44 @@ class TestPipelineProperties:
         assert len(tokens) <= len(after_stop)
 
 
+# The per-character punctuation deletion cleaning used before it shared one
+# translate table with the caps profile; the table must delete exactly the same.
+def _generator_normalize(text):
+    text = text.lower()
+    kept = [piece for piece in text.split() if not piece.startswith(URL_PREFIXES)]
+    text = " ".join(kept)
+    text = "".join(c for c in text if c not in PUNCTUATION)
+    return " ".join(text.split())
+
+
+# Cleaning works piece by piece on the raw text; the reference below cleans
+# the whole-text normalization instead. The alphabet holds what could make the
+# two differ: every whitespace character str.split knows, the Greek sigmas
+# (whose lower case depends on the letters around them), case-ignorable marks,
+# letters whose lower case grows ("İ"), non-ASCII letters and digits that are
+# alphanumeric, ASCII punctuation, and the letters of upper-case URL prefixes.
+_WHITESPACE = "".join(chr(i) for i in range(0x110000) if chr(i).isspace())
+_ADVERSARIAL = (_WHITESPACE + "\u03a3\u03c3\u03c2\u039f\u0394\u0391" + "\u0307\u0345\u00ad\u200b'\u2019:."
+                + "İıẞßǅﬁÉé½²٣x1" + "!#%-_/\"" + "HTPSWhtpsw")
+_adversarial_pieces = st.one_of(
+    st.text(_ADVERSARIAL, min_size=1, max_size=8),
+    st.sampled_from(["HTTP://X.COM", "WWW.", "Www.Wind", "hTtPs://a", "ΟΔΟΣ", "ΣΑΣ!",
+                     "!!!", "#", "...", "İstanbul", "ÉOLIENNE", "½", "٣٣", "turbines",
+                     "Running", "ours", "THE"]),
+)
+_adversarial_texts = st.lists(_adversarial_pieces, max_size=10).map(
+    lambda pieces: "".join(pieces))
+_adversarial_spaced = st.lists(st.tuples(_adversarial_pieces, st.sampled_from(_WHITESPACE)),
+                               max_size=10).map(
+    lambda parts: "".join(piece + space for piece, space in parts))
+
+
 def _multipass_preprocess_text(text, config):
-    # the four list passes preprocess_text made before it became one loop
+    # the four list passes preprocess_text made before it became one loop,
+    # over the whole-text normalization
     if text is None or not text.strip():
         return (), "null"
-    tokens = normalize(text).split()
+    tokens = _generator_normalize(text).split()
     tokens = [t for t in tokens if t not in config.stopwords]
     tokens = [_transform_token(t, config) for t in tokens]
     tokens = [t for t in tokens if t not in config.stopwords]
@@ -236,7 +269,7 @@ _memo_words = st.one_of(
     st.integers(min_value=0, max_value=60).map(lambda i: f"zq{i}ings"),
 )
 _memo_corpora = st.lists(st.one_of(st.lists(_memo_words, max_size=10).map(" ".join),
-                                   st.none()),
+                                   _adversarial_texts, _adversarial_spaced, st.none()),
                          max_size=12)
 _MEMO_TEST_CAP = 8
 
@@ -276,8 +309,11 @@ def test_corpus_memo_matches_per_text_reference(overrides, texts):
 
 
 def test_memo_stops_at_the_cap():
-    # twice as many distinct words as the cap, each repeated in a later comment
+    # twice as many distinct words as the cap, then words in three spellings,
+    # which the memo keys apart; each repeated in a later comment
+    spellings = (str.upper, lambda w: w.capitalize() + "!!", lambda w: "#" + w)
     words = [f"zq{i}ed" for i in range(2 * MEMO_CAP)]
+    words += [spellings[i % 3](f"zq{i // 3}ings") for i in range(3 * 40)]
     texts = [" ".join(words[i:i + 50]) for i in range(0, len(words), 50)]
     texts += texts[::-1]
     collection = CommentCollection(
@@ -289,6 +325,15 @@ def test_memo_stops_at_the_cap():
         [_multipass_preprocess_text(t, config) for t in texts]
 
 
+def test_url_pieces_take_no_memo_slot():
+    texts = [f"HTTPS://x.co/{i} www.{i}.org" for i in range(20)] + ["wind https://x.co/0"]
+    collection = CommentCollection(
+        tuple(Comment(id=f"c{i}", text=t) for i, t in enumerate(texts)), "mem")
+    docs, sizes = _memo_sizes(collection, default_config(min_token_count=1))
+    assert sizes == [0] * 20 + [1]
+    assert docs[-1].tokens == ("wind",)
+
+
 def test_config_rejects_zero_threshold():
     with pytest.raises(ValueError):
         PreprocessConfig(stopwords=frozenset(), lemma_table={}, min_token_count=0)
@@ -298,16 +343,6 @@ def test_cleaned_document_flags():
     doc = CleanedDocument("a", "x", ("x",), None)
     assert not doc.dropped
     assert CleanedDocument("a", "", (), "null").dropped
-
-
-# The per-character punctuation deletion cleaning used before it shared one
-# translate table with the caps profile; the table must delete exactly the same.
-def _generator_normalize(text):
-    text = text.lower()
-    kept = [piece for piece in text.split() if not piece.startswith(URL_PREFIXES)]
-    text = " ".join(kept)
-    text = "".join(c for c in text if c not in PUNCTUATION)
-    return " ".join(text.split())
 
 
 def _any_case(word):
@@ -332,75 +367,7 @@ mixed_texts = st.lists(st.tuples(_pieces, _spaces), max_size=12).map(
     lambda parts: "".join(piece + space for piece, space in parts))
 
 
-@given(mixed_texts)
+@given(st.one_of(mixed_texts, _adversarial_spaced))
 @settings(max_examples=300, deadline=None)
 def test_translate_table_deletes_what_the_generator_did(text):
     assert normalize(text) == _generator_normalize(text)
-
-
-# Cleaning works piece by piece on the raw text; the reference below cleans
-# the whole-text normalization instead. The alphabet holds what could make the
-# two differ: every whitespace character str.split knows, the Greek sigmas
-# (whose lower case depends on the letters around them), case-ignorable marks,
-# letters whose lower case grows ("İ"), non-ASCII letters and digits that are
-# alphanumeric, ASCII punctuation, and the letters of upper-case URL prefixes.
-_WHITESPACE = "".join(chr(i) for i in range(0x110000) if chr(i).isspace())
-_ADVERSARIAL = (_WHITESPACE + "\u03a3\u03c3\u03c2\u039f\u0394\u0391" + "\u0307\u0345\u00ad\u200b'\u2019:."
-                + "İıẞßǅﬁÉé½²٣x1" + "!#%-_/\"" + "HTPSWhtpsw")
-_adversarial_pieces = st.one_of(
-    st.text(_ADVERSARIAL, min_size=1, max_size=8),
-    st.sampled_from(["HTTP://X.COM", "WWW.", "Www.Wind", "hTtPs://a", "ΟΔΟΣ", "ΣΑΣ!",
-                     "!!!", "#", "...", "İstanbul", "ÉOLIENNE", "½", "٣٣", "turbines",
-                     "Running", "ours", "THE"]),
-)
-_adversarial_texts = st.lists(_adversarial_pieces, max_size=10).map(
-    lambda pieces: "".join(pieces))
-_adversarial_spaced = st.lists(st.tuples(_adversarial_pieces, st.sampled_from(_WHITESPACE)),
-                               max_size=10).map(
-    lambda parts: "".join(piece + space for piece, space in parts))
-
-
-def _whole_text_reference(text, config):
-    """The tokens and drop reason of one text, cleaned word by word from the
-    whole-text normalization."""
-    if text is None or not text.strip():
-        return (), "null"
-    cleaned = [preprocess._clean_word(word, config)
-               for word in _generator_normalize(text).split()]
-    tokens = tuple(token for token in cleaned if token is not None)
-    return tokens, "too_short" if len(tokens) < config.min_token_count else None
-
-
-@pytest.mark.parametrize("overrides", [{}, {"apply_stemming": True}],
-                         ids=["default", "stem"])
-@given(texts=st.lists(st.one_of(_adversarial_texts, _adversarial_spaced, st.none()),
-                      max_size=8))
-@settings(max_examples=200, deadline=None)
-def test_piece_cleaning_matches_whole_text_normalize(overrides, texts):
-    config = default_config(min_token_count=2, **overrides)
-    collection = CommentCollection(
-        tuple(Comment(id=f"c{i}", text=t) for i, t in enumerate(texts)), "mem")
-    with mock.patch.object(preprocess, "MEMO_CAP", _MEMO_TEST_CAP):
-        docs = preprocess_corpus(collection, config)
-    assert [(d.tokens, d.drop_reason) for d in docs] == \
-        [_whole_text_reference(t, config) for t in texts]
-    for text in texts:
-        if text is not None:
-            assert normalize(text) == _generator_normalize(text)
-
-
-def test_piece_memo_past_the_cap_matches_whole_text_normalize():
-    # more distinct raw pieces than the cap: each word in three spellings,
-    # which the memo keys apart, then the whole corpus again reversed
-    spellings = (str.upper, lambda w: w.capitalize() + "!!", lambda w: "#" + w)
-    pieces = [spellings[i % 3](f"zq{i // 3}ings") for i in range(2 * MEMO_CAP + 30)]
-    assert len(set(pieces)) > MEMO_CAP
-    texts = [" ".join(pieces[i:i + 40]) for i in range(0, len(pieces), 40)]
-    texts += texts[::-1]
-    collection = CommentCollection(
-        tuple(Comment(id=f"c{i}", text=t) for i, t in enumerate(texts)), "mem")
-    config = default_config()
-    docs, sizes = _memo_sizes(collection, config)
-    assert max(sizes) == MEMO_CAP
-    assert [(d.tokens, d.drop_reason) for d in docs] == \
-        [_whole_text_reference(t, config) for t in texts]
