@@ -111,11 +111,8 @@ class RunConfig:
                      "stopwords_path", "lemmas_path"):
             setattr(self, name, Path(getattr(self, name)))
 
-    def lexicon_paths(self) -> dict[str, Path]:
-        return {kind: self.lexicon_dir / name
-                for kind, name in LEXICON_FILENAMES.items()}
-
-    def validate(self, require_lexicons: bool = True) -> None:
+    def validate(self) -> None:
+        """Check each setting's value; each input file is checked where it is read."""
         if self.input_format not in ("csv", "jsonl"):
             raise ConfigError(f"format must be csv or jsonl, got {self.input_format!r}")
         if self.mode not in PIPELINE_MODES:
@@ -132,21 +129,11 @@ class RunConfig:
             raise ConfigError("min-tokens must be >= 1")
         if not 1 <= self.bin_count <= MAX_BINS:
             raise ConfigError(f"bins must be in 1..{MAX_BINS}, got {self.bin_count}")
-        if not self.input_path.is_file():
-            raise ConfigError(f"input file not found: {self.input_path}")
         try:
             self.input_path.name.encode("utf-8")  # the report records the name
         except UnicodeEncodeError:
             raise ConfigError("input file name is not valid UTF-8: "
                               f"{self.input_path.name!r}") from None
-        if require_lexicons:
-            for kind, path in self.lexicon_paths().items():
-                if not path.is_file():
-                    raise ConfigError(f"{kind} lexicon not found: {path}")
-        for name, path in (("stopwords", self.stopwords_path),
-                           ("lemmas", self.lemmas_path)):
-            if not Path(path).is_file():
-                raise ConfigError(f"{name} file not found: {path}")
 
     def digest(self) -> str:
         source = {
@@ -155,14 +142,13 @@ class RunConfig:
             "epsilon": self.epsilon,
             "format": self.input_format,
             "input": self.input_path.name,
-            "lemmas": Path(self.lemmas_path).name,
+            "lemmas": self.lemmas_path.name,
             "lemmatization": self.apply_lemmatization,
-            "lexicons": [self.lexicon_paths()[k].name
-                         for k in ("valence", "pattern", "synset")],
+            "lexicons": [LEXICON_FILENAMES[k] for k in ("valence", "pattern", "synset")],
             "min_tokens": self.min_token_count,
             "mode": self.mode,
             "stemming": self.apply_stemming,
-            "stopwords": Path(self.stopwords_path).name,
+            "stopwords": self.stopwords_path.name,
             "top_n": self.top_n,
             "valence_rule": {
                 "booster_increment": engines.BOOSTER_INCREMENT,

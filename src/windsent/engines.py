@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -38,6 +37,7 @@ from .lexicons import (
     PatternLexicon,
     SynsetLexicon,
     ValenceLexicon,
+    load_once,
     load_table,
     require_kind,
 )
@@ -93,6 +93,8 @@ NORMALIZATION_ALPHA = 15.0
 
 PATTERN_NEGATION_WINDOW = 3
 PATTERN_NEGATION_FACTOR = -0.5
+
+_POS_TABLE_KEY = str(DEFAULT_POS_TABLE_PATH)  # tag_pos's load_once key
 
 @dataclass(frozen=True, slots=True)
 class SentimentScore:
@@ -258,15 +260,10 @@ def load_pos_table(path: str | Path = DEFAULT_POS_TABLE_PATH) -> Mapping[str, st
     return load_table(path)
 
 
-@lru_cache(maxsize=None)
-def _bundled_pos_table() -> Mapping[str, str]:
-    return load_pos_table()
-
-
 def tag_pos(tokens: Sequence[str]) -> list[tuple[str, str]]:
     """Most-frequent-tag lookup in the bundled table with suffix fallback:
     -ly adverb, -ing/-ed verb, -ous/-ful/-able adjective, noun otherwise."""
-    table = _bundled_pos_table()
+    table = load_once(load_pos_table, _POS_TABLE_KEY)
     tagged = []
     for token in tokens:
         tag = table.get(token)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, ClassVar, Iterator, Mapping, TypeVar
 
@@ -322,6 +323,12 @@ def load_stopwords(path: str | Path = DEFAULT_STOPWORDS_PATH) -> frozenset[str]:
     """A stopword list, one word per line."""
     return _load(lambda p: frozenset(_check_word(word, lineno) for lineno, word
                                      in data_lines(p, LexiconFileError)), path)
+
+
+@lru_cache(maxsize=None)
+def load_once(load: Callable[[str], _Loaded], path: str) -> _Loaded:
+    """``load(path)``, run once per process, loader and path."""
+    return load(path)
 
 
 @dataclass(frozen=True)

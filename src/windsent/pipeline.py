@@ -48,11 +48,12 @@ def analyze_collection(collection: corpus.CommentCollection,
     }
     histogram = analytics.subjectivity_histogram(pattern_scores, config.bin_count)
 
+    # every document, so that top_words rejects a repeated id among dropped ones too
     rankings = {}
     for engine in engines.ENGINES:
         lexicon = getattr(lexicons, engines.ENGINE_LEXICONS[engine].kind)
         rankings[engine] = {
-            side: analytics.top_words(kept, labeled[engine], lexicon,
+            side: analytics.top_words(documents, labeled[engine], lexicon,
                                       engine, side, config.top_n)
             for side in report_mod.SIDES
         }
@@ -101,13 +102,14 @@ def _write_skip_report(skipped: tuple[corpus.SkippedRecord, ...], path: Path) ->
 
 
 def analyze_only(config: RunConfig) -> tuple[report_mod.AnalysisReport, tuple]:
-    """Validate, load and analyze, writing no files: the report and the
-    records a lenient load skipped."""
+    """Validate, load the data files (first, so that a bad one fails before a
+    large corpus is read) and the corpus, and analyze, writing no files:
+    returns the report and the records a lenient load skipped."""
     config.validate()
-    collection, skipped = _load_collection(config)
+    cleaning = _preprocess_config(config)
     lexicons = load_lexicon_set(config.lexicon_dir)
-    result = analyze_collection(collection, lexicons, _preprocess_config(config), config)
-    return result, skipped
+    collection, skipped = _load_collection(config)
+    return analyze_collection(collection, lexicons, cleaning, config), skipped
 
 
 def run_analyze(config: RunConfig) -> report_mod.AnalysisReport:
@@ -144,9 +146,10 @@ def cleaned_document_record(doc: CleanedDocument) -> dict:
 def run_preprocess_only(config: RunConfig, out_file: str | Path) -> Path:
     """Clean the corpus and write one JSONL record per input comment,
     including dropped records with their reasons."""
-    config.validate(require_lexicons=False)
+    config.validate()
+    cleaning = _preprocess_config(config)
     collection, skipped = _load_collection(config)
-    documents = preprocess.preprocess_corpus(collection, _preprocess_config(config))
+    documents = preprocess.preprocess_corpus(collection, cleaning)
     out_path = Path(out_file)
     write_file(out_path, corpus.jsonl_text(cleaned_document_record(doc)
                                            for doc in documents))

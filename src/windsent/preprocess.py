@@ -27,19 +27,18 @@ lemmatization ("ours" -> "our" may land on a stopword), and every lemma-table
 key and value is one clean token.
 
 The stopword list and lemma table are read, and their words checked, by
-``windsent.lexicons``; this module loads each file once per path.
+``windsent.lexicons``, once per process and path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import CommentCollection
 from .lexicons import (DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, PUNCTUATION,
-                       load_stopwords, load_table)
+                       load_once, load_stopwords, load_table)
 from .stemming import stem
 
 URL_PREFIXES = ("http://", "https://", "www.")
@@ -47,11 +46,6 @@ DELETE_PUNCTUATION = str.maketrans(dict.fromkeys(PUNCTUATION))
 _VOWELS = frozenset("aeiou")
 MEMO_CAP = 4096
 _UNSEEN = object()
-
-@lru_cache(maxsize=None)
-def _load_once(load: Callable, path: str):
-    """A data file loaded once per process and path."""
-    return load(path)
 
 
 @dataclass(frozen=True)
@@ -74,8 +68,8 @@ def default_config(
 ) -> PreprocessConfig:
     """Config backed by the bundled stopword list and lemma table; both
     paths are overridable."""
-    stop = _load_once(load_stopwords, str(stopwords_path or DEFAULT_STOPWORDS_PATH))
-    table = _load_once(load_table, str(lemmas_path or DEFAULT_LEMMAS_PATH))
+    stop = load_once(load_stopwords, str(stopwords_path or DEFAULT_STOPWORDS_PATH))
+    table = load_once(load_table, str(lemmas_path or DEFAULT_LEMMAS_PATH))
     return PreprocessConfig(stopwords=stop, lemma_table=table, **overrides)
 
 
@@ -214,11 +208,9 @@ def preprocess_text(text: str | None, config: PreprocessConfig) -> tuple[tuple[s
 
 
 def preprocess_corpus(collection: CommentCollection | Sequence,
-                      config: PreprocessConfig | None = None) -> list[CleanedDocument]:
+                      config: PreprocessConfig) -> list[CleanedDocument]:
     """One CleanedDocument per input comment, in input order; dropped
     documents carry their reason and keep whatever tokens were computed."""
-    if config is None:
-        config = default_config()
     docs = []
     memo: dict[str, str | None] = {}
     for comment in collection:

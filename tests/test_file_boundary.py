@@ -358,3 +358,60 @@ def test_non_utf8_input_name_is_one_error_line(tmp_path):
     assert result.stderr.splitlines() == [
         "ERROR config/invalid: input file name is not valid UTF-8: 'c\\udcff.jsonl'"]
     assert not out.exists()
+
+
+def _absent(path: Path, how: str) -> Path:
+    """``path`` gone (``missing``) or a directory in its place."""
+    path.unlink(missing_ok=True)
+    if how == "directory":
+        path.mkdir(parents=True)
+    return path
+
+
+# file kind -> (its flag's arguments for a path, error code)
+ABSENT_FILES = {
+    "input": (lambda p: ["--input", str(p), "--format", "jsonl"], "corpus/file-not-readable"),
+    "stopwords": (lambda p: ["--stopwords", str(p)], "lexicon/file-not-readable"),
+    "lemmas": (lambda p: ["--lemmas", str(p)], "lexicon/file-not-readable"),
+    **{name: (lambda p: ["--lexicons", str(p.parent)], "lexicon/file-not-readable")
+       for name in ("valence.tsv", "pattern.tsv", "synset.tsv")},
+}
+_REASONS = {"missing": "No such file or directory", "directory": "Is a directory"}
+
+
+@pytest.mark.parametrize("how", sorted(_REASONS))
+@pytest.mark.parametrize("command,kind", [
+    *(("analyze", kind) for kind in ABSENT_FILES),
+    *(("preprocess", kind) for kind in ("input", "stopwords", "lemmas")),
+])
+def test_missing_or_directory_file_is_its_kinds_error(tmp_path, capsys, command, kind, how):
+    # each file is checked only where it is read, so a missing one or a
+    # directory gets its kind's code, like any other unreadable file
+    make_args, code = ABSENT_FILES[kind]
+    lexicons = shutil.copytree(bundled_lexicon_dir(), tmp_path / "lexicons")
+    path = _absent(lexicons / kind if kind.endswith(".tsv") else tmp_path / kind, how)
+    args = make_args(path)
+    if kind != "input":
+        args += ["--input", str(GOLDEN_CORPUS)]
+    out = tmp_path / ("out" if command == "analyze" else "out.jsonl")
+    assert main([command, *args, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR {code}: {path}: {_REASONS[how]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [("analyze", "--lexicons"),
+                                          ("preprocess", "--stopwords"),
+                                          ("preprocess", "--lemmas")])
+def test_data_file_fails_before_the_corpus_is_read(tmp_path, capsys, command, flag):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"id": "a"}\n', encoding="utf-8")  # malformed: no text
+    missing = tmp_path / "missing"
+    path = missing / "valence.tsv" if flag == "--lexicons" else missing
+    out = tmp_path / "out"
+    assert main([command, "--input", str(corpus), flag, str(missing),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"ERROR lexicon/file-not-readable: {path}: "
+                                       "No such file or directory\n")
+    assert not out.exists()

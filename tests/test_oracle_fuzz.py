@@ -10,16 +10,24 @@ byte. Single texts are also cleaned by both sides, dropped ones included,
 and the valence rule is scored by both on raw texts whose pieces stress the
 ALL-CAPS test: cased symbols that are not letters, capitals with no
 lowercase, titlecase letters, uncased scripts and mixed-case URLs.
+
+Function by function, the pattern and synset scorers (floats compared by
+``float.hex``), the POS tagger and the word rankings are checked against the
+oracle's own functions on generated token lists and corpora, and a corpus
+with a repeated comment id is refused, whether or not its comments survive
+cleaning.
 """
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from windsent.analytics import LABELS, NEGATIVE, POSITIVE, LabeledComment, top_words
 from windsent.config import RunConfig
 from windsent.corpus import Comment, CommentCollection
 from windsent.engines import (
@@ -27,14 +35,20 @@ from windsent.engines import (
     DAMPENERS,
     DISAMBIGUATION_AVERAGE,
     DISAMBIGUATION_FIRST,
+    ENGINE_LEXICONS,
+    ENGINES,
     MODE_NATIVE,
     MODE_PAPER,
     NEGATION_WORDS,
+    SentimentScore,
+    score_pattern_avg,
+    score_synset,
     score_valence_rule,
+    tag_pos,
 )
 from windsent.lexicons import load_lexicon_set
 from windsent.pipeline import analyze_collection
-from windsent.preprocess import default_config, preprocess_text
+from windsent.preprocess import CleanedDocument, default_config, preprocess_text
 from windsent.report import _row_cells, report_json_bytes
 
 ORACLE_PATH = Path(__file__).resolve().parents[1] / "tools" / "golden_reference.py"
@@ -137,3 +151,73 @@ def test_valence_rule_matches_oracle(raw):
     tokens, _ = preprocess_text(raw, default_config(min_token_count=1))
     score = score_valence_rule(tokens, LEXICONS.valence, raw_text=raw)
     assert repr((score.polarity, score.proportions)) == repr(ORACLE.score_valence(tokens, raw))
+
+
+# cleaned tokens: lexicon words and synset lemmas, inflections of them (which
+# the tagger's suffix rules read), modifiers and words in no lexicon
+_token = st.one_of(
+    st.sampled_from(_lexicon_words),
+    st.sampled_from(_lexicon_words).flatmap(_inflections),
+    st.sampled_from(_modifiers),
+    st.sampled_from(["wind", "turbine", "zzq", "quickly", "eólico", "10"]),
+)
+_tokens = st.lists(_token, max_size=20)
+
+
+@given(tokens=_tokens)
+@settings(max_examples=300, deadline=None)
+def test_pattern_avg_matches_oracle(tokens):
+    score = score_pattern_avg(tokens, LEXICONS.pattern)
+    polarity, subjectivity = ORACLE.score_pattern(tokens)
+    assert (score.polarity.hex(), score.subjectivity.hex()) == \
+        (float.hex(polarity), float.hex(subjectivity))
+
+
+@pytest.mark.parametrize("disambiguation", [DISAMBIGUATION_FIRST, DISAMBIGUATION_AVERAGE])
+@given(tokens=_tokens)
+@settings(max_examples=200, deadline=None)
+def test_synset_matches_oracle(disambiguation, tokens):
+    tagged = [(token, ORACLE.tag_token(token)) for token in tokens]
+    assert tag_pos(tokens) == tagged
+    score = score_synset(tagged, LEXICONS.synset, disambiguation)
+    assert score.polarity.hex() == float.hex(ORACLE.score_synset(tagged, disambiguation))
+
+
+_POLARITY = {POSITIVE: 0.5, NEGATIVE: -0.5}  # a score of each label's sign
+
+
+@given(documents=st.lists(st.tuples(_tokens, st.lists(st.sampled_from(LABELS),
+                                                      min_size=3, max_size=3)),
+                          max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_top_words_matches_oracle(documents):
+    kept = [(f"c{n}", tokens) for n, (tokens, _) in enumerate(documents)]
+    cleaned = [CleanedDocument(cid, " ".join(tokens), tuple(tokens)) for cid, tokens in kept]
+    labels = {engine: {cid: doc_labels[index]
+                       for (cid, _), (_, doc_labels) in zip(kept, documents)}
+              for index, engine in enumerate(ENGINES)}
+    for engine in ENGINES:
+        labeled = [LabeledComment(cid, engine, SentimentScore(engine, _POLARITY.get(label, 0.0)),
+                                  label)
+                   for cid, label in labels[engine].items()]
+        lexicon = getattr(LEXICONS, ENGINE_LEXICONS[engine].kind)
+        for side in (POSITIVE, NEGATIVE):
+            ranking = top_words(cleaned, labeled, lexicon, engine, side, ORACLE.TOP_N)
+            assert [list(entry) for entry in ranking.entries] == \
+                ORACLE.top_words(kept, labels, engine, side)
+
+
+@given(texts=st.lists(_text, min_size=2, max_size=8), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_repeated_comment_id_is_rejected(texts, data):
+    # either copy may be kept or dropped by cleaning; a report that names an
+    # id twice, or as both kept and dropped, is wrong either way
+    ids = [f"c{n}" for n in range(len(texts))]
+    first, second = data.draw(st.lists(st.integers(0, len(ids) - 1), min_size=2, max_size=2,
+                                       unique=True))
+    ids[second] = ids[first]
+    collection = CommentCollection(tuple(map(Comment, ids, texts)), INPUT_NAME)
+    config = RunConfig(input_path=Path(INPUT_NAME), input_format="jsonl",
+                       out_dir=Path("unused"))
+    with pytest.raises(ValueError, match=re.escape(repr(ids[first]))):
+        analyze_collection(collection, LEXICONS, default_config(), config)

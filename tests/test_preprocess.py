@@ -118,7 +118,7 @@ class TestPreprocessCorpus:
     def test_one_document_per_comment_in_order(self):
         comments = tuple(Comment(id=f"c{i}", text=t) for i, t in
                          enumerate(["good wind energy", "", "ok"]))
-        docs = preprocess_corpus(CommentCollection(comments, "mem"))
+        docs = preprocess_corpus(CommentCollection(comments, "mem"), default_config())
         assert [d.comment_id for d in docs] == ["c0", "c1", "c2"]
         assert [d.dropped for d in docs] == [False, True, True]
 

@@ -17,6 +17,7 @@ from windsent.config import (
     infer_format,
     parse_config_file,
 )
+from windsent.lexicons import LexiconFileError
 from windsent.pipeline import run_analyze, run_preprocess_only
 from windsent.svgplots import CHART_FILES
 
@@ -104,7 +105,7 @@ class TestRunAnalyze:
     def test_missing_lexicon_fails_before_output(self, golden_corpus_path, tmp_path):
         config = RunConfig(input_path=golden_corpus_path, input_format="jsonl",
                            out_dir=tmp_path / "out", lexicon_dir=tmp_path / "nope")
-        with pytest.raises(ConfigError):
+        with pytest.raises(LexiconFileError):
             run_analyze(config)
         assert not (tmp_path / "out").exists()
 
@@ -349,7 +350,7 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        assert err[0].startswith("ERROR config/invalid:")
+        assert err[0].startswith("ERROR corpus/file-not-readable:")
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_non_finite_epsilon_rejected(self, golden_corpus_path, tmp_path, capsys,
@@ -633,8 +634,9 @@ def test_cross_python_names_a_file_that_differs(tmp_path):
                     "import subprocess, sys\n"
                     "from pathlib import Path\n"
                     f"code = subprocess.run([{sys.executable!r}, *sys.argv[1:]]).returncode\n"
-                    "csv = Path(sys.argv[sys.argv.index('--out') + 1]) / 'comments.csv'\n"
-                    "if csv.is_file():\n"
+                    "out = sys.argv[sys.argv.index('--out') + 1] if '--out' in sys.argv else ''\n"
+                    "csv = Path(out) / 'comments.csv'\n"
+                    "if out and csv.is_file():\n"
                     "    csv.write_bytes(csv.read_bytes() + b'x')\n"
                     "sys.exit(code)\n", encoding="utf-8")
     fake.chmod(0o755)
@@ -644,3 +646,24 @@ def test_cross_python_names_a_file_that_differs(tmp_path):
     lines = result.stdout.splitlines()
     assert len(lines) == 4  # two corpora, two analyze runs each
     assert lines[0].startswith(f"DIFFERS {fake}: golden/analyze: comments.csv differs at line ")
+
+
+def test_cross_python_names_an_oracle_file_that_differs(tmp_path):
+    # an "interpreter" whose oracle run writes one byte more into manifest.json
+    fake = tmp_path / "fake-python"
+    fake.write_text(f"#!{sys.executable}\n"
+                    "import subprocess, sys\n"
+                    "from pathlib import Path\n"
+                    f"code = subprocess.run([{sys.executable!r}, *sys.argv[1:]]).returncode\n"
+                    "if sys.argv[1].endswith('golden_reference.py'):\n"
+                    "    manifest = Path('tests/golden/manifest.json')\n"
+                    "    manifest.write_bytes(manifest.read_bytes() + b'x')\n"
+                    "sys.exit(code)\n", encoding="utf-8")
+    fake.chmod(0o755)
+    result = subprocess.run([sys.executable, str(CROSS_PYTHON), str(fake)],
+                            capture_output=True, text=True)
+    assert result.returncode == 1, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        f"DIFFERS {fake}: oracle vs tests/golden: manifest.json differs at line ")

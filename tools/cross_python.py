@@ -12,22 +12,28 @@ ids (comma, quote, CR, LF, NUL, U+2028, non-ASCII and astral characters) and
 awkward texts (Greek final sigma, dotted capital I, upper-case URLs,
 punctuation-only pieces, and words parted by NBSP, U+2028 or U+3000). For
 each interpreter and run whose exit status or files differ from the
-reference's, it names the first file that differs, then exits 1; it exits 0
-when every byte matches. It needs only the standard library and
-searches for no interpreter: pass each one by path.
+reference's, it names the first file that differs. Each interpreter, the
+reference too, also runs the oracle ``tools/golden_reference.py`` in a
+temporary copy of the tree (never in the checkout); a file it writes that
+differs from its copy in ``tests/golden/`` is named the same way. The script
+exits 1 when anything differs, and 0 when every byte matches. It needs only
+the standard library and searches for no interpreter: pass each one by
+path.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-GOLDEN_CORPUS = ROOT / "tests" / "golden" / "corpus.jsonl"
+GOLDEN_DIR = ROOT / "tests" / "golden"
+GOLDEN_CORPUS = GOLDEN_DIR / "corpus.jsonl"
 
 AWKWARD_IDS = ("c,1", 'q"2', "c\rd", "a\x00b", "l\nf", "u\u2028x", "\u00e9t\u00e9",
                "\U0001F32C", "tab\tx", "semi;x", "  padded  ", "plain")
@@ -105,6 +111,26 @@ def first_difference(reference: dict[str, bytes], other: dict[str, bytes]) -> st
     return None
 
 
+def oracle_difference(interpreter: str, base: Path) -> str | None:
+    """Run the oracle under ``interpreter`` in a copy of the tree made in
+    ``base``; how what it writes first differs from ``tests/golden/``, or
+    None when it is the same."""
+    shutil.copytree(ROOT / "tools", base / "tools")
+    shutil.copytree(ROOT / "src" / "windsent" / "data", base / "src" / "windsent" / "data")
+    result = subprocess.run([interpreter, str(base / "tools" / "golden_reference.py")],
+                            cwd=base, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+                            stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    if result.returncode:
+        lines = result.stderr.strip().splitlines() or ["(no stderr)"]
+        return f"exited {result.returncode}: {lines[-1]}"
+    written = files_under(base / "tests" / "golden")
+    if not written:
+        return "wrote no file"
+    committed = files_under(GOLDEN_DIR)
+    return first_difference({name: committed[name] for name in written if name in committed},
+                            written)
+
+
 def main(argv: list[str]) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__)
@@ -116,23 +142,27 @@ def main(argv: list[str]) -> int:
         reference = sys.executable
         ref_status = run_all(reference, corpora, tmp_path / "run-0")
         differ = False
-        for index, interpreter in enumerate(argv, start=1):
-            base = tmp_path / f"run-{index}"
-            status = run_all(interpreter, corpora, base)
-            same = True
-            for key in ref_status:
-                if status[key] != ref_status[key]:
-                    problem = f"exit status {status[key]}, not {ref_status[key]}"
-                else:
-                    problem = first_difference(files_under(tmp_path / "run-0" / key),
-                                               files_under(base / key))
-                if problem:
-                    same = False
-                    print(f"DIFFERS {interpreter}: {key}: {problem} "
-                          f"(reference {reference})")
-            if same:
+        for index, interpreter in enumerate([reference, *argv]):
+            problems = []
+            if index:
+                base = tmp_path / f"run-{index}"
+                status = run_all(interpreter, corpora, base)
+                for key in ref_status:
+                    if status[key] != ref_status[key]:
+                        problem = f"exit status {status[key]}, not {ref_status[key]}"
+                    else:
+                        problem = first_difference(files_under(tmp_path / "run-0" / key),
+                                                   files_under(base / key))
+                    if problem:
+                        problems.append(f"{key}: {problem} (reference {reference})")
+            problem = oracle_difference(interpreter, tmp_path / f"oracle-{index}")
+            if problem:
+                problems.append(f"oracle vs tests/golden: {problem}")
+            for problem in problems:
+                print(f"DIFFERS {interpreter}: {problem}")
+            if index and not problems:
                 print(f"same bytes: {interpreter}")
-            differ = differ or not same
+            differ = differ or bool(problems)
     return 1 if differ else 0
 
 
