@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .engines import ENGINE_LEXICONS, ENGINES, SentimentScore, tag_pos
 from .errors import WindsentError
@@ -55,8 +54,7 @@ def label(score: SentimentScore, epsilon: float = 0.0) -> str:
     return label_polarity(score.polarity, epsilon)
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledComment:
+class LabeledComment(NamedTuple):
     comment_id: str
     engine: str
     score: SentimentScore
@@ -68,8 +66,7 @@ def label_comment(comment_id: str, score: SentimentScore,
     return LabeledComment(comment_id, score.engine, score, label(score, epsilon))
 
 
-@dataclass(frozen=True, slots=True)
-class DistributionReport:
+class DistributionReport(NamedTuple):
     engine: str
     counts: Mapping[str, int]
     proportions: Mapping[str, float]
@@ -106,8 +103,7 @@ def merge_distributions(reports: Sequence[DistributionReport]) -> DistributionRe
     return _distribution_from_counts(engine, counts)
 
 
-@dataclass(frozen=True, slots=True)
-class SubjectivityHistogram:
+class SubjectivityHistogram(NamedTuple):
     bin_edges: tuple[float, ...]
     counts: tuple[int, ...]
     mean: float | None
@@ -148,8 +144,7 @@ def subjectivity_histogram(scores: Sequence[SentimentScore],
     return SubjectivityHistogram(edges, tuple(counts), mean, median)
 
 
-@dataclass(frozen=True, slots=True)
-class WordRanking:
+class WordRanking(NamedTuple):
     engine: str
     side: str
     entries: tuple[tuple[str, int], ...]

@@ -19,9 +19,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import WindsentError, read_text, write_file
 
@@ -75,8 +74,7 @@ class InvalidFieldError(WindsentError):
         self.reason = reason
 
 
-@dataclass(frozen=True, slots=True)
-class Comment:
+class Comment(NamedTuple):
     """One social-media post. ``text`` is kept verbatim; ``id`` is trimmed."""
 
     id: str
@@ -85,10 +83,36 @@ class Comment:
     timestamp: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
 class CommentCollection:
-    comments: tuple[Comment, ...]
-    source_path: str
+    """The comments of one corpus, in input order. Immutable and equal to a
+    collection with equal fields, like the NamedTuple records, but no tuple,
+    so that a ``(collection, skipped)`` pair is never mistaken for one."""
+
+    __slots__ = ("comments", "source_path")
+
+    def __init__(self, comments: tuple[Comment, ...], source_path: str):
+        object.__setattr__(self, "comments", comments)
+        object.__setattr__(self, "source_path", source_path)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return CommentCollection, (self.comments, self.source_path)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not CommentCollection:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return f"CommentCollection(comments={self.comments!r}, source_path={self.source_path!r})"
 
     @property
     def record_count(self) -> int:
@@ -101,8 +125,7 @@ class CommentCollection:
         return len(self.comments)
 
 
-@dataclass(frozen=True, slots=True)
-class SkippedRecord:
+class SkippedRecord(NamedTuple):
     line: int
     reason: str
 
@@ -140,11 +163,11 @@ def validate_record(raw: Mapping[str, object]) -> Comment:
     if _string("text", text) == "":
         raise EmptyTextError()
 
-    optionals: dict[str, str | None] = {}
+    optionals: list[str | None] = []
     for name in OPTIONAL_FIELDS:
         value = raw.get(name)
-        optionals[name] = None if value is None or value == "" else _string(name, value)
-    return Comment(id=comment_id, text=text, **optionals)
+        optionals.append(None if value is None or value == "" else _string(name, value))
+    return Comment(comment_id, text, *optionals)
 
 
 def _iter_csv(text: str) -> Iterator[tuple[int, Mapping[str, object]]]:

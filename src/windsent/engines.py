@@ -27,9 +27,8 @@ cleaned tokens only, which leaves its caps/punctuation heuristics inert;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .lexicons import (
     DEFAULT_POS_TABLE_PATH,
@@ -96,22 +95,33 @@ PATTERN_NEGATION_FACTOR = -0.5
 
 _POS_TABLE_KEY = str(DEFAULT_POS_TABLE_PATH)  # tag_pos's load_once key
 
-@dataclass(frozen=True, slots=True)
-class SentimentScore:
+class _ScoreFields(NamedTuple):
     engine: str
     polarity: float
     subjectivity: float | None = None
     proportions: tuple[float, float, float] | None = None  # (pos, neu, neg)
 
-    def __post_init__(self):
-        if not -1.0 <= self.polarity <= 1.0:
-            raise ValueError(f"polarity {self.polarity} outside [-1, 1]")
-        if self.subjectivity is not None and not 0.0 <= self.subjectivity <= 1.0:
-            raise ValueError(f"subjectivity {self.subjectivity} outside [0, 1]")
-        if self.proportions is not None:
-            total = self.proportions[0] + self.proportions[1] + self.proportions[2]
+
+class SentimentScore(_ScoreFields):
+    __slots__ = ()
+
+    # the fields spelled out and tuple.__new__ called directly: three scores
+    # are built per comment
+    def __new__(cls, engine: str, polarity: float, subjectivity: float | None = None,
+                proportions: tuple[float, float, float] | None = None):
+        if not -1.0 <= polarity <= 1.0:
+            raise ValueError(f"polarity {polarity} outside [-1, 1]")
+        if subjectivity is not None and not 0.0 <= subjectivity <= 1.0:
+            raise ValueError(f"subjectivity {subjectivity} outside [0, 1]")
+        if proportions is not None:
+            total = proportions[0] + proportions[1] + proportions[2]
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"proportions sum {total} != 1")
+        return tuple.__new__(cls, (engine, polarity, subjectivity, proportions))
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make, so it checks too
+        return cls(*fields)
 
 
 def compound_from_sum(raw_sum: float, alpha: float = NORMALIZATION_ALPHA) -> float:
@@ -313,8 +323,7 @@ def score_synset(tagged_tokens: Sequence[tuple[str, str]], lexicon: SynsetLexico
     return SentimentScore(ENGINE_SYNSET, polarity)
 
 
-@dataclass(frozen=True, slots=True)
-class EngineScores:
+class EngineScores(NamedTuple):
     pattern_avg: SentimentScore
     synset: SentimentScore
     valence_rule: SentimentScore

@@ -15,18 +15,17 @@ that cleaning leaves unchanged, so corpus tokens can match it and cleaning's
 output stays a fixpoint of cleaning. A key may appear once per file. Every
 invariant is checked at load time; a file that violates one never produces
 a partially valid lexicon or table, and the error names the file and line.
-Each lexicon kind loads into its own frozen type whose table callers read
-directly; loaded lexicons are immutable and safe for concurrent lookup.
+Each lexicon kind loads into its own immutable type whose table callers
+read directly; loaded lexicons are safe for concurrent lookup.
 """
 
 from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, ClassVar, Iterator, Mapping, TypeVar
+from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple, TypeVar
 
 from .errors import WindsentError, data_lines
 
@@ -99,8 +98,7 @@ class LexiconFileError(WindsentError):
     code = "lexicon/file-not-readable"
 
 
-@dataclass(frozen=True, slots=True)
-class PatternEntry:
+class PatternEntry(NamedTuple):
     word: str
     polarity: float
     subjectivity: float
@@ -108,8 +106,7 @@ class PatternEntry:
     intensity_factor: float = 1.0
 
 
-@dataclass(frozen=True, slots=True)
-class SynsetEntry:
+class SynsetEntry(NamedTuple):
     synset_id: str
     pos_tag: str
     pos_score: float
@@ -118,37 +115,65 @@ class SynsetEntry:
     sense_rank: int
 
 
-@dataclass(frozen=True)
-class ValenceLexicon:
+class _Lexicon:
+    """A loaded lexicon: its source, its entry count and its lookup table,
+    which the first slot of each kind's own ``__slots__`` holds under a
+    private name. Immutable, and equal to a lexicon of the same kind with
+    equal fields."""
+
+    __slots__ = ("source_path", "entry_count")
+    kind: ClassVar[str]
+
+    def __init__(self, source_path: str, entry_count: int, table: Mapping) -> None:
+        object.__setattr__(self, "source_path", source_path)
+        object.__setattr__(self, "entry_count", entry_count)
+        object.__setattr__(self, self.__slots__[0], table)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.source_path, self.entry_count, getattr(self, self.__slots__[0]))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(source_path={self.source_path!r}, "
+                f"entry_count={self.entry_count!r})")
+
+
+class ValenceLexicon(_Lexicon):
     """word -> valence in [-4, 4]."""
-    kind: ClassVar[str] = "valence"
-    source_path: str
-    entry_count: int
-    _valence: Mapping[str, float] = field(repr=False)
+    __slots__ = ("_valence",)
+    kind = "valence"
+    _valence: Mapping[str, float]
 
 
-@dataclass(frozen=True)
-class PatternLexicon:
+class PatternLexicon(_Lexicon):
     """word -> pattern entry."""
-    kind: ClassVar[str] = "pattern"
-    source_path: str
-    entry_count: int
-    _pattern: Mapping[str, PatternEntry] = field(repr=False)
+    __slots__ = ("_pattern",)
+    kind = "pattern"
+    _pattern: Mapping[str, PatternEntry]
 
 
-@dataclass(frozen=True)
-class SynsetLexicon:
+class SynsetLexicon(_Lexicon):
     """(lemma, pos) -> all senses in ascending sense_rank order. ``lemmas``
     holds every lemma under any tag: a word outside it has no sense under
     any tag, so scoring need not tag it."""
-    kind: ClassVar[str] = "synset"
-    source_path: str
-    entry_count: int
-    _synsets: Mapping[tuple[str, str], tuple[SynsetEntry, ...]] = field(repr=False)
-    lemmas: frozenset[str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("_synsets", "lemmas")
+    kind = "synset"
+    _synsets: Mapping[tuple[str, str], tuple[SynsetEntry, ...]]
+    lemmas: frozenset[str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "lemmas", frozenset(lemma for lemma, _ in self._synsets))
+    def __init__(self, source_path: str, entry_count: int, table: Mapping) -> None:
+        super().__init__(source_path, entry_count, table)
+        object.__setattr__(self, "lemmas", frozenset(lemma for lemma, _ in table))
 
 
 AnyLexicon = ValenceLexicon | PatternLexicon | SynsetLexicon
@@ -331,8 +356,7 @@ def load_once(load: Callable[[str], _Loaded], path: str) -> _Loaded:
     return load(path)
 
 
-@dataclass(frozen=True)
-class LexiconSet:
+class LexiconSet(NamedTuple):
     valence: ValenceLexicon
     pattern: PatternLexicon
     synset: SynsetLexicon

@@ -27,18 +27,18 @@ lemmatization ("ours" -> "our" may land on a stopword), and every lemma-table
 key and value is one clean token.
 
 The stopword list and lemma table are read, and their words checked, by
-``windsent.lexicons``, once per process and path.
+``windsent.lexicons`` on every ``default_config`` call, so a rewritten file
+is read afresh and no two configs share a lemma table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import CommentCollection
 from .lexicons import (DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, PUNCTUATION,
-                       load_once, load_stopwords, load_table)
+                       load_stopwords, load_table)
 from .stemming import stem
 
 URL_PREFIXES = ("http://", "https://", "www.")
@@ -48,17 +48,26 @@ MEMO_CAP = 4096
 _UNSEEN = object()
 
 
-@dataclass(frozen=True)
-class PreprocessConfig:
+class _PreprocessFields(NamedTuple):
     stopwords: frozenset[str]
     lemma_table: Mapping[str, str]
     min_token_count: int = 3
     apply_stemming: bool = False
     apply_lemmatization: bool = True
 
-    def __post_init__(self):
-        if self.min_token_count < 1:
+
+class PreprocessConfig(_PreprocessFields):
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named):
+        config = super().__new__(cls, *fields, **named)
+        if config.min_token_count < 1:
             raise ValueError("min_token_count must be >= 1")
+        return config
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make, so it checks too
+        return cls(*fields)
 
 
 def default_config(
@@ -68,13 +77,12 @@ def default_config(
 ) -> PreprocessConfig:
     """Config backed by the bundled stopword list and lemma table; both
     paths are overridable."""
-    stop = load_once(load_stopwords, str(stopwords_path or DEFAULT_STOPWORDS_PATH))
-    table = load_once(load_table, str(lemmas_path or DEFAULT_LEMMAS_PATH))
+    stop = load_stopwords(stopwords_path or DEFAULT_STOPWORDS_PATH)
+    table = load_table(lemmas_path or DEFAULT_LEMMAS_PATH)
     return PreprocessConfig(stopwords=stop, lemma_table=table, **overrides)
 
 
-@dataclass(frozen=True, slots=True)
-class CleanedDocument:
+class CleanedDocument(NamedTuple):
     comment_id: str
     raw_text: str
     tokens: tuple[str, ...]
@@ -215,10 +223,7 @@ def preprocess_corpus(collection: CommentCollection | Sequence,
     memo: dict[str, str | None] = {}
     for comment in collection:
         tokens, reason = _clean_text(comment.text, config, memo)
-        docs.append(CleanedDocument(
-            comment_id=comment.id,
-            raw_text=comment.text if comment.text is not None else "",
-            tokens=tokens,
-            drop_reason=reason,
-        ))
+        # positional: a keyword call costs as much again per document
+        docs.append(CleanedDocument(comment.id, comment.text if comment.text is not None else "",
+                                    tokens, reason))
     return docs

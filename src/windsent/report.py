@@ -25,10 +25,9 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_str
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .analytics import (
     LABELS,
@@ -46,15 +45,13 @@ class ReportNotReadableError(WindsentError):
     code = "report/file-not-readable"
 
 
-@dataclass(frozen=True, slots=True)
-class CommentRow:
+class CommentRow(NamedTuple):
     comment_id: str
     scores: EngineScores
     labels: Mapping[str, str]  # engine -> label
 
 
-@dataclass(frozen=True, slots=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     config_digest: str
     corpus_size: int
     kept_count: int

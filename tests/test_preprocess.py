@@ -1,4 +1,3 @@
-import dataclasses
 import string
 from unittest import mock
 
@@ -60,6 +59,18 @@ class TestStopwords:
     def test_default_list(self):
         config = default_config(min_token_count=1)
         assert preprocess_text("the wind is clean", config) == (("wind", "clean"), None)
+
+    def test_rewritten_file_is_read_again(self, tmp_path):
+        stop = tmp_path / "stop.txt"
+        stop.write_text("the\nwind\n", encoding="utf-8")
+        config = default_config(stop, min_token_count=1)
+        assert preprocess_text("the wind farm", config) == (("farm",), None)
+        stop.write_text("the\n", encoding="utf-8")
+        config = default_config(stop, min_token_count=1)
+        assert preprocess_text("the wind farm", config) == (("wind", "farm"), None)
+
+    def test_configs_share_no_lemma_table(self):
+        assert default_config().lemma_table is not default_config().lemma_table
 
     def test_empty_token_list(self):
         assert preprocess_text("the", _split_only(frozenset({"the"}))) == ((), "too_short")
@@ -298,7 +309,7 @@ def _memo_sizes(collection, config):
 @given(texts=_memo_corpora)
 @settings(max_examples=150, deadline=None)
 def test_corpus_memo_matches_per_text_reference(overrides, texts):
-    config = dataclasses.replace(default_config(min_token_count=2), **overrides)
+    config = default_config(min_token_count=2)._replace(**overrides)
     collection = CommentCollection(
         tuple(Comment(id=f"c{i}", text=t) for i, t in enumerate(texts)), "mem")
     with mock.patch.object(preprocess, "MEMO_CAP", _MEMO_TEST_CAP):

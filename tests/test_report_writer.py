@@ -111,11 +111,7 @@ def expected_bytes(report: AnalysisReport) -> bytes:
 
 def unchecked_score(engine, polarity, subjectivity=None, proportions=None):
     """A SentimentScore built without its range checks, so any float fits."""
-    score = object.__new__(SentimentScore)
-    for name, value in (("engine", engine), ("polarity", polarity),
-                        ("subjectivity", subjectivity), ("proportions", proportions)):
-        object.__setattr__(score, name, value)
-    return score
+    return tuple.__new__(SentimentScore, (engine, polarity, subjectivity, proportions))
 
 
 SPECIAL_CHARS = st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t",
