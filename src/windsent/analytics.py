@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
+from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
 from .engines import ENGINE_LEXICONS, ENGINES, SentimentScore, tag_pos
@@ -195,17 +196,17 @@ def top_words(documents: Sequence[CleanedDocument],
     if len({item.comment_id for item in labeled}) < len(labeled):
         (repeated, _), = Counter(item.comment_id for item in labeled).most_common(1)
         raise ValueError(f"repeated labeled id {repeated!r}")
-    counts: Counter[str] = Counter()
+    selected = []
     for item in labeled:
         if item.engine != engine:
             raise MixedEnginesError(engine, item.engine)
         if item.label != side:
             continue
         try:
-            tokens = tokens_by_id[item.comment_id]
+            selected.append(tokens_by_id[item.comment_id])
         except KeyError:
             raise ValueError(f"no document for labeled comment {item.comment_id!r}") from None
-        counts.update(tokens)
+    counts = Counter(chain.from_iterable(selected))
     if isinstance(lexicon, ValenceLexicon):
         vocabulary = lexicon._valence.keys()
     elif isinstance(lexicon, PatternLexicon):

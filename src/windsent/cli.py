@@ -13,6 +13,7 @@ Domain errors print a single machine-parsable line on stderr
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import pipeline, report as report_mod, svgplots
@@ -159,11 +160,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command builds no reference cycles, so the cyclic collector would
+    # only re-walk its records without freeing any; reference counting frees
+    # them all. The caller's collector setting is restored on every exit.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except WindsentError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -27,6 +27,8 @@ from .errors import WindsentError, read_text, write_file
 REQUIRED_FIELDS = ("id", "text")
 OPTIONAL_FIELDS = ("source_group", "timestamp")
 
+_scan_once = json.JSONDecoder().scan_once  # what json.loads runs, minus its per-call checks
+
 
 class FileNotReadableError(WindsentError):
     code = "corpus/file-not-readable"
@@ -209,12 +211,19 @@ def _iter_jsonl(text: str) -> Iterator[tuple[int, Mapping[str, object]]]:
             line = line[:-1]
         if not line.strip():
             continue
+        # json.loads(line) returns what the scanner reads when that is the
+        # whole line; every other line, valid or not, takes json.loads itself
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecordError(lineno, f"invalid JSON: {exc.msg}") from exc
-        except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
-            raise MalformedRecordError(lineno, f"invalid JSON: {exc}") from exc
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecordError(lineno, f"invalid JSON: {exc.msg}") from exc
+            except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
+                raise MalformedRecordError(lineno, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise MalformedRecordError(lineno, "record is not a JSON object")
         yield lineno, obj

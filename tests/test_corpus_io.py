@@ -1,8 +1,12 @@
 import hashlib
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from windsent import corpus
 from windsent.corpus import (
     Comment,
     CommentCollection,
@@ -224,3 +228,65 @@ def test_collection_is_immutable_value(tmp_path):
     assert isinstance(collection, CommentCollection)
     with pytest.raises(AttributeError):
         collection.comments = ()
+
+
+def _iter_jsonl_by_json_loads(text):
+    """Reference decoding: json.loads on every non-blank line."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecordError(lineno, f"invalid JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise MalformedRecordError(lineno, f"invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise MalformedRecordError(lineno, "record is not a JSON object")
+        yield lineno, obj
+
+
+def _outcomes(path):
+    """What strict and lenient loading make of one file: the collection and
+    skipped records, or the CLI's ERROR line."""
+    outcomes = []
+    for load in (load_corpus, load_corpus_lenient):
+        try:
+            outcomes.append(load(path, "jsonl"))
+        except (MalformedRecordError, DuplicateIdError) as exc:
+            outcomes.append(f"ERROR {exc.code}: {exc}")
+    return outcomes
+
+
+_RECORDS = st.fixed_dictionaries(
+    {"id": st.sampled_from(["a", "b", " c ", "", 7, "d\u2028e"])},
+    optional={"text": st.sampled_from(["x", "", "wind\u2028farm", "caf\u00e9 \U0001f32c", None]),
+              "source_group": st.sampled_from(["g", ""])})
+_RECORD_LINES = st.builds(
+    lambda prefix, record, ascii_only, suffix: prefix + json.dumps(
+        record, ensure_ascii=ascii_only) + suffix,
+    st.sampled_from(["", " ", "\t", " \t", "\ufeff"]), _RECORDS, st.booleans(),
+    st.sampled_from(["", " ", "\t", "\r", " junk", "x", "}"]))
+_ODD_LINES = st.sampled_from([
+    "", "  \t", "[1]", "7", "NaN", '"text"', "not json",
+    '{"id":"a","text":"x"} junk',
+    '{"id": "n", "text": "x", "v": ' + "1" * 5000 + "}",
+    '{"id": "deep", "text": "x", "v": ' + "[" * 5000 + "]" * 5000 + "}",
+    '{"id": "u", "text": "raw\u2028separator"}',
+])
+
+
+@given(lines=st.lists(st.one_of(_RECORD_LINES, _ODD_LINES), max_size=8),
+       final_newline=st.booleans())
+@example(lines=['{"id":"a","text":"x"} junk'], final_newline=True)
+@example(lines=['{"id":"a","text":"x"}\r', ' {"id":"b","text":"y"}\t', "[1]"],
+         final_newline=False)
+@settings(max_examples=200, deadline=None)
+def test_jsonl_loading_matches_json_loads_on_every_line(tmp_path_factory, lines,
+                                                        final_newline):
+    path = tmp_path_factory.mktemp("jsonl") / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n" * final_newline, encoding="utf-8", newline="")
+    with mock.patch.object(corpus, "_iter_jsonl", _iter_jsonl_by_json_loads):
+        expected = _outcomes(path)
+    assert _outcomes(path) == expected

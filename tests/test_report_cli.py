@@ -666,3 +666,17 @@ def test_cross_python_names_an_oracle_file_that_differs(tmp_path):
     assert len(lines) == 1
     assert lines[0].startswith(
         f"DIFFERS {fake}: oracle vs tests/golden: manifest.json differs at line ")
+
+
+def test_cross_python_names_an_interpreter_that_cannot_run_once(tmp_path):
+    # a shim whose version is not selected exits 127 before running anything
+    shim = tmp_path / "python-shim"
+    shim.write_text("#!/bin/sh\nexit 127\n", encoding="utf-8")
+    shim.chmod(0o755)
+    missing = tmp_path / "no-such-python"
+    result = subprocess.run([sys.executable, str(CROSS_PYTHON), str(shim), str(missing)],
+                            capture_output=True, text=True)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert result.stdout.splitlines() == [
+        f"CANNOT RUN {shim}: exit status 127",
+        f"CANNOT RUN {missing}: No such file or directory"]

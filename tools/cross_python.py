@@ -15,10 +15,11 @@ each interpreter and run whose exit status or files differ from the
 reference's, it names the first file that differs. Each interpreter, the
 reference too, also runs the oracle ``tools/golden_reference.py`` in a
 temporary copy of the tree (never in the checkout); a file it writes that
-differs from its copy in ``tests/golden/`` is named the same way. The script
-exits 1 when anything differs, and 0 when every byte matches. It needs only
-the standard library and searches for no interpreter: pass each one by
-path.
+differs from its copy in ``tests/golden/`` is named the same way. An
+interpreter that cannot run ``-c "import sys"`` is named once, as CANNOT RUN,
+and none of its runs is made. The script exits 1 when anything differs or
+cannot run, and 0 when every byte matches. It needs only the standard library
+and searches for no interpreter: pass each one by path.
 """
 
 from __future__ import annotations
@@ -131,6 +132,16 @@ def oracle_difference(interpreter: str, base: Path) -> str | None:
                             written)
 
 
+def cannot_run(interpreter: str) -> str | None:
+    """Why ``interpreter`` cannot start, or None when it can."""
+    try:
+        result = subprocess.run([interpreter, "-c", "import sys"], stdin=subprocess.DEVNULL,
+                                capture_output=True)
+    except OSError as exc:
+        return exc.strerror or str(exc)
+    return f"exit status {result.returncode}" if result.returncode else None
+
+
 def main(argv: list[str]) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__)
@@ -143,6 +154,11 @@ def main(argv: list[str]) -> int:
         ref_status = run_all(reference, corpora, tmp_path / "run-0")
         differ = False
         for index, interpreter in enumerate([reference, *argv]):
+            reason = cannot_run(interpreter) if index else None
+            if reason:
+                print(f"CANNOT RUN {interpreter}: {reason}")
+                differ = True
+                continue
             problems = []
             if index:
                 base = tmp_path / f"run-{index}"
