@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import engines
 from .engines import (
@@ -86,51 +86,25 @@ SETTINGS: dict[str, tuple[str, Callable[[str, str], object]]] = {
 }
 
 
-class RunConfig:
-    """One run's settings, one attribute per ``SETTINGS`` field; a path
-    setting may be given as text. Equal to a config with equal settings."""
+class RunConfig(NamedTuple):
+    """One run's settings, one field per ``SETTINGS`` entry."""
 
-    __slots__ = ("input_path", "input_format", "out_dir", "lexicon_dir", "mode", "epsilon",
-                 "top_n", "plots", "lenient", "min_token_count", "apply_stemming",
-                 "apply_lemmatization", "stopwords_path", "lemmas_path", "disambiguation",
-                 "bin_count")
-
-    def __init__(self, input_path: Path | str, input_format: str, out_dir: Path | str,
-                 lexicon_dir: Path | str | None = None, mode: str = MODE_PAPER,
-                 epsilon: float = 0.0, top_n: int = 30, plots: bool = False,
-                 lenient: bool = False, min_token_count: int = 3,
-                 apply_stemming: bool = False, apply_lemmatization: bool = True,
-                 stopwords_path: Path | str = DEFAULT_STOPWORDS_PATH,
-                 lemmas_path: Path | str = DEFAULT_LEMMAS_PATH,
-                 disambiguation: str = DISAMBIGUATION_FIRST, bin_count: int = 10):
-        self.input_path = Path(input_path)
-        self.input_format = input_format  # "csv" | "jsonl"
-        self.out_dir = Path(out_dir)
-        self.lexicon_dir = bundled_lexicon_dir() if lexicon_dir is None else Path(lexicon_dir)
-        self.mode = mode
-        self.epsilon = epsilon
-        self.top_n = top_n
-        self.plots = plots
-        self.lenient = lenient
-        self.min_token_count = min_token_count
-        self.apply_stemming = apply_stemming
-        self.apply_lemmatization = apply_lemmatization
-        self.stopwords_path = Path(stopwords_path)
-        self.lemmas_path = Path(lemmas_path)
-        self.disambiguation = disambiguation
-        self.bin_count = bin_count
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not RunConfig:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        return "RunConfig(%s)" % ", ".join(f"{name}={value!r}" for name, value
-                                            in zip(self.__slots__, self._values()))
+    input_path: Path
+    input_format: str  # "csv" | "jsonl"
+    out_dir: Path
+    lexicon_dir: Path = bundled_lexicon_dir()
+    mode: str = MODE_PAPER
+    epsilon: float = 0.0
+    top_n: int = 30
+    plots: bool = False
+    lenient: bool = False
+    min_token_count: int = 3
+    apply_stemming: bool = False
+    apply_lemmatization: bool = True
+    stopwords_path: Path = DEFAULT_STOPWORDS_PATH
+    lemmas_path: Path = DEFAULT_LEMMAS_PATH
+    disambiguation: str = DISAMBIGUATION_FIRST
+    bin_count: int = 10
 
     def validate(self) -> None:
         """Check each setting's value; each input file is checked where it is read."""

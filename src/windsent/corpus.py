@@ -22,7 +22,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import WindsentError, read_text, write_file
+from .errors import FrozenRecord, WindsentError, read_text, write_file
 
 REQUIRED_FIELDS = ("id", "text")
 OPTIONAL_FIELDS = ("source_group", "timestamp")
@@ -47,7 +47,7 @@ class DuplicateIdError(WindsentError):
     code = "corpus/duplicate-id"
 
     def __init__(self, comment_id: str, line: int):
-        super().__init__(f"line {line}: duplicate id {comment_id!r}")
+        super().__init__(f"line {line}: duplicate id {ascii(comment_id)}")
         self.comment_id = comment_id
         self.line = line
 
@@ -85,40 +85,12 @@ class Comment(NamedTuple):
     timestamp: str | None = None
 
 
-class CommentCollection:
+class CommentCollection(FrozenRecord):
     """The comments of one corpus, in input order. Immutable and equal to a
     collection with equal fields, like the NamedTuple records, but no tuple,
     so that a ``(collection, skipped)`` pair is never mistaken for one."""
 
-    __slots__ = ("comments", "source_path")
-
-    def __init__(self, comments: tuple[Comment, ...], source_path: str):
-        object.__setattr__(self, "comments", comments)
-        object.__setattr__(self, "source_path", source_path)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return CommentCollection, (self.comments, self.source_path)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not CommentCollection:
-            return NotImplemented
-        return self.__reduce__() == other.__reduce__()
-
-    def __hash__(self) -> int:
-        return hash(self.__reduce__())
-
-    def __repr__(self) -> str:
-        return f"CommentCollection(comments={self.comments!r}, source_path={self.source_path!r})"
-
-    @property
-    def record_count(self) -> int:
-        return len(self.comments)
+    __slots__ = ("comments", "source_path")  # tuple[Comment, ...], str
 
     def __iter__(self) -> Iterator[Comment]:
         return iter(self.comments)
@@ -249,7 +221,7 @@ def _load(path: str | Path, fmt: str, lenient: bool) -> tuple[CommentCollection,
             raise MalformedRecordError(lineno, str(exc)) from exc
         if comment.id in seen:
             if lenient:
-                skipped.append(SkippedRecord(lineno, f"duplicate id {comment.id!r}"))
+                skipped.append(SkippedRecord(lineno, f"duplicate id {ascii(comment.id)}"))
                 continue
             raise DuplicateIdError(comment.id, lineno)
         seen.add(comment.id)

@@ -1,4 +1,5 @@
-"""Domain error hierarchy and the package's one file boundary.
+"""Domain error hierarchy, the package's one file boundary, and
+``FrozenRecord``, the base of the records that must not be tuples.
 
 Every error carries a short machine-parsable ``code`` that the CLI prints as
 ``ERROR <code>: <message>`` on the diagnostic stream.
@@ -59,9 +60,47 @@ def write_file(path: str | Path, data: str | bytes) -> None:
 
 
 def remove_file(path: str | Path) -> None:
-    """Remove a leftover output file if there is one; any OSError becomes
+    """Remove a leftover output file if there is one (none can be under a
+    parent that is no directory); any other OSError becomes
     OutputNotWritableError naming the file."""
     try:
-        Path(path).unlink(missing_ok=True)
+        Path(path).unlink()
+    except (FileNotFoundError, NotADirectoryError):
+        pass
     except OSError as exc:
         raise OutputNotWritableError(f"{path}: {exc.strerror or exc}") from exc
+
+
+class FrozenRecord:
+    """A record that is no tuple. Its ``_fields`` are the ``__slots__`` of
+    its class and bases, bases first, and ``__init__`` takes their values in
+    that order. It refuses assignment and deletion, and copies, pickles and
+    compares by type and by the values ``__reduce__`` rebuilds it from."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for base in reversed(cls.__mro__)
+                            for name in base.__dict__.get("__slots__", ()))
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"

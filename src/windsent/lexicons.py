@@ -27,7 +27,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple, TypeVar
 
-from .errors import WindsentError, data_lines
+from .errors import FrozenRecord, WindsentError, data_lines
 
 POS_TAGS = ("noun", "verb", "adj", "adv")
 
@@ -48,6 +48,10 @@ DEFAULT_POS_TABLE_PATH = _DATA_DIR / "pos_tags.tsv"
 
 # the characters cleaning deletes, so no data-file word may hold one
 PUNCTUATION = frozenset(string.punctuation)
+# the characters outside XML 1.0's Char (controls but tab, LF and CR;
+# surrogates; U+FFFE, U+FFFF), which no SVG chart can hold
+NOT_XML_CHARS = frozenset(map(chr, [*range(0x9), 0xB, 0xC, *range(0xE, 0x20),
+                                    *range(0xD800, 0xE000), 0xFFFE, 0xFFFF]))
 
 
 def bundled_lexicon_dir() -> Path:
@@ -115,7 +119,7 @@ class SynsetEntry(NamedTuple):
     sense_rank: int
 
 
-class _Lexicon:
+class _Lexicon(FrozenRecord):
     """A loaded lexicon: its source, its entry count and its lookup table,
     which the first slot of each kind's own ``__slots__`` holds under a
     private name. Immutable, and equal to a lexicon of the same kind with
@@ -124,26 +128,7 @@ class _Lexicon:
     __slots__ = ("source_path", "entry_count")
     kind: ClassVar[str]
 
-    def __init__(self, source_path: str, entry_count: int, table: Mapping) -> None:
-        object.__setattr__(self, "source_path", source_path)
-        object.__setattr__(self, "entry_count", entry_count)
-        object.__setattr__(self, self.__slots__[0], table)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.source_path, self.entry_count, getattr(self, self.__slots__[0]))
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.__reduce__() == other.__reduce__()
-
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # the table is too long to print
         return (f"{type(self).__name__}(source_path={self.source_path!r}, "
                 f"entry_count={self.entry_count!r})")
 
@@ -172,8 +157,11 @@ class SynsetLexicon(_Lexicon):
     lemmas: frozenset[str]
 
     def __init__(self, source_path: str, entry_count: int, table: Mapping) -> None:
-        super().__init__(source_path, entry_count, table)
-        object.__setattr__(self, "lemmas", frozenset(lemma for lemma, _ in table))
+        super().__init__(source_path, entry_count, table,
+                         frozenset(lemma for lemma, _ in table))
+
+    def __reduce__(self) -> tuple:  # lemmas is derived from the table
+        return SynsetLexicon, (self.source_path, self.entry_count, self._synsets)
 
 
 AnyLexicon = ValenceLexicon | PatternLexicon | SynsetLexicon
@@ -209,8 +197,9 @@ def _check_word(word: str, lineno: int) -> str:
     """The word rule: ``word`` must be one clean token, i.e. a single
     whitespace piece that ``preprocess.normalize``, which works piece by
     piece, leaves as it is: no upper case and no punctuation, hence no URL
-    prefix either."""
-    if word.split() != [word] or word != word.lower() or not PUNCTUATION.isdisjoint(word):
+    prefix either; and no control character, so a chart can draw it."""
+    if (word.split() != [word] or word != word.lower() or not PUNCTUATION.isdisjoint(word)
+            or not NOT_XML_CHARS.isdisjoint(word)):
         raise MalformedEntryError(lineno, f"not one clean token: {word!r}")
     return word
 

@@ -28,15 +28,12 @@ def analyze_collection(collection: corpus.CommentCollection,
     rows = []
     labeled: dict[str, list[LabeledComment]] = {engine: [] for engine in engines.ENGINES}
     pattern_scores = []
+    mode, disambiguation, epsilon = config.mode, config.disambiguation, config.epsilon
     for doc in kept:
-        scores = engines.score_all(
-            doc, lexicons,
-            mode=config.mode,
-            disambiguation=config.disambiguation,
-        )
+        scores = engines.score_all(doc, lexicons, mode=mode, disambiguation=disambiguation)
         labels = {}
         for engine, score in scores.by_engine().items():
-            item = analytics.label_comment(doc.comment_id, score, config.epsilon)
+            item = analytics.label_comment(doc.comment_id, score, epsilon)
             labeled[engine].append(item)
             labels[engine] = item.label
         pattern_scores.append(scores.pattern_avg)

@@ -10,11 +10,13 @@ subjectivity histogram, and six top-word charts.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .engines import ENGINES
 from .errors import write_file
+from .lexicons import NOT_XML_CHARS
 from .report import SIDES, ReportNotReadableError
 
 LABEL_COLORS = {
@@ -223,6 +225,8 @@ def _drawn_values(summary: Mapping) -> tuple[dict, list, list, dict]:
     for edge in edges:
         if type(edge) not in (int, float):
             raise TypeError(f"subjectivity.bin_edges: expected a number, got {edge!r}")
+        if not abs(edge) <= sys.float_info.max:  # NaN, an infinity, an int past any float
+            raise ValueError(f"subjectivity.bin_edges: not a finite number: {edge!r}")
     rankings = {}
     for engine in ENGINES:
         for side in SIDES:
@@ -231,6 +235,8 @@ def _drawn_values(summary: Mapping) -> tuple[dict, list, list, dict]:
             for word, count in summary["rankings"][engine][side]:
                 if type(word) is not str:
                     raise TypeError(f"{where}: expected a word, got {word!r}")
+                if not NOT_XML_CHARS.isdisjoint(word):
+                    raise ValueError(f"{where}: no SVG can hold the word {word!r}")
                 entries.append((word, _count(count, where)))
             rankings[engine, side] = entries
     return distributions, edges, counts, rankings

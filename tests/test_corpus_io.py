@@ -66,7 +66,7 @@ class TestCsvLoading:
     def test_three_rows_in_file_order(self, tmp_path):
         path = write(tmp_path / "c.csv", "id,text\na,first\nb,second\nc,third\n")
         collection = load_corpus(path, "csv")
-        assert collection.record_count == 3
+        assert len(collection) == 3
         assert [c.id for c in collection] == ["a", "b", "c"]
         assert [c.text for c in collection] == ["first", "second", "third"]
 
@@ -140,9 +140,19 @@ class TestLenientMode:
         ]
         path = write(tmp_path / "c.jsonl", "\n".join(lines) + "\n")
         collection, skipped = load_corpus_lenient(path, "jsonl")
-        assert collection.record_count + len(skipped) == len(lines)
+        assert len(collection) + len(skipped) == len(lines)
         assert [c.id for c in collection] == ["a", "d"]
         assert [s.line for s in skipped] == [2, 3, 4]
+
+    def test_duplicate_id_is_quoted_in_ascii(self, tmp_path):
+        # repr() of an id follows the interpreter's Unicode tables: U+31350
+        # (Unicode 15) printed escaped under 3.11 and as itself under 3.13
+        record = '{"id": "x\U00031350", "text": "y"}\n'
+        path = write(tmp_path / "c.jsonl", record * 2)
+        _, skipped = load_corpus_lenient(path, "jsonl")
+        assert skipped == ((2, "duplicate id 'x\\U00031350'"),)
+        with pytest.raises(DuplicateIdError, match=r"^line 2: duplicate id 'x\\U00031350'$"):
+            load_corpus(path, "jsonl")
 
     def test_strict_equals_lenient_on_clean_file(self, golden_corpus_path):
         strict = load_corpus(golden_corpus_path, "jsonl")
@@ -154,7 +164,7 @@ class TestLenientMode:
 class TestGoldenCorpus:
     def test_record_count_and_id_checksum(self, golden_corpus_path, manifest):
         collection = load_corpus(golden_corpus_path, "jsonl")
-        assert collection.record_count == manifest["record_count"] == 50
+        assert len(collection) == manifest["record_count"] == 50
         checksum = hashlib.sha256("".join(c.id for c in collection).encode()).hexdigest()
         assert checksum == manifest["id_checksum"]
 

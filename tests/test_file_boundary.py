@@ -172,6 +172,10 @@ BAD_INPUTS = {
         lambda t: _lexicon_line(t, "synset.tsv", "wind_farm.n.01\tnoun\t0.5\t0.0\t1\twind_farm"),
         "ERROR lexicon/malformed-entry: {tmp}/lexicons/synset.tsv: line 1: "
         "not one clean token: 'wind_farm'"),
+    "valence-word-with-nul": (
+        lambda t: _lexicon_line(t, "valence.tsv", "bad\x00word\t-2.0"),
+        "ERROR lexicon/malformed-entry: {tmp}/lexicons/valence.tsv: line 1: "
+        "not one clean token: 'bad\\x00word'"),
     "plot-report-not-utf8": (
         _plot,
         "ERROR report/file-not-readable: {tmp}/report.json: not valid UTF-8"),
@@ -342,6 +346,16 @@ def test_run_without_plots_removes_leftover_charts(tmp_path):
     (plots / "notes.txt").write_text("kept\n", encoding="utf-8")
     assert main(args) == 0
     assert [p.name for p in plots.iterdir()] == ["notes.txt"]
+
+
+def test_run_without_plots_leaves_a_plots_file_alone(tmp_path):
+    # no chart can be under a file; removing them used to fail the run
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "plots").write_text("not a directory\n", encoding="utf-8")
+    assert main(["analyze", "--input", str(GOLDEN_CORPUS), "--out", str(out)]) == 0
+    assert (out / "plots").read_text(encoding="utf-8") == "not a directory\n"
+    assert (out / "report.json").is_file()
 
 
 def test_non_utf8_input_name_is_one_error_line(tmp_path):

@@ -246,10 +246,16 @@ _word_chars = st.sampled_from([*"aZ_'.:/-#ßİǅΣς\u212a\u0307\u00a0\u3000\x1c
 @example("wind_farm")
 @example(":)")
 @example("")
+@example("nul\x00")
+@example("\ud800")
+@example("\uffff")
 @settings(max_examples=500, deadline=None)
 def test_word_rule_accepts_exactly_what_cleaning_leaves_unchanged(word):
+    # ... and what an SVG can hold: only characters of XML 1.0's Char
     try:
         accepted = _check_word(word, 1) == word
     except MalformedEntryError:
         accepted = False
-    assert accepted == (normalize(word).split() == [word])
+    xml_chars = all(c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd"
+                    or c >= "\U00010000" for c in word)
+    assert accepted == (normalize(word).split() == [word] and xml_chars)

@@ -1,7 +1,7 @@
 """The records are immutable, slotted and compared by value. Most are
-NamedTuples; CommentCollection and the three lexicon types are slotted
-classes that are not tuples. SentimentScore and PreprocessConfig check their
-values however they are built."""
+NamedTuples, RunConfig too; CommentCollection and the three lexicon types
+are FrozenRecord classes that are not tuples. SentimentScore and
+PreprocessConfig check their values however they are built."""
 
 import copy
 import pickle
@@ -78,6 +78,8 @@ PAIRS = [
      LexiconSet(ValenceLexicon("valence.tsv", 1, {}), PATTERN, SYNSET)),
     (PreprocessConfig(frozenset({"the"}), {"winds": "wind"}),
      PreprocessConfig(frozenset({"the"}), {"winds": "wind"}, apply_stemming=True)),
+    (RunConfig(Path("in.jsonl"), "jsonl", Path("out")),
+     RunConfig(Path("in.jsonl"), "jsonl", Path("out"), top_n=5)),
 ]
 RECORDS = [record for record, _ in PAIRS]
 NOT_TUPLES = [CommentCollection((COMMENT,), "corpus.jsonl"), VALENCE, PATTERN, SYNSET]
@@ -156,15 +158,3 @@ def test_checked_records_refuse_bad_values(build):
     with pytest.raises(ValueError):
         build()
 
-
-def test_run_config_is_mutable_but_slotted():
-    config = RunConfig("in.jsonl", "jsonl", "out")
-    assert not hasattr(config, "__dict__")
-    assert not isinstance(config, tuple)
-    assert config.input_path == Path("in.jsonl")
-    assert config == RunConfig(Path("in.jsonl"), "jsonl", Path("out"))
-    config.top_n = 5
-    assert config.top_n == 5
-    assert config != RunConfig("in.jsonl", "jsonl", "out")
-    with pytest.raises(AttributeError):
-        config.note = "x"

@@ -217,8 +217,8 @@ class TestConfigHandling:
     def test_digest_pins_every_valence_rule_field(self):
         # the fixed valence-rule constants are hashed by name, so changing
         # any of them, or the name it is recorded under, changes this value
-        config = RunConfig(input_path="in.jsonl", input_format="jsonl",
-                           out_dir="out")
+        config = RunConfig(input_path=Path("in.jsonl"), input_format="jsonl",
+                           out_dir=Path("out"))
         assert config.digest() == \
             "368678d702409b751c41ec8169226cd45f24a4f66c0e146ddad80325a8d3fb4e"
 
@@ -262,7 +262,7 @@ class TestSettingsTable:
         assert set(SETTING_CASES) == set(SETTINGS)
 
     def test_run_config_fields_are_the_settings(self):
-        assert set(RunConfig.__slots__) == \
+        assert set(RunConfig._fields) == \
             {name for name, _ in SETTINGS.values()}
 
     def test_analyze_flag_dests_are_the_settings(self):
@@ -446,6 +446,14 @@ class TestCli:
         pytest.param(_bin_edges(5), id="edges-too-few"),
         pytest.param(_bin_edges(30), id="edges-too-many"),
         pytest.param(_set_leaf("subjectivity.counts", []), id="no-bins"),
+        # what an SVG cannot hold: these wrote broken files or ended in a traceback
+        pytest.param(_set_leaf("rankings.valence_rule.positive.0.0", "\ud800"),
+                     id="word-lone-surrogate"),
+        pytest.param(_set_leaf("rankings.pattern_avg.negative.0.0", "a\x00b"), id="word-nul"),
+        pytest.param(_set_leaf("rankings.synset.positive.0.0", "a\x0bb"), id="word-vt"),
+        pytest.param(_set_leaf("subjectivity.bin_edges.3", float("nan")), id="edge-nan"),
+        pytest.param(_set_leaf("subjectivity.bin_edges.10", float("inf")), id="edge-inf"),
+        pytest.param(_set_leaf("subjectivity.bin_edges.2", 10**400), id="edge-past-float"),
     ])
     def test_plot_wrong_leaf_types_error(self, golden_dir, tmp_path, capsys, mutate):
         data = read_json(golden_dir / "golden_report.json")
@@ -643,7 +651,7 @@ def test_cross_python_names_a_file_that_differs(tmp_path):
                             capture_output=True, text=True)
     assert result.returncode == 1, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 4  # two corpora, two analyze runs each
+    assert len(lines) == 5  # two analyze runs on each of two corpora, one on the third
     assert lines[0].startswith(f"DIFFERS {fake}: golden/analyze: comments.csv differs at line ")
 
 

@@ -10,16 +10,20 @@ with ``--stem``), ``preprocess`` and ``top-words --out`` on the golden corpus
 and on a small corpus that it writes to a temporary directory: awkward comment
 ids (comma, quote, CR, LF, NUL, U+2028, non-ASCII and astral characters) and
 awkward texts (Greek final sigma, dotted capital I, upper-case URLs,
-punctuation-only pieces, and words parted by NBSP, U+2028 or U+3000). For
-each interpreter and run whose exit status or files differ from the
-reference's, it names the first file that differs. Each interpreter, the
-reference too, also runs the oracle ``tools/golden_reference.py`` in a
-temporary copy of the tree (never in the checkout); a file it writes that
-differs from its copy in ``tests/golden/`` is named the same way. An
-interpreter that cannot run ``-c "import sys"`` is named once, as CANNOT RUN,
-and none of its runs is made. The script exits 1 when anything differs or
-cannot run, and 0 when every byte matches. It needs only the standard library
-and searches for no interpreter: pass each one by path.
+punctuation-only pieces, and words parted by NBSP, U+2028 or U+3000). It
+also runs ``analyze --lenient`` and ``preprocess --lenient`` on a third
+corpus, so that skip reports are compared too: it repeats an id holding
+U+31350, a letter newer than some interpreters' Unicode tables, and has one
+malformed record. For each interpreter and run whose exit status or files
+differ from the reference's, it names the first file that differs. Each
+interpreter, the reference too, also runs the oracle
+``tools/golden_reference.py`` in a temporary copy of the tree (never in the
+checkout); a file it writes that differs from its copy in ``tests/golden/``
+is named the same way. An interpreter that cannot run ``-c "import sys"`` is
+named once, as CANNOT RUN, and none of its runs is made. The script exits 1
+when anything differs or cannot run, and 0 when every byte matches. It needs
+only the standard library and searches for no interpreter: pass each one by
+path.
 """
 
 from __future__ import annotations
@@ -54,6 +58,10 @@ RUNS = {
     "preprocess": ["preprocess"],
     "top-words": ["top-words"],
 }
+LENIENT_RUNS = {
+    "analyze-lenient": ["analyze", "--lenient"],
+    "preprocess-lenient": ["preprocess", "--lenient"],
+}
 
 
 def write_awkward_corpus(path: Path) -> Path:
@@ -66,17 +74,26 @@ def write_awkward_corpus(path: Path) -> Path:
     return path
 
 
-def run_all(interpreter: str, corpora: dict[str, Path], base: Path) -> dict[str, int]:
-    """Run every command on every corpus into ``base``; the exit status of
+def write_lenient_corpus(path: Path) -> Path:
+    records = [{"id": "dup\U00031350", "text": text} for text in TEXTS[:2]]
+    records += [{"id": "ok", "text": TEXTS[2]}, {"id": "no text"}]
+    path.write_text("".join(json.dumps(record) + "\n" for record in records),
+                    encoding="utf-8")
+    return path
+
+
+def run_all(interpreter: str, corpora: dict[str, tuple[Path, dict]],
+            base: Path) -> dict[str, int]:
+    """Run each corpus's commands on it into ``base``; the exit status of
     each run, keyed by its directory under ``base``."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
     status = {}
-    for corpus_name, corpus in corpora.items():
-        for run_name, args in RUNS.items():
+    for corpus_name, (corpus, runs) in corpora.items():
+        for run_name, args in runs.items():
             key = f"{corpus_name}/{run_name}"
             out = base / key
-            if run_name == "preprocess":
+            if args[0] == "preprocess":
                 out.mkdir(parents=True)
                 out = out / "clean.jsonl"
             result = subprocess.run(
@@ -148,8 +165,10 @@ def main(argv: list[str]) -> int:
         return 0 if argv else 2
     with tempfile.TemporaryDirectory(prefix="windsent-cross-python-") as tmp:
         tmp_path = Path(tmp)
-        corpora = {"golden": GOLDEN_CORPUS,
-                   "awkward": write_awkward_corpus(tmp_path / "awkward.jsonl")}
+        corpora = {"golden": (GOLDEN_CORPUS, RUNS),
+                   "awkward": (write_awkward_corpus(tmp_path / "awkward.jsonl"), RUNS),
+                   "lenient": (write_lenient_corpus(tmp_path / "lenient.jsonl"),
+                               LENIENT_RUNS)}
         reference = sys.executable
         ref_status = run_all(reference, corpora, tmp_path / "run-0")
         differ = False
