@@ -17,7 +17,6 @@ from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
 from .engines import ENGINE_LEXICONS, ENGINES, SentimentScore, tag_pos
-from .errors import WindsentError
 from .lexicons import AnyLexicon, PatternLexicon, ValenceLexicon, require_kind
 from .preprocess import CleanedDocument
 
@@ -25,20 +24,6 @@ POSITIVE = "positive"
 NEUTRAL = "neutral"
 NEGATIVE = "negative"
 LABELS = (NEGATIVE, NEUTRAL, POSITIVE)
-
-
-class MixedEnginesError(WindsentError):
-    code = "analytics/mixed-engines"
-
-    def __init__(self, expected: str, got: str):
-        super().__init__(f"expected {expected} entries, got {got}")
-
-
-class MissingSubjectivityError(WindsentError):
-    code = "analytics/missing-subjectivity"
-
-    def __init__(self, engine: str):
-        super().__init__(f"score from engine {engine!r} has no subjectivity")
 
 
 def label_polarity(phi: float, epsilon: float = 0.0) -> str:
@@ -86,7 +71,7 @@ def distribution(labeled: Sequence[LabeledComment], engine: str) -> Distribution
     counts = {lab: 0 for lab in LABELS}
     for item in labeled:
         if item.engine != engine:
-            raise MixedEnginesError(engine, item.engine)
+            raise ValueError(f"expected {engine} entries, got {item.engine}")
         counts[item.label] += 1
     return _distribution_from_counts(engine, counts)
 
@@ -98,7 +83,7 @@ def merge_distributions(reports: Sequence[DistributionReport]) -> DistributionRe
     counts = {lab: 0 for lab in LABELS}
     for report in reports:
         if report.engine != engine:
-            raise MixedEnginesError(engine, report.engine)
+            raise ValueError(f"expected {engine} entries, got {report.engine}")
         for lab in LABELS:
             counts[lab] += report.counts.get(lab, 0)
     return _distribution_from_counts(engine, counts)
@@ -127,7 +112,7 @@ def subjectivity_histogram(scores: Sequence[SentimentScore],
     for score in scores:
         v = score.subjectivity
         if v is None:
-            raise MissingSubjectivityError(score.engine)
+            raise ValueError(f"score from engine {score.engine!r} has no subjectivity")
         values.append(v)
         total += v
         counts[min(max(bisect_left(edges, v) - 1, 0), bin_count - 1)] += 1
@@ -199,7 +184,7 @@ def top_words(documents: Sequence[CleanedDocument],
     selected = []
     for item in labeled:
         if item.engine != engine:
-            raise MixedEnginesError(engine, item.engine)
+            raise ValueError(f"expected {engine} entries, got {item.engine}")
         if item.label != side:
             continue
         try:

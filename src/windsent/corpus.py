@@ -52,30 +52,6 @@ class DuplicateIdError(WindsentError):
         self.line = line
 
 
-class MissingFieldError(WindsentError):
-    code = "corpus/missing-field"
-
-    def __init__(self, name: str):
-        super().__init__(f"missing field: {name}")
-        self.name = name
-
-
-class EmptyTextError(WindsentError):
-    code = "corpus/empty-text"
-
-    def __init__(self):
-        super().__init__("text is empty")
-
-
-class InvalidFieldError(WindsentError):
-    code = "corpus/invalid-field"
-
-    def __init__(self, name: str, reason: str):
-        super().__init__(f"field {name}: {reason}")
-        self.name = name
-        self.reason = reason
-
-
 class Comment(NamedTuple):
     """One social-media post. ``text`` is kept verbatim; ``id`` is trimmed."""
 
@@ -106,7 +82,7 @@ class SkippedRecord(NamedTuple):
 
 def _string(name: str, value: object) -> str:
     if not isinstance(value, str):
-        raise InvalidFieldError(name, "must be a string")
+        raise ValueError(f"field {name}: must be a string")
     if value.isascii():  # a lone surrogate is never ASCII
         return value
     # a JSON escape such as "\ud800" decodes to a lone surrogate, which no
@@ -114,7 +90,7 @@ def _string(name: str, value: object) -> str:
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
-        raise InvalidFieldError(name, "contains a lone surrogate") from None
+        raise ValueError(f"field {name}: contains a lone surrogate") from None
     return value
 
 
@@ -122,20 +98,21 @@ def validate_record(raw: Mapping[str, object]) -> Comment:
     """Build a Comment from a parsed record.
 
     The id is whitespace-trimmed; text is preserved byte for byte. Empty
-    optional fields become absent (None), never empty strings.
+    optional fields become absent (None), never empty strings. A bad record
+    raises ValueError whose message is the reason a load reports for it.
     """
     raw_id = raw.get("id")
     if raw_id is None:
-        raise MissingFieldError("id")
+        raise ValueError("missing field: id")
     comment_id = _string("id", raw_id).strip()
     if not comment_id:
-        raise MissingFieldError("id")
+        raise ValueError("missing field: id")
 
     text = raw.get("text")
     if text is None:
-        raise MissingFieldError("text")
+        raise ValueError("missing field: text")
     if _string("text", text) == "":
-        raise EmptyTextError()
+        raise ValueError("text is empty")
 
     optionals: list[str | None] = []
     for name in OPTIONAL_FIELDS:
@@ -214,7 +191,7 @@ def _load(path: str | Path, fmt: str, lenient: bool) -> tuple[CommentCollection,
     for lineno, raw in records:
         try:
             comment = validate_record(raw)
-        except (MissingFieldError, EmptyTextError, InvalidFieldError) as exc:
+        except ValueError as exc:
             if lenient:
                 skipped.append(SkippedRecord(lineno, str(exc)))
                 continue

@@ -2,7 +2,8 @@
 ``FrozenRecord``, the base of the records that must not be tuples.
 
 Every error carries a short machine-parsable ``code`` that the CLI prints as
-``ERROR <code>: <message>`` on the diagnostic stream.
+``ERROR <code>: <message>`` on the diagnostic stream. Only what a command can
+print is one; a bad argument from a library caller is a ValueError or TypeError.
 
 Every input file is read through ``read_text`` (UTF-8 with an optional BOM),
 every output file is written through ``write_file`` (and a leftover one

@@ -89,15 +89,6 @@ class DuplicateWordError(_EntryError):
         self.word = word
 
 
-class WrongKindError(WindsentError):
-    code = "lexicon/wrong-kind"
-
-    def __init__(self, expected: str, got: str):
-        super().__init__(f"expected a {expected} lexicon, got {got}")
-        self.expected = expected
-        self.got = got
-
-
 class LexiconFileError(WindsentError):
     code = "lexicon/file-not-readable"
 
@@ -168,9 +159,9 @@ AnyLexicon = ValenceLexicon | PatternLexicon | SynsetLexicon
 
 
 def require_kind(lexicon: AnyLexicon, expected: type) -> None:
-    """Raise WrongKindError unless ``lexicon`` is an ``expected`` lexicon."""
+    """Raise TypeError unless ``lexicon`` is an ``expected`` lexicon."""
     if not isinstance(lexicon, expected):
-        raise WrongKindError(expected.kind, lexicon.kind)
+        raise TypeError(f"expected a {expected.kind} lexicon, got {lexicon.kind}")
 
 
 def _rows(path: Path, width: int) -> Iterator[tuple[int, list[str]]]:

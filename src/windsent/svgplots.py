@@ -227,6 +227,10 @@ def _drawn_values(summary: Mapping) -> tuple[dict, list, list, dict]:
             raise TypeError(f"subjectivity.bin_edges: expected a number, got {edge!r}")
         if not abs(edge) <= sys.float_info.max:  # NaN, an infinity, an int past any float
             raise ValueError(f"subjectivity.bin_edges: not a finite number: {edge!r}")
+    for low, high in zip(edges, edges[1:]):
+        if not low < high:
+            raise ValueError(f"subjectivity.bin_edges: {high!r} after {low!r}, "
+                             "not strictly ascending")
     rankings = {}
     for engine in ENGINES:
         for side in SIDES:

@@ -13,8 +13,6 @@ from windsent.analytics import (
     NEGATIVE,
     POSITIVE,
     LabeledComment,
-    MissingSubjectivityError,
-    MixedEnginesError,
     distribution,
     label,
     label_comment,
@@ -45,7 +43,6 @@ from windsent.lexicons import (
     SynsetEntry,
     SynsetLexicon,
     ValenceLexicon,
-    WrongKindError,
     load_lexicon_set,
 )
 from windsent.pipeline import analyze_collection
@@ -115,7 +112,7 @@ class TestDistribution:
     def test_mixed_engines_rejected(self):
         items = self.make(["positive"]) + [
             LabeledComment("x", ENGINE_PATTERN, pscore(0.1), "positive")]
-        with pytest.raises(MixedEnginesError):
+        with pytest.raises(ValueError, match="^expected valence_rule entries, got pattern_avg$"):
             distribution(items, ENGINE_VALENCE)
 
     def test_counts_partition_input(self):
@@ -141,7 +138,7 @@ class TestDistribution:
         a = distribution(self.make(["positive"]), ENGINE_VALENCE)
         b = distribution([LabeledComment("x", ENGINE_PATTERN, pscore(0.1), "positive")],
                          ENGINE_PATTERN)
-        with pytest.raises(MixedEnginesError):
+        with pytest.raises(ValueError, match="^expected valence_rule entries, got pattern_avg$"):
             merge_distributions([a, b])
 
     def test_merge_empty_list_rejected(self):
@@ -172,7 +169,8 @@ class TestSubjectivityHistogram:
         assert list(hist.bin_edges) == sorted(hist.bin_edges)
 
     def test_missing_subjectivity_rejected(self):
-        with pytest.raises(MissingSubjectivityError):
+        with pytest.raises(ValueError,
+                           match="^score from engine 'valence_rule' has no subjectivity$"):
             subjectivity_histogram([vscore(0.5)])
 
     def test_median_even_count(self):
@@ -240,13 +238,13 @@ class TestTopWords:
         assert len(ranking.entries) == 2
 
     def test_wrong_lexicon_for_engine(self, lexicons):
-        with pytest.raises(WrongKindError):
+        with pytest.raises(TypeError, match="^expected a pattern lexicon, got valence$"):
             top_words([], [], lexicons.valence, ENGINE_PATTERN, "positive")
 
     def test_mixed_engines(self, lexicons):
         docs = [self.doc("a", "great")]
         labeled = [LabeledComment("a", ENGINE_PATTERN, pscore(0.5), "positive")]
-        with pytest.raises(MixedEnginesError):
+        with pytest.raises(ValueError, match="^expected valence_rule entries, got pattern_avg$"):
             top_words(docs, labeled, lexicons.valence, ENGINE_VALENCE, "positive")
 
     def test_qualification_rules(self, lexicons):

@@ -11,11 +11,8 @@ from windsent.corpus import (
     Comment,
     CommentCollection,
     DuplicateIdError,
-    EmptyTextError,
     FileNotReadableError,
-    InvalidFieldError,
     MalformedRecordError,
-    MissingFieldError,
     load_corpus,
     load_corpus_lenient,
     validate_record,
@@ -33,9 +30,8 @@ class TestValidateRecord:
         assert comment == Comment(id="a1", text="wind farms")
 
     def test_missing_text(self):
-        with pytest.raises(MissingFieldError) as exc:
+        with pytest.raises(ValueError, match="^missing field: text$"):
             validate_record({"id": "a1"})
-        assert exc.value.name == "text"
 
     def test_id_trimmed_and_timestamp_retained(self):
         comment = validate_record(
@@ -45,7 +41,7 @@ class TestValidateRecord:
         assert comment.timestamp == "2023-06-01T00:00:00Z"
 
     def test_empty_text_rejected(self):
-        with pytest.raises(EmptyTextError):
+        with pytest.raises(ValueError, match="^text is empty$"):
             validate_record({"id": "a1", "text": ""})
 
     def test_whitespace_text_is_preserved_verbatim(self):
@@ -56,9 +52,9 @@ class TestValidateRecord:
         assert comment.source_group is None
 
     def test_missing_id(self):
-        with pytest.raises(MissingFieldError):
+        with pytest.raises(ValueError, match="^missing field: id$"):
             validate_record({"text": "x"})
-        with pytest.raises(MissingFieldError):
+        with pytest.raises(ValueError, match="^missing field: id$"):
             validate_record({"id": "   ", "text": "x"})
 
 
@@ -199,14 +195,13 @@ class TestEncodingEdgeCases:
     @pytest.mark.parametrize("field", ["id", "text", "source_group", "timestamp"])
     def test_lone_surrogate_rejected(self, field):
         record = {"id": "a", "text": "x", field: "wind \ud800"}
-        with pytest.raises(InvalidFieldError) as exc:
+        with pytest.raises(ValueError, match=f"^field {field}: contains a lone surrogate$"):
             validate_record(record)
-        assert exc.value.name == field
 
     @pytest.mark.parametrize("value", ["\ud800", "\udfff wind", "wind\udc80",
                                        "\u00e9t\u00e9 \ud83c", "\U0001F32C\udc00"])
     def test_lone_surrogate_rejected_wherever_it_stands(self, value):
-        with pytest.raises(InvalidFieldError, match="lone surrogate"):
+        with pytest.raises(ValueError, match="^field text: contains a lone surrogate$"):
             validate_record({"id": "a", "text": value})
 
     def test_non_ascii_text_without_surrogates_is_kept(self):

@@ -1,7 +1,7 @@
 import pytest
 
 from windsent.engines import score_pattern_avg
-from windsent.lexicons import WrongKindError, load_lexicon
+from windsent.lexicons import load_lexicon
 
 
 class TestPatternAveraging:
@@ -23,7 +23,7 @@ class TestPatternAveraging:
         assert alone.polarity == padded.polarity == 0.8
 
     def test_wrong_kind(self, lexicons):
-        with pytest.raises(WrongKindError):
+        with pytest.raises(TypeError, match="^expected a pattern lexicon, got valence$"):
             score_pattern_avg(["great"], lexicons.valence)
 
 

@@ -8,7 +8,7 @@ from windsent.engines import (
     score_pattern_avg,
     tag_pos,
 )
-from windsent.lexicons import WrongKindError, load_lexicon
+from windsent.lexicons import load_lexicon
 from windsent.preprocess import default_config, preprocess_corpus
 
 
@@ -77,7 +77,7 @@ class TestSynsetScoring:
             score_synset([("good", "adj")], lexicons.synset, "oracle")
 
     def test_wrong_kind(self, lexicons):
-        with pytest.raises(WrongKindError):
+        with pytest.raises(TypeError, match="^expected a synset lexicon, got valence$"):
             score_synset([("good", "adj")], lexicons.valence)
 
 

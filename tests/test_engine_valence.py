@@ -9,7 +9,6 @@ from windsent.engines import (
     compound_from_sum,
     score_valence_rule,
 )
-from windsent.lexicons import WrongKindError
 
 
 def expected_compound(raw_sum: float) -> float:
@@ -34,7 +33,7 @@ class TestCompoundBasics:
         assert score.proportions == (0.0, 1.0, 0.0)
 
     def test_wrong_lexicon_kind(self, lexicons):
-        with pytest.raises(WrongKindError):
+        with pytest.raises(TypeError, match="^expected a valence lexicon, got pattern$"):
             score_valence_rule(["good"], lexicons.pattern)
 
 

@@ -9,7 +9,6 @@ from windsent.lexicons import (
     LexiconFileError,
     MalformedEntryError,
     OutOfRangeScoreError,
-    WrongKindError,
     _check_word,
     bundled_lexicon_dir,
     load_lexicon,
@@ -139,13 +138,13 @@ class TestSynsetLoading:
 
 class TestWrongKind:
     def test_engine_entry_kind_checks(self, lexicons):
-        with pytest.raises(WrongKindError):
+        with pytest.raises(TypeError, match="^expected a valence lexicon, got pattern$"):
             score_valence_rule(["good"], lexicons.pattern)
-        with pytest.raises(WrongKindError):
+        with pytest.raises(TypeError, match="^expected a pattern lexicon, got valence$"):
             score_pattern_avg(["good"], lexicons.valence)
-        with pytest.raises(WrongKindError):
+        with pytest.raises(TypeError, match="^expected a synset lexicon, got valence$"):
             score_synset([("good", "adj")], lexicons.valence)
-        with pytest.raises(WrongKindError):
+        with pytest.raises(TypeError, match="^expected a valence lexicon, got synset$"):
             top_words([], [], lexicons.synset, "valence_rule", "positive")
 
 

@@ -16,6 +16,7 @@ from windsent.config import (
     infer_format,
     parse_config_file,
 )
+from windsent.errors import WindsentError
 from windsent.lexicons import LexiconFileError
 from windsent.pipeline import run_analyze, run_preprocess_only
 from windsent.svgplots import CHART_FILES
@@ -454,6 +455,10 @@ class TestCli:
         pytest.param(_set_leaf("subjectivity.bin_edges.3", float("nan")), id="edge-nan"),
         pytest.param(_set_leaf("subjectivity.bin_edges.10", float("inf")), id="edge-inf"),
         pytest.param(_set_leaf("subjectivity.bin_edges.2", 10**400), id="edge-past-float"),
+        # edges that do not strictly ascend drew labels 1.00 ... 0.00
+        pytest.param(lambda data: data["subjectivity"]["bin_edges"].reverse(),
+                     id="edges-descending"),
+        pytest.param(_set_leaf("subjectivity.bin_edges", [0.5] * 11), id="edges-flat"),
     ])
     def test_plot_wrong_leaf_types_error(self, golden_dir, tmp_path, capsys, mutate):
         data = read_json(golden_dir / "golden_report.json")
@@ -497,6 +502,33 @@ class TestCli:
         skipped = [json.loads(line) for line in
                    (out / "skipped.jsonl").read_text().splitlines()]
         assert skipped[0]["line"] == 2 and "duplicate id" in skipped[0]["reason"]
+
+    @pytest.mark.parametrize("record,reason", [
+        pytest.param('{"text": "x"}', "missing field: id", id="missing-id"),
+        pytest.param('{"id": "  ", "text": "x"}', "missing field: id", id="blank-id"),
+        pytest.param('{"id": "b"}', "missing field: text", id="missing-text"),
+        pytest.param('{"id": "b", "text": ""}', "text is empty", id="empty-text"),
+        pytest.param('{"id": 5, "text": "x"}', "field id: must be a string", id="id-number"),
+        pytest.param('{"id": "b", "text": 7}', "field text: must be a string", id="text-number"),
+        pytest.param('{"id": "b", "text": "x", "source_group": 1}',
+                     "field source_group: must be a string", id="source-group-number"),
+        pytest.param('{"id": "b", "text": "x", "timestamp": [2023]}',
+                     "field timestamp: must be a string", id="timestamp-list"),
+        pytest.param('{"id": "b", "text": "wind \\ud800"}',
+                     "field text: contains a lone surrogate", id="lone-surrogate"),
+    ])
+    def test_bad_record_reason_strict_and_lenient(self, tmp_path, capsys, record, reason):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"id": "a", "text": "clean energy is a great idea"}\n'
+                          + record + "\n", encoding="utf-8")
+        code = main(["analyze", "--input", str(corpus), "--out", str(tmp_path / "strict")])
+        assert code == 1
+        assert capsys.readouterr().err == f"ERROR corpus/malformed-record: line 2: {reason}\n"
+        out = tmp_path / "lenient"
+        code = main(["analyze", "--input", str(corpus), "--out", str(out), "--lenient"])
+        assert code == 0
+        skipped = (out / "skipped.jsonl").read_text(encoding="utf-8")
+        assert skipped == json.dumps({"line": 2, "reason": reason}) + "\n"
 
     def test_bad_config_file_line(self, tmp_path, capsys):
         config_file = tmp_path / "run.conf"
@@ -688,3 +720,18 @@ def test_cross_python_names_an_interpreter_that_cannot_run_once(tmp_path):
     assert result.stdout.splitlines() == [
         f"CANNOT RUN {shim}: exit status 127",
         f"CANNOT RUN {missing}: No such file or directory"]
+
+
+def test_readme_error_table_lists_every_printable_code():
+    # windsent.cli, imported above, imports every module that defines an error
+    def public_subclasses(cls):
+        for sub in cls.__subclasses__():
+            if not sub.__name__.startswith("_"):
+                yield sub
+            yield from public_subclasses(sub)
+
+    codes = {cls.code for cls in public_subclasses(WindsentError)}
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Errors\n", 1)[1].split("\n#", 1)[0]
+    table = {line.split("`")[1] for line in section.splitlines() if line.startswith("| `")}
+    assert codes == table
