@@ -17,7 +17,8 @@ from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
 from .engines import ENGINE_LEXICONS, ENGINES, SentimentScore, tag_pos
-from .lexicons import AnyLexicon, PatternLexicon, ValenceLexicon, require_kind
+from .lexicons import (AnyLexicon, PatternLexicon, SynsetLexicon, ValenceLexicon,
+                       require_kind)
 from .preprocess import CleanedDocument
 
 POSITIVE = "positive"
@@ -147,12 +148,14 @@ def word_qualifies(lexicon: AnyLexicon, word: str, side: str) -> bool:
     elif isinstance(lexicon, PatternLexicon):
         entry = lexicon._pattern.get(word)
         value = None if entry is None else entry.polarity
-    elif word not in lexicon.lemmas:
-        value = None
     else:
-        (_, tag), = tag_pos([word])
-        senses = lexicon._synsets.get((word, tag))
-        value = senses[0].pos_score - senses[0].neg_score if senses else None
+        require_kind(lexicon, SynsetLexicon)
+        value = None
+        if word in lexicon.lemmas:
+            (_, tag), = tag_pos([word])
+            senses = lexicon._synsets.get((word, tag))
+            if senses:
+                value = senses[0].pos_score - senses[0].neg_score
     return value is not None and (value > 0 if side == POSITIVE else value < 0)
 
 

@@ -90,10 +90,12 @@ def cmd_top_words(args: argparse.Namespace) -> int:
     if to_stdout:
         flag_values["out"] = "."  # analysis-only run, nothing is written there
     config = build_run_config(file_values, flag_values)
-    result = pipeline.analyze_only(config)[0]
+    result, skipped = pipeline.analyze_only(config)
     engines_wanted = [args.engine] if args.engine else sorted(result.rankings)
     sides_wanted = [args.side] if args.side else list(report_mod.SIDES)
     if to_stdout:
+        if skipped:
+            print(f"skipped {len(skipped)} records", file=sys.stderr)
         for engine in engines_wanted:
             for side in sides_wanted:
                 print(f"# {engine} {side}")
@@ -103,6 +105,7 @@ def cmd_top_words(args: argparse.Namespace) -> int:
     for path in report_mod.write_ranking_files(result.rankings, config.out_dir,
                                                engines_wanted, sides_wanted):
         print(f"wrote {path}")
+    pipeline.update_skip_report(skipped, config.out_dir / "skipped.jsonl")
     return 0
 
 

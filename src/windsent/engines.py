@@ -140,14 +140,15 @@ def _caps_profile(raw_text: str) -> tuple[frozenset[str], bool]:
     is uniformly caps, in which case emphasis carries no signal. URL pieces
     are skipped. Punctuation is uncased and no letter, so deleting it
     changes neither ``isupper()`` nor whether a piece has a letter: only an
-    upper piece is normalized. An upper piece may have no letter (``Ⓐ``);
-    other pieces matter only until one has."""
+    upper piece is normalized. An upper piece may have no letter (``Ⓐ``),
+    unless it is ASCII: then its cased character is a letter A-Z, which
+    normalizing keeps. Other pieces matter only until one has a letter."""
     caps_words = set()
     mixed = False
     for piece in raw_text.split():
         if piece.isupper():
             word = normalize_piece(piece)
-            if word is not None and any(c.isalpha() for c in word):
+            if word is not None and (piece.isascii() or any(c.isalpha() for c in word)):
                 caps_words.add(word)
         elif not mixed and (piece.isalpha() or any(c.isalpha() for c in piece)):
             mixed = not piece.lower().startswith(URL_PREFIXES)

@@ -159,9 +159,11 @@ AnyLexicon = ValenceLexicon | PatternLexicon | SynsetLexicon
 
 
 def require_kind(lexicon: AnyLexicon, expected: type) -> None:
-    """Raise TypeError unless ``lexicon`` is an ``expected`` lexicon."""
+    """Raise TypeError unless ``lexicon`` is an ``expected`` lexicon; the
+    message names the kind of another lexicon, or the type of a non-lexicon."""
     if not isinstance(lexicon, expected):
-        raise TypeError(f"expected a {expected.kind} lexicon, got {lexicon.kind}")
+        got = lexicon.kind if isinstance(lexicon, _Lexicon) else type(lexicon).__name__
+        raise TypeError(f"expected a {expected.kind} lexicon, got {got}")
 
 
 def _rows(path: Path, width: int) -> Iterator[tuple[int, list[str]]]:

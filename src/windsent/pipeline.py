@@ -89,7 +89,7 @@ def _preprocess_config(config: RunConfig) -> PreprocessConfig:
     )
 
 
-def _write_skip_report(skipped: tuple[corpus.SkippedRecord, ...], path: Path) -> None:
+def update_skip_report(skipped: tuple[corpus.SkippedRecord, ...], path: Path) -> None:
     """Write the skip report, or remove a leftover one from an earlier run
     when nothing was skipped."""
     if skipped:
@@ -116,7 +116,7 @@ def run_analyze(config: RunConfig) -> report_mod.AnalysisReport:
     configuration leaves no partial results."""
     result, skipped = analyze_only(config)
     report_mod.write_report_files(result, config.out_dir)
-    _write_skip_report(skipped, config.out_dir / "skipped.jsonl")
+    update_skip_report(skipped, config.out_dir / "skipped.jsonl")
     if config.plots:
         svgplots.render_report_plots(report_mod.summary_to_dict(result),
                                      config.out_dir / "plots")
@@ -150,5 +150,5 @@ def run_preprocess_only(config: RunConfig, out_file: str | Path) -> Path:
     out_path = Path(out_file)
     write_file(out_path, corpus.jsonl_text(cleaned_document_record(doc)
                                            for doc in documents))
-    _write_skip_report(skipped, out_path.with_suffix(".skipped.jsonl"))
+    update_skip_report(skipped, out_path.with_suffix(".skipped.jsonl"))
     return out_path

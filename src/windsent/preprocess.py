@@ -118,17 +118,31 @@ def _suffix_lemma(token: str) -> str | None:
         if n >= 4 and not token.endswith(("ss", "us", "is")):
             return token[:-1]
     elif (last == "g" and token.endswith("ing") and n >= 6
-          and any(c in _VOWELS for c in token[:-3])):
+          and not _VOWELS.isdisjoint(token[:-3])):
         return token[:-3]
     elif (last == "d" and token.endswith("ed") and not token.endswith("eed") and n >= 5
-          and any(c in _VOWELS for c in token[:-2])):
+          and not _VOWELS.isdisjoint(token[:-2])):
         return token[:-2]
     return None
 
 
 def lemmatize(token: str, table: Mapping[str, str]) -> str:
     """Dictionary lemma when the token is in the table, else suffix-rule
-    fallback, iterated to a fixpoint. Unknown tokens pass through."""
+    fallback, iterated to a fixpoint. Unknown tokens pass through.
+
+    A suffix step always shortens the token, so the walk cannot repeat a
+    token before it reaches a table key; until then no ``seen`` set is
+    kept, and a token whose last letter no rule reads ends the walk."""
+    current = token
+    while current not in table:
+        if current[-1:] not in "sgd":
+            return current
+        reduced = _suffix_lemma(current)
+        if reduced is None:
+            return current
+        current = reduced
+    # a table step may lengthen the token and lead back to one already
+    # walked: from here, walk again from the start keeping every token seen
     seen = set()
     current = token
     while current not in seen:
@@ -178,29 +192,35 @@ def _transform_token(token: str, config: PreprocessConfig) -> str:
     return current
 
 
-def _clean_word(word: str, config: PreprocessConfig) -> str | None:
-    """One normalized word's cleaned token, or None when a stopword drops it
-    before or after the transform."""
-    if word in config.stopwords:
-        return None
-    word = _transform_token(word, config)
-    return None if word in config.stopwords else word
-
-
 def _clean_text(text: str | None, config: PreprocessConfig,
                 memo: dict[str, str | None]) -> tuple[tuple[str, ...], str | None]:
+    """One text's tokens and drop reason. A raw piece not in the memo is
+    normalized like ``normalize_piece`` does, dropped when it is a stopword
+    before or after the transform, and stored (unless it is a URL)."""
     pieces = text.split() if text is not None else ()
     if not pieces:
         return (), "null"
+    stopwords = config.stopwords
+    table = config.lemma_table if config.apply_lemmatization else None
+    stemming = config.apply_stemming
     tokens = []
     seen = memo.get
     for piece in pieces:
         cleaned = seen(piece, _UNSEEN)
         if cleaned is _UNSEEN:
-            word = normalize_piece(piece)
-            if word is None:
+            word = piece.lower()
+            if word.startswith(URL_PREFIXES):
                 continue  # a URL: seldom repeated, so it takes no memo slot
-            cleaned = _clean_word(word, config) if word else None
+            if not word.isalnum():
+                word = word.translate(DELETE_PUNCTUATION)
+            if not word or word in stopwords:
+                cleaned = None
+            else:
+                if stemming:
+                    word = _transform_token(word, config)
+                elif table is not None:
+                    word = lemmatize(word, table)
+                cleaned = None if word in stopwords else word
             if len(memo) < MEMO_CAP:
                 memo[piece] = cleaned
         if cleaned is not None:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from windsent.analytics import top_words
+from windsent.analytics import top_words, word_qualifies
 from windsent.engines import score_pattern_avg, score_synset, score_valence_rule
 from windsent.lexicons import (
     DuplicateWordError,
@@ -146,6 +146,22 @@ class TestWrongKind:
             score_synset([("good", "adj")], lexicons.valence)
         with pytest.raises(TypeError, match="^expected a valence lexicon, got synset$"):
             top_words([], [], lexicons.synset, "valence_rule", "positive")
+
+    @pytest.mark.parametrize("not_a_lexicon,type_name", [
+        (None, "NoneType"), ({"good": 1.9}, "dict"), ("valence", "str"),
+    ])
+    def test_a_non_lexicon_is_named_by_its_type(self, not_a_lexicon, type_name):
+        with pytest.raises(TypeError, match=f"^expected a valence lexicon, got {type_name}$"):
+            score_valence_rule(["good"], not_a_lexicon)
+        with pytest.raises(TypeError, match=f"^expected a pattern lexicon, got {type_name}$"):
+            score_pattern_avg(["good"], not_a_lexicon)
+        with pytest.raises(TypeError, match=f"^expected a synset lexicon, got {type_name}$"):
+            score_synset([("good", "adj")], not_a_lexicon)
+        with pytest.raises(TypeError, match=f"^expected a valence lexicon, got {type_name}$"):
+            top_words([], [], not_a_lexicon, "valence_rule", "positive")
+        # word_qualifies takes any lexicon kind, so the last kind it tries is named
+        with pytest.raises(TypeError, match=f"^expected a synset lexicon, got {type_name}$"):
+            word_qualifies(not_a_lexicon, "good", "positive")
 
 
 class TestBundledLexicons:

@@ -396,6 +396,50 @@ class TestCli:
         assert code == 0
         assert len(list(out.glob("ranking_*.csv"))) == 6
 
+    def _planted_bad_records(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"id": "a", "text": "clean energy is a great idea"}\n'
+                          '{"id": "b"}\n'
+                          '{"id": "a", "text": "a repeated id"}\n'
+                          '{"id": "c", "text": "the turbines are horrible"}\n',
+                          encoding="utf-8")
+        return corpus
+
+    def test_top_words_lenient_writes_skip_report(self, tmp_path, capsys):
+        corpus = self._planted_bad_records(tmp_path)
+        out = tmp_path / "rankings"
+        code = main(["top-words", "--input", str(corpus), "--out", str(out), "--lenient"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        analyzed = tmp_path / "analyzed"
+        assert main(["analyze", "--input", str(corpus), "--out", str(analyzed),
+                     "--lenient"]) == 0
+        skipped = (out / "skipped.jsonl").read_text(encoding="utf-8")
+        assert skipped == (analyzed / "skipped.jsonl").read_text(encoding="utf-8")
+        assert [json.loads(line)["line"] for line in skipped.splitlines()] == [2, 3]
+        # a later run that skips nothing removes the stale report
+        corpus.write_text('{"id": "a", "text": "clean energy is a great idea"}\n',
+                          encoding="utf-8")
+        assert main(["top-words", "--input", str(corpus), "--out", str(out),
+                     "--lenient"]) == 0
+        assert not (out / "skipped.jsonl").exists()
+
+    def test_top_words_lenient_stdout_counts_skipped(self, tmp_path, capsys, monkeypatch):
+        corpus = self._planted_bad_records(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code = main(["top-words", "--input", str(corpus), "--lenient",
+                     "--engine", "valence_rule", "--side", "positive"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "skipped 2 records\n"
+        assert captured.out.startswith("# valence_rule positive\nword,frequency\n")
+        assert not (tmp_path / "skipped.jsonl").exists()
+        # nothing skipped, nothing said
+        corpus.write_text('{"id": "a", "text": "clean energy is a great idea"}\n',
+                          encoding="utf-8")
+        assert main(["top-words", "--input", str(corpus), "--lenient"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_plot_subcommand_rerenders(self, golden_config, golden_dir, tmp_path,
                                        capsys):
         run_analyze(golden_config)
@@ -683,7 +727,7 @@ def test_cross_python_names_a_file_that_differs(tmp_path):
                             capture_output=True, text=True)
     assert result.returncode == 1, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 5  # two analyze runs on each of two corpora, one on the third
+    assert len(lines) == 7  # three analyze runs on each of two corpora, one on the third
     assert lines[0].startswith(f"DIFFERS {fake}: golden/analyze: comments.csv differs at line ")
 
 

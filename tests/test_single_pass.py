@@ -4,7 +4,9 @@ rescaled around "but" and summed in separate passes, and a negation window
 re-sliced and a previous entry looked up again for every matched word.
 Floats are compared by repr, so -0.0 against 0.0 counts as a difference.
 Cleaning's one lemmatize per token is checked against the joint
-lemmatize/stem loop it replaced, and the suffix rules against their chain."""
+lemmatize/stem loop it replaced, ``lemmatize`` against the walk that keeps
+a ``seen`` set from its first step, and the suffix rules against their
+chain."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -307,6 +309,20 @@ def test_caps_profile_needs_a_letter():
     assert _caps_profile("Ⓐ GOOD ϒ") == (frozenset({"good", "ϒ"}), True)
 
 
+@pytest.mark.parametrize("raw,expected", [
+    ("GREAT!! day", (frozenset({"great"}), False)),
+    ("A1 B2", (frozenset({"a1", "b2"}), True)),
+    ("__X__ marks", (frozenset({"x"}), False)),
+    ("HTTP://X.COM GOOD", (frozenset({"good"}), True)),
+    ("HTTP://X.COM good", (frozenset(), False)),
+    ("GREAT!! Ⓐ", (frozenset({"great"}), True)),
+])
+def test_caps_profile_of_ascii_upper_pieces(raw, expected):
+    # an ASCII upper piece holds a letter A-Z, which punctuation deletion
+    # keeps, so it is a caps word unless it is a URL
+    assert _caps_profile(raw) == expected == multipass_caps_profile(raw)
+
+
 @pytest.mark.parametrize("lexicon", PATTERN_LEXICONS, ids=["bundled", "extended"])
 @given(tokens=tokens_strategy)
 @settings(max_examples=400, deadline=None)
@@ -364,6 +380,68 @@ _lemma_tables = st.dictionaries(_lemma_words, _lemma_words, max_size=6)
 def test_lemmatize_is_idempotent(table, token):
     once = lemmatize(token, table=table)
     assert lemmatize(once, table=table) == once
+
+
+def seen_set_lemmatize(token, table):
+    """The walk that keeps every token it has seen from the first step."""
+    seen = set()
+    current = token
+    while current not in seen:
+        seen.add(current)
+        if current in table:
+            mapped = table[current]
+            if mapped == current:
+                return current
+            current = mapped
+            continue
+        reduced = _suffix_lemma(current)
+        if reduced is None:
+            return current
+        current = reduced
+    return current
+
+
+_INFLECTIONS = ["", "s", "es", "ies", "ing", "ings", "ed", "eds", "inged", "d", "g"]
+
+
+@st.composite
+def cyclic_tables(draw):
+    """Distinct words split into self-maps and 2- and 3-cycles, plus a few
+    onward maps, so that a walk reaches a table key after zero, one or two
+    suffix steps and may go round a cycle through the suffix rules."""
+    words = draw(st.lists(st.one_of(_lemma_words, st.sampled_from(["zqing", "zqings"])),
+                          min_size=1, max_size=7, unique=True))
+    table = {}
+    i = 0
+    while i < len(words):
+        size = draw(st.integers(1, 3))
+        group = words[i:i + size]
+        for key, value in zip(group, group[1:] + group[:1]):
+            table[key] = value
+        i += size
+    table.update(draw(st.dictionaries(st.sampled_from(words), _lemma_words, max_size=3)))
+    return table
+
+
+@given(data=st.data(), table=cyclic_tables())
+@settings(max_examples=1500, deadline=None)
+def test_lemmatize_matches_seen_set_walk(data, table):
+    token = data.draw(st.one_of(
+        st.tuples(st.sampled_from(sorted(table)), st.sampled_from(_INFLECTIONS)).map("".join),
+        _lemma_words))
+    assert lemmatize(token, table=table) == seen_set_lemmatize(token, table)
+
+
+@pytest.mark.parametrize("table", [
+    {"zqing": "zqingings"}, {"farm": "farms"}, {"farm": "farming"},
+    {"zqing": "zqings", "zqings": "zqing"}, {"box": "boxed", "boxe": "box"},
+    default_config().lemma_table,
+], ids=["onward", "suffix-cycle", "back-to-start", "2-cycle", "chain", "bundled"])
+def test_lemmatize_matches_seen_set_walk_on_every_inflection(table):
+    for word in sorted(set(table) | set(table.values())):
+        for ending in _INFLECTIONS:
+            token = word + ending
+            assert lemmatize(token, table=table) == seen_set_lemmatize(token, table)
 
 
 def test_lemma_table_cycle_ends_on_a_fixpoint():

@@ -5,12 +5,14 @@ compare the files each one writes.
     python3 tools/cross_python.py python3.10 python3.12 python3.13
 
 Under each interpreter given, and under the one running this script (the
-reference), it runs ``analyze --plots`` (paper-faithful, and engine-native
-with ``--stem``), ``preprocess`` and ``top-words --out`` on the golden corpus
-and on a small corpus that it writes to a temporary directory: awkward comment
-ids (comma, quote, CR, LF, NUL, U+2028, non-ASCII and astral characters) and
-awkward texts (Greek final sigma, dotted capital I, upper-case URLs,
-punctuation-only pieces, and words parted by NBSP, U+2028 or U+3000). It
+reference), it runs ``analyze --plots`` (paper-faithful; engine-native with
+``--stem``; engine-native with ``--disambiguation average-senses``),
+``preprocess`` and ``top-words --out`` on the golden corpus and on a small
+corpus that it writes to a temporary directory: awkward comment ids (comma,
+quote, CR, LF, NUL, U+2028, non-ASCII and astral characters) and awkward
+texts (Greek final sigma, dotted capital I, upper-case URLs,
+punctuation-only pieces, words parted by NBSP, U+2028 or U+3000, and
+inflected words that the suffix rules reduce, some in ALL CAPS). It
 also runs ``analyze --lenient`` and ``preprocess --lenient`` on a third
 corpus, so that skip reports are compared too: it repeats an id holding
 U+31350, a letter newer than some interpreters' Unicode tables, and has one
@@ -50,11 +52,15 @@ AWKWARD_TEXTS = ("ΟΔΟΣ ΣΑΣ: the GREAT wind farm ΣΑΣ!",
                  "HTTP://X.COM WWW.WIND.ORG Https://a.b terrible noisy cables",
                  "good\u00a0wind\u2028farm\u3000whales\u2003turbines",
                  "!!! wind ... turbines ### great !!!",
-                 "\u03a3 \u03c2 \u03c3 \u0391\u03a3\u0301 \u03a3-\u03a3 wind turbines")
+                 "\u03a3 \u03c2 \u03c3 \u0391\u03a3\u0301 \u03a3-\u03a3 wind turbines",
+                 "AGREED: \u00c9NORME worries, beaches and FARMING! the speeds feed "
+                 "cabled turbines, agreed SKIES WORRIED")
 
 RUNS = {
     "analyze": ["analyze", "--plots"],
     "analyze-native-stem": ["analyze", "--plots", "--mode", "engine-native", "--stem"],
+    "analyze-native-average": ["analyze", "--plots", "--mode", "engine-native",
+                               "--disambiguation", "average-senses"],
     "preprocess": ["preprocess"],
     "top-words": ["top-words"],
 }
