@@ -166,10 +166,10 @@ def top_words(documents: Sequence[CleanedDocument],
     """The n most frequent side-qualifying words over the comments the
     engine labeled with that side; every token occurrence counts. Whether a
     word qualifies depends on the word alone, and a word outside the
-    lexicon never does, so only counted lexicon words are tested, each
-    once. Ties break by ascending word order for reproducibility. Document
-    ids and labeled ids must each be distinct, and every labeled id must
-    name a document."""
+    lexicon never does, so only lexicon words are counted, and each counted
+    word is tested once. Ties break by ascending word order for
+    reproducibility. Document ids and labeled ids must each be distinct, and
+    every labeled id must name a document."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine: {engine!r}")
     if side not in (POSITIVE, NEGATIVE):
@@ -194,14 +194,16 @@ def top_words(documents: Sequence[CleanedDocument],
             selected.append(tokens_by_id[item.comment_id])
         except KeyError:
             raise ValueError(f"no document for labeled comment {item.comment_id!r}") from None
-    counts = Counter(chain.from_iterable(selected))
+    # a dict's or frozenset's own __contains__, which calls faster than a
+    # keys view's
     if isinstance(lexicon, ValenceLexicon):
-        vocabulary = lexicon._valence.keys()
+        vocabulary = lexicon._valence
     elif isinstance(lexicon, PatternLexicon):
-        vocabulary = lexicon._pattern.keys()
+        vocabulary = lexicon._pattern
     else:
         vocabulary = lexicon.lemmas
-    ranked = sorted(((word, counts[word]) for word in counts.keys() & vocabulary
+    counts = Counter(filter(vocabulary.__contains__, chain.from_iterable(selected)))
+    ranked = sorted(((word, count) for word, count in counts.items()
                      if word_qualifies(lexicon, word, side)),
                     key=lambda kv: (-kv[1], kv[0]))
     return WordRanking(engine, side, tuple(ranked[:n]))

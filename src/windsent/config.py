@@ -8,7 +8,6 @@ any machine.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from pathlib import Path
@@ -25,6 +24,17 @@ from .errors import WindsentError, data_lines
 from .lexicons import (DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, LEXICON_FILENAMES,
                        bundled_lexicon_dir)
 from .svgplots import MAX_BINS
+
+# The interpreter's own SHA-256, which hashlib falls back to: importing
+# hashlib would map OpenSSL's libcrypto (3.4 MB resident) to hash one short
+# string per run.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class ConfigError(WindsentError):
@@ -158,7 +168,7 @@ class RunConfig(NamedTuple):
             },
         }
         canonical = json.dumps(source, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:

@@ -112,7 +112,9 @@ _COMMENT_ITEM = _item_template({
     },
 })
 _DROPPED_ITEM = _item_template({"id": "%s", "reason": "%s"})
-_ITEMS_PER_CHUNK = 1000
+# a chunk's text and its encoded bytes are alive at once; at 100 items they
+# stay small next to the report itself
+_ITEMS_PER_CHUNK = 100
 # the meta section: these AnalysisReport fields under their own names
 _META_FIELDS = ("config_digest", "corpus_size", "dropped_count", "epsilon",
                 "input_file", "kept_count", "pipeline_mode", "top_n")

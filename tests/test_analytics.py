@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -438,6 +439,40 @@ def test_top_words_tests_only_lexicon_words(lexicons, monkeypatch):
                 documents, labeled, lexicon, engine, side, 30)
             assert set(calls) == set(doc.tokens) & _lexicon_words(lexicon)
             assert "zzz" not in calls and max(calls.values(), default=1) == 1
+
+
+def _top_words_peak_bytes(lexicons, distinct):
+    """Peak bytes traced while top_words ranks 200 comments of 250 tokens:
+    ``distinct`` fresh non-lexicon words in turn, plus a few lexicon words."""
+    fresh = [f"zq{i}x" for i in range(distinct)]
+    documents = [_doc(f"c{d}", ["good", "terrible", "great"]
+                      + [fresh[(d * 247 + t) % distinct] for t in range(247)])
+                 for d in range(200)]
+    peaks = []
+    for engine in ENGINES:
+        lexicon = getattr(lexicons, ENGINE_LEXICONS[engine].kind)
+        labeled = [LabeledComment(doc.comment_id, engine, vscore(0.5), POSITIVE)
+                   for doc in documents]
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            ranking = top_words(documents, labeled, lexicon, engine, POSITIVE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ranking.entries and all(count == 200 for _, count in ranking.entries)
+        peaks.append(peak - before)
+    return peaks
+
+
+def test_top_words_memory_does_not_grow_with_non_lexicon_words(lexicons):
+    # only lexicon words can rank, so only they are counted: 50,000 distinct
+    # fresh words cost no more than 2,000 (a Counter of every token would
+    # hold 50,000 entries, over 2 MB)
+    small = _top_words_peak_bytes(lexicons, 2_000)
+    large = _top_words_peak_bytes(lexicons, 50_000)
+    for engine, small_peak, large_peak in zip(ENGINES, small, large):
+        assert large_peak < small_peak + 64 * 1024, (engine, small_peak, large_peak)
 
 
 def test_top_words_repeated_document_id_rejected(lexicons):

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 from unittest import mock
 
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from windsent import corpus
 from windsent.corpus import (
+    OPTIONAL_FIELDS,
+    REQUIRED_FIELDS,
     Comment,
     CommentCollection,
     DuplicateIdError,
@@ -295,3 +299,59 @@ def test_jsonl_loading_matches_json_loads_on_every_line(tmp_path_factory, lines,
     with mock.patch.object(corpus, "_iter_jsonl", _iter_jsonl_by_json_loads):
         expected = _outcomes(path)
     assert _outcomes(path) == expected
+
+
+def _iter_csv_by_stringio(text):
+    """Reference reading: csv.reader over io.StringIO(text, newline="")."""
+    if "\0" in text:
+        line = len(io.StringIO(text[:text.index("\0") + 1], newline="").readlines())
+        raise MalformedRecordError(line, "invalid CSV: line contains NUL")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            return
+        columns = [name.strip() for name in header]
+        for required in REQUIRED_FIELDS:
+            if required not in columns:
+                raise MalformedRecordError(1, f"header lacks required column {required!r}")
+        for name in REQUIRED_FIELDS + OPTIONAL_FIELDS:
+            if columns.count(name) > 1:
+                raise MalformedRecordError(1, f"header repeats column {name!r}")
+        known = set(REQUIRED_FIELDS) | set(OPTIONAL_FIELDS)
+        for row in reader:
+            if row:
+                yield reader.line_num, {name: value for name, value in zip(columns, row)
+                                        if name in known}
+    except csv.Error as exc:
+        raise MalformedRecordError(reader.line_num, f"invalid CSV: {exc}") from exc
+
+
+def _csv_outcome(iter_csv, text):
+    """The records read, then the line and reason of the error that ended
+    the reading, if any."""
+    records = []
+    try:
+        for lineno, raw in iter_csv(text):
+            records.append((lineno, dict(raw)))
+    except MalformedRecordError as exc:
+        return records, (exc.line, exc.reason)
+    return records, None
+
+
+_CSV_PIECES = st.sampled_from(["a", "b", " ", ",", '"', '""', "\r", "\n", "\r\n",
+                               "\x0b", "\x85", "\u2028", "\0", "id", "text"])
+
+
+@given(header=st.sampled_from(["", "id,text\n", "id,text\r", "id,text\r\n",
+                               "text,x,id\n", "id,text,id\n", '"id","te\nxt"\n']),
+       body=st.lists(_CSV_PIECES, max_size=40).map("".join))
+@example(header="id,text\n", body='a,x\rb,"' + "y" * 140_000 + '"\nc,z')
+@example(header="id,text\r", body='a,"x\r\n\u2028y"\r\rb,"q""\x85"\r\n')
+@example(header="id,text\n", body='a,"x\0"')
+@settings(max_examples=1000, deadline=None)
+def test_csv_lines_read_as_from_stringio(header, body):
+    # records, their line numbers and every error's line and text match the
+    # whole text read through io.StringIO(text, newline="")
+    text = header + body
+    assert _csv_outcome(corpus._iter_csv, text) == _csv_outcome(_iter_csv_by_stringio, text)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from windsent import config as config_module
 from windsent.cli import _flag_values, build_parser, main
 from windsent.config import (
     SETTINGS,
@@ -229,6 +233,23 @@ class TestConfigHandling:
         other = RunConfig(input_path=golden_corpus_path, input_format="jsonl",
                           out_dir=tmp_path, epsilon=0.05)
         assert base.digest() != other.digest()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=2000))
+    def test_digest_hash_is_sha256(self, data):
+        assert config_module.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+    def test_digest_falls_back_to_hashlib(self):
+        # with neither built-in SHA-256 module importable, config takes
+        # hashlib's sha256 and the digest stays the same
+        code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+                "from pathlib import Path; import hashlib; from windsent import config; "
+                "assert config.sha256 is hashlib.sha256; "
+                "print(config.RunConfig(Path('in.jsonl'), 'jsonl', Path('out')).digest())")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        expected = RunConfig(Path("in.jsonl"), "jsonl", Path("out")).digest()
+        assert result.stdout == expected + "\n"
 
 
 # config key -> (analyze flags, config-file text) for one non-default value
@@ -727,7 +748,7 @@ def test_cross_python_names_a_file_that_differs(tmp_path):
                             capture_output=True, text=True)
     assert result.returncode == 1, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 7  # three analyze runs on each of two corpora, one on the third
+    assert len(lines) == 8  # three analyze runs on each of two corpora, one on each other
     assert lines[0].startswith(f"DIFFERS {fake}: golden/analyze: comments.csv differs at line ")
 
 

@@ -10,6 +10,17 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "windsent"
+# the interpreter's own SHA-256 module is _sha256 on Python 3.10 and 3.11 and
+# _sha2 from 3.12 on; sys.stdlib_module_names lists only the running one's
+SHA256_MODULES = {"_sha256", "_sha2"}
+STDLIB = sys.stdlib_module_names | {"windsent"}
+if STDLIB & SHA256_MODULES:
+    STDLIB |= SHA256_MODULES
+# xml.sax.saxutils would bring in urllib.request, http.client, ssl and email;
+# dataclasses brings in inspect, which brings in ast, dis and tokenize;
+# hashlib brings in _hashlib, which maps OpenSSL's libcrypto
+HEAVY = ("xml.sax", "urllib.request", "http.client", "ssl", "email",
+         "dataclasses", "inspect", "_hashlib")
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -21,21 +32,35 @@ def test_imports_are_stdlib_or_windsent(path):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append(node.module)
-    outside = {name for name in names
-               if name.split(".")[0] not in sys.stdlib_module_names | {"windsent"}}
+    outside = {name for name in names if name.split(".")[0] not in STDLIB}
     assert not outside, f"{path.name} imports non-stdlib modules: {sorted(outside)}"
 
 
+def heavy_modules(names):
+    return [name for name in names
+            if any(name == h or name.startswith(h + ".") for h in HEAVY)]
+
+
 def test_cli_import_loads_no_heavy_modules():
-    # xml.sax.saxutils would bring in urllib.request, http.client, ssl and
-    # email; dataclasses brings in inspect, which brings in ast, dis and tokenize
-    heavy = ("xml.sax", "urllib.request", "http.client", "ssl", "email",
-             "dataclasses", "inspect")
     code = ("import sys; before = set(sys.modules); import windsent.cli; "
             "print(*sorted(set(sys.modules) - before))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     added = result.stdout.split()
     assert "windsent.cli" in added
-    assert not [name for name in added
-                if any(name == h or name.startswith(h + ".") for h in heavy)]
+    assert not heavy_modules(added)
+
+
+def test_analyze_run_loads_no_heavy_modules(tmp_path):
+    corpus = tmp_path / "one.jsonl"
+    corpus.write_text('{"id": "1", "text": "great clean wind turbines"}\n', encoding="utf-8")
+    code = ("import sys; from windsent.cli import main; "
+            f"code = main(['analyze', '--plots', '--input', {str(corpus)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]); "
+            "print(code, *sorted(sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    status, *loaded = result.stdout.splitlines()[-1].split()  # after the run's summary
+    assert status == "0"
+    assert "windsent.config" in loaded
+    assert not heavy_modules(loaded)

@@ -16,8 +16,13 @@ inflected words that the suffix rules reduce, some in ALL CAPS). It
 also runs ``analyze --lenient`` and ``preprocess --lenient`` on a third
 corpus, so that skip reports are compared too: it repeats an id holding
 U+31350, a letter newer than some interpreters' Unicode tables, and has one
-malformed record. For each interpreter and run whose exit status or files
-differ from the reference's, it names the first file that differs. Each
+malformed record. Last, it runs ``analyze --plots`` on an awkward CSV
+corpus, so that CSV line splitting is compared too: LF, CRLF and bare-CR
+line endings, and quoted fields holding CR, LF, CRLF, U+2028, U+0085 and
+doubled quotes. Every report records the config digest, whose SHA-256 comes
+from the ``_sha256`` module on 3.10 and 3.11 and from ``_sha2`` on 3.12 and
+later. For each interpreter and run whose exit status or files differ from
+the reference's, it names the first file that differs. Each
 interpreter, the reference too, also runs the oracle
 ``tools/golden_reference.py`` in a temporary copy of the tree (never in the
 checkout); a file it writes that differs from its copy in ``tests/golden/``
@@ -64,6 +69,16 @@ RUNS = {
     "preprocess": ["preprocess"],
     "top-words": ["top-words"],
 }
+# the header, then one record per item, ending in LF, CRLF or a bare CR
+CSV_RECORDS = ("id,text,source_group,timestamp\n",
+               "lf,Offshore wind turbines are great clean energy,coast,2024-01-01\n",
+               'crlf,"Terrible noisy turbines, they ruin the ocean view",,\r\n',
+               "cr,The wind farm is fine but the cables worry local fishermen,,\r",
+               '"q""id","GREAT ""clean"" wind\r\nfarm\rturbines\nare fine",g,\n',
+               'sep,"good\u2028wind\u0085farm whales, \u00c9NORME turbines",,\r\n',
+               '"cr\rid","terrible\rnoisy cables\u2028hurt whales",,\r',
+               '"lf\nid",short,,')  # too short: a dropped item; no final line break
+CSV_RUNS = {"analyze": RUNS["analyze"]}
 LENIENT_RUNS = {
     "analyze-lenient": ["analyze", "--lenient"],
     "preprocess-lenient": ["preprocess", "--lenient"],
@@ -85,6 +100,11 @@ def write_lenient_corpus(path: Path) -> Path:
     records += [{"id": "ok", "text": TEXTS[2]}, {"id": "no text"}]
     path.write_text("".join(json.dumps(record) + "\n" for record in records),
                     encoding="utf-8")
+    return path
+
+
+def write_csv_corpus(path: Path) -> Path:
+    path.write_bytes("".join(CSV_RECORDS).encode("utf-8"))
     return path
 
 
@@ -174,7 +194,8 @@ def main(argv: list[str]) -> int:
         corpora = {"golden": (GOLDEN_CORPUS, RUNS),
                    "awkward": (write_awkward_corpus(tmp_path / "awkward.jsonl"), RUNS),
                    "lenient": (write_lenient_corpus(tmp_path / "lenient.jsonl"),
-                               LENIENT_RUNS)}
+                               LENIENT_RUNS),
+                   "csv": (write_csv_corpus(tmp_path / "awkward.csv"), CSV_RUNS)}
         reference = sys.executable
         ref_status = run_all(reference, corpora, tmp_path / "run-0")
         differ = False
