@@ -1,9 +1,9 @@
 """Corpus ingestion: the comment data model plus CSV/JSONL loaders.
 
 Input formats:
-  CSV   - UTF-8, header row ``id,text,source_group,timestamp``, RFC-4180
-          quoting. Extra columns are ignored; a known column named twice is
-          an error; empty optional cells mean "absent".
+  CSV   - UTF-8, header row ``id,text,source_group,timestamp``, strict
+          RFC-4180 quoting. Extra columns are ignored; a known column named
+          twice is an error; empty optional cells mean "absent".
   JSONL - one JSON object per line with the same field names. Unknown keys
           are ignored so that files with extra annotations (for example the
           cleaned-corpus output of the preprocess subcommand) stay loadable;
@@ -31,6 +31,8 @@ _scan_once = json.JSONDecoder().scan_once  # what json.loads runs, minus its per
 # one line as io.StringIO(text, newline="") yields it: through "\r\n", "\r" or
 # "\n", or the unterminated last line; never empty
 _CSV_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+# one JSONL line: through "\n", or the unterminated last line; never empty
+_JSONL_LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
 
 class FileNotReadableError(WindsentError):
@@ -129,8 +131,11 @@ def _iter_csv(text: str) -> Iterator[tuple[int, Mapping[str, object]]]:
         line = sum(1 for _ in _CSV_LINE.finditer(text, 0, text.index("\0") + 1))
         raise MalformedRecordError(line, "invalid CSV: line contains NUL")
     # lines are cut one at a time, where io.StringIO would first copy the
-    # whole text at four bytes a character
-    reader = csv.reader(map(re.Match.group, _CSV_LINE.finditer(text)))
+    # whole text at four bytes a character; strict quoting refuses an
+    # unclosed quote, which would otherwise swallow every later line, and
+    # text after a closing quote
+    reader = csv.reader(map(re.Match.group, _CSV_LINE.finditer(text)), strict=True)
+    start = 1  # the line where the record being read starts
     # the reader cannot resume after an error, so lenient loading aborts too
     try:
         header = next(reader, None)
@@ -143,26 +148,22 @@ def _iter_csv(text: str) -> Iterator[tuple[int, Mapping[str, object]]]:
         for name in REQUIRED_FIELDS + OPTIONAL_FIELDS:
             if columns.count(name) > 1:
                 raise MalformedRecordError(1, f"header repeats column {name!r}")
-        known = set(REQUIRED_FIELDS) | set(OPTIONAL_FIELDS)
+        start = reader.line_num + 1
         for row in reader:
-            if not row:
-                continue
             # short rows leave later columns absent; extra cells are ignored
-            raw: dict[str, object] = {}
-            for name, value in zip(columns, row):
-                if name in known:
-                    raw[name] = value
-            yield reader.line_num, raw
+            if row:
+                yield reader.line_num, dict(zip(columns, row))
+            start = reader.line_num + 1
     except csv.Error as exc:
-        raise MalformedRecordError(reader.line_num, f"invalid CSV: {exc}") from exc
+        raise MalformedRecordError(start, f"invalid CSV: {exc}") from exc
 
 
 def _iter_jsonl(text: str) -> Iterator[tuple[int, Mapping[str, object]]]:
-    # split on "\n" only (tolerating CRLF): JSON strings may legally contain
-    # raw U+2028/U+2029, which str.splitlines would misread as record breaks
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if line.endswith("\r"):
-            line = line[:-1]
+    # lines end at "\n" only (a CR before it is dropped): JSON strings may
+    # legally contain raw U+2028/U+2029, which str.splitlines would misread
+    # as record breaks. Each line is cut as it is read, never all at once.
+    for lineno, match in enumerate(_JSONL_LINE.finditer(text), start=1):
+        line = match.group().removesuffix("\n").removesuffix("\r")
         if not line.strip():
             continue
         # json.loads(line) returns what the scanner reads when that is the

@@ -27,7 +27,7 @@ cleaned tokens only, which leaves its caps/punctuation heuristics inert;
 from __future__ import annotations
 
 import math
-from pathlib import Path
+from functools import cache
 from typing import Mapping, NamedTuple, Sequence
 
 from .lexicons import (
@@ -36,7 +36,6 @@ from .lexicons import (
     PatternLexicon,
     SynsetLexicon,
     ValenceLexicon,
-    load_once,
     load_table,
     require_kind,
 )
@@ -93,7 +92,6 @@ NORMALIZATION_ALPHA = 15.0
 PATTERN_NEGATION_WINDOW = 3
 PATTERN_NEGATION_FACTOR = -0.5
 
-_POS_TABLE_KEY = str(DEFAULT_POS_TABLE_PATH)  # tag_pos's load_once key
 
 class _ScoreFields(NamedTuple):
     engine: str
@@ -267,14 +265,20 @@ def score_pattern_avg(tokens: Sequence[str], lexicon: PatternLexicon) -> Sentime
                           subjectivity=subjectivity_sum / matched)
 
 
-def load_pos_table(path: str | Path = DEFAULT_POS_TABLE_PATH) -> Mapping[str, str]:
-    return load_table(path)
+def load_pos_table() -> Mapping[str, str]:
+    return load_table(DEFAULT_POS_TABLE_PATH)
+
+
+@cache
+def _pos_table() -> Mapping[str, str]:
+    # cached here, not in load_pos_table, so that a process calls it once
+    return load_pos_table()
 
 
 def tag_pos(tokens: Sequence[str]) -> list[tuple[str, str]]:
     """Most-frequent-tag lookup in the bundled table with suffix fallback:
     -ly adverb, -ing/-ed verb, -ous/-ful/-able adjective, noun otherwise."""
-    table = load_once(load_pos_table, _POS_TABLE_KEY)
+    table = _pos_table()
     tagged = []
     for token in tokens:
         tag = table.get(token)
@@ -325,16 +329,13 @@ def score_synset(tagged_tokens: Sequence[tuple[str, str]], lexicon: SynsetLexico
 
 
 class EngineScores(NamedTuple):
+    # fields in ENGINES order: scores zip against ENGINES
     pattern_avg: SentimentScore
     synset: SentimentScore
     valence_rule: SentimentScore
 
     def by_engine(self) -> dict[str, SentimentScore]:
-        return {
-            ENGINE_PATTERN: self.pattern_avg,
-            ENGINE_SYNSET: self.synset,
-            ENGINE_VALENCE: self.valence_rule,
-        }
+        return dict(zip(ENGINES, self))
 
 
 def score_all(document: CleanedDocument, lexicons: LexiconSet,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import string
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple, TypeVar
 
@@ -330,12 +329,6 @@ def load_stopwords(path: str | Path = DEFAULT_STOPWORDS_PATH) -> frozenset[str]:
     """A stopword list, one word per line."""
     return _load(lambda p: frozenset(_check_word(word, lineno) for lineno, word
                                      in data_lines(p, LexiconFileError)), path)
-
-
-@lru_cache(maxsize=None)
-def load_once(load: Callable[[str], _Loaded], path: str) -> _Loaded:
-    """``load(path)``, run once per process, loader and path."""
-    return load(path)
 
 
 class LexiconSet(NamedTuple):

@@ -32,7 +32,7 @@ def analyze_collection(collection: corpus.CommentCollection,
     for doc in kept:
         scores = engines.score_all(doc, lexicons, mode=mode, disambiguation=disambiguation)
         labels = {}
-        for engine, score in scores.by_engine().items():
+        for engine, score in zip(engines.ENGINES, scores):
             item = analytics.label_comment(doc.comment_id, score, epsilon)
             labeled[engine].append(item)
             labels[engine] = item.label

@@ -19,6 +19,7 @@ from .errors import write_file
 from .lexicons import NOT_XML_CHARS
 from .report import SIDES, ReportNotReadableError
 
+PLOT_LABEL_ORDER = ("positive", "neutral", "negative")
 LABEL_COLORS = {
     "negative": "#c62828",
     "neutral": "#9e9e9e",
@@ -50,40 +51,38 @@ def _title(text: str, width: int) -> str:
             f"{FONT} font-size=\"16\">{_escape(text)}</text>")
 
 
-def bar_chart_svg(title: str, labels: Sequence[str], values: Sequence[int | float],
-                  colors: Sequence[str]) -> str:
-    """Vertical bar chart; zero-height bars are drawn as zero-height rects
-    so degenerate distributions still render."""
+def bar_chart_svg(title: str, values: Sequence[int | float]) -> str:
+    """Vertical bar chart of the label counts, in PLOT_LABEL_ORDER;
+    zero-height bars are drawn as zero-height rects so degenerate
+    distributions still render."""
     width, height = 640, 420
     left, right, top, bottom = 60, 20, 48, 60
     plot_w = width - left - right
     plot_h = height - top - bottom
-    n = len(labels)
     body = [_title(title, width)]
     body.append(f"<line x1=\"{left}\" y1=\"{top + plot_h}\" x2=\"{left + plot_w}\" "
                 f"y2=\"{top + plot_h}\" stroke=\"#333333\" stroke-width=\"1\"/>")
     peak = max((float(v) for v in values), default=0.0)
-    if n:
-        slot = plot_w / n
-        bar_w = slot * 0.6
-        for i, (lab, value) in enumerate(zip(labels, values)):
-            h = 0.0 if peak <= 0 else float(value) / peak * plot_h
-            x = left + slot * i + (slot - bar_w) / 2
-            y = top + plot_h - h
-            body.append(f"<rect x=\"{_fmt(x)}\" y=\"{_fmt(y)}\" width=\"{_fmt(bar_w)}\" "
-                        f"height=\"{_fmt(h)}\" fill=\"{colors[i]}\"/>")
-            body.append(f"<text x=\"{_fmt(x + bar_w / 2)}\" y=\"{_fmt(y - 6)}\" "
-                        f"text-anchor=\"middle\" {FONT} font-size=\"12\">{_escape(str(value))}</text>")
-            body.append(f"<text x=\"{_fmt(x + bar_w / 2)}\" y=\"{top + plot_h + 18}\" "
-                        f"text-anchor=\"middle\" {FONT} font-size=\"12\">{_escape(str(lab))}</text>")
+    slot = plot_w / len(PLOT_LABEL_ORDER)
+    bar_w = slot * 0.6
+    for i, (lab, value) in enumerate(zip(PLOT_LABEL_ORDER, values)):
+        h = 0.0 if peak <= 0 else float(value) / peak * plot_h
+        x = left + slot * i + (slot - bar_w) / 2
+        y = top + plot_h - h
+        body.append(f"<rect x=\"{_fmt(x)}\" y=\"{_fmt(y)}\" width=\"{_fmt(bar_w)}\" "
+                    f"height=\"{_fmt(h)}\" fill=\"{LABEL_COLORS[lab]}\"/>")
+        body.append(f"<text x=\"{_fmt(x + bar_w / 2)}\" y=\"{_fmt(y - 6)}\" "
+                    f"text-anchor=\"middle\" {FONT} font-size=\"12\">{_escape(str(value))}</text>")
+        body.append(f"<text x=\"{_fmt(x + bar_w / 2)}\" y=\"{top + plot_h + 18}\" "
+                    f"text-anchor=\"middle\" {FONT} font-size=\"12\">{lab}</text>")
     return _svg(width, height, body)
 
 
-def pie_chart_svg(title: str, labels: Sequence[str], values: Sequence[int | float],
-                  colors: Sequence[str]) -> str:
-    """Pie with wedge angles proportional to the values, starting at twelve
-    o'clock and sweeping clockwise. An all-zero distribution renders an
-    "empty" placeholder glyph instead of a pie."""
+def pie_chart_svg(title: str, values: Sequence[int | float]) -> str:
+    """Pie of the label counts, in PLOT_LABEL_ORDER, with wedge angles
+    proportional to the values, starting at twelve o'clock and sweeping
+    clockwise. An all-zero distribution renders an "empty" placeholder glyph
+    instead of a pie."""
     width, height = 480, 420
     cx, cy, radius = 200.0, 230.0, 150.0
     body = [_title(title, width)]
@@ -98,7 +97,8 @@ def pie_chart_svg(title: str, labels: Sequence[str], values: Sequence[int | floa
                     f"{FONT} font-size=\"14\" fill=\"#9e9e9e\">empty</text>")
     else:
         angle = 0.0
-        for lab, value, color in zip(labels, values, colors):
+        for lab, value in zip(PLOT_LABEL_ORDER, values):
+            color = LABEL_COLORS[lab]
             fraction = float(value) / total
             if fraction <= 0:
                 continue
@@ -122,10 +122,10 @@ def pie_chart_svg(title: str, labels: Sequence[str], values: Sequence[int | floa
             angle += sweep
     legend_x = 380
     legend_y = 120
-    for i, (lab, value, color) in enumerate(zip(labels, values, colors)):
+    for i, (lab, value) in enumerate(zip(PLOT_LABEL_ORDER, values)):
         y = legend_y + i * 24
         body.append(f"<rect x=\"{legend_x}\" y=\"{y - 11}\" width=\"14\" height=\"14\" "
-                    f"fill=\"{color}\"/>")
+                    f"fill=\"{LABEL_COLORS[lab]}\"/>")
         body.append(f"<text x=\"{legend_x + 20}\" y=\"{y}\" {FONT} "
                     f"font-size=\"12\">{_escape(f'{lab}: {value}')}</text>")
     return _svg(width, height, body)
@@ -187,9 +187,6 @@ def histogram_svg(title: str, bin_edges: Sequence[float], counts: Sequence[int])
             body.append(f"<text x=\"{_fmt(x)}\" y=\"{top + plot_h + 18}\" "
                         f"text-anchor=\"middle\" {FONT} font-size=\"10\">{_fmt(edge)}</text>")
     return _svg(width, height, body)
-
-
-PLOT_LABEL_ORDER = ("positive", "neutral", "negative")
 
 
 # charts scale counts as floats, which hold every int only up to 2**53
@@ -266,13 +263,10 @@ def render_report_plots(summary: Mapping, outdir: str | Path) -> list[Path]:
             f"not a windsent report ({type(exc).__name__}: {exc})") from exc
     outdir = Path(outdir)
     charts = []
-    colors = [LABEL_COLORS[lab] for lab in PLOT_LABEL_ORDER]
     for engine in ENGINES:
         values = distributions[engine]
-        charts.append(bar_chart_svg(f"Sentiment distribution ({engine})",
-                                    PLOT_LABEL_ORDER, values, colors))
-        charts.append(pie_chart_svg(f"Sentiment shares ({engine})",
-                                    PLOT_LABEL_ORDER, values, colors))
+        charts.append(bar_chart_svg(f"Sentiment distribution ({engine})", values))
+        charts.append(pie_chart_svg(f"Sentiment shares ({engine})", values))
     charts.append(histogram_svg("Subjectivity distribution (pattern_avg)", edges, counts))
     for engine in ENGINES:
         for side in SIDES:

@@ -74,12 +74,15 @@ class TestCsvLoading:
         path = write(tmp_path / "c.csv",
                      'id,text,source_group,timestamp\n'
                      'a,"hello, world",grp,2023-01-01T00:00:00Z\n'
-                     'b,"line\nbreak",,\n')
+                     'b,"line\nbreak",,\n'
+                     'c,say "hi" x""y,,\n')
         collection = load_corpus(path, "csv")
         assert collection.comments[0].text == "hello, world"
         assert collection.comments[0].source_group == "grp"
         assert collection.comments[1].text == "line\nbreak"
         assert collection.comments[1].source_group is None
+        # a quote inside an unquoted field is an ordinary character
+        assert collection.comments[2].text == 'say "hi" x""y'
 
     def test_missing_required_column(self, tmp_path):
         path = write(tmp_path / "c.csv", "id,body\na,x\n")
@@ -214,13 +217,21 @@ class TestEncodingEdgeCases:
 
     @pytest.mark.parametrize("lenient", [False, True])
     def test_csv_reader_error_is_malformed_record(self, tmp_path, lenient):
-        # the reader cannot resume after a field over its size limit
-        path = write(tmp_path / "c.csv", "id,text\na,x\nb," + "y" * 140_000 + "\nc,z\n")
+        # the reader cannot resume after an error, so lenient loading aborts
+        # too; each error names the line where its record starts, not the
+        # line where the reader gave up
         load = load_corpus_lenient if lenient else load_corpus
-        with pytest.raises(MalformedRecordError) as exc:
-            load(path, "csv")
-        assert exc.value.line == 3
-        assert "field limit" in exc.value.reason
+        for body, reason in [
+            ("b," + "y" * 140_000 + "\nc,z\n", "field larger than field limit (131072)"),
+            # strict quoting: text after a closing quote, a space too
+            ('b,"x" ,y\n', "',' expected after '\"'"),
+            ('b,"two\nlines"y\n', "',' expected after '\"'"),
+            ('b,"two\nlines\nc,z\n', "unexpected end of data"),
+        ]:
+            path = write(tmp_path / "c.csv", "id,text\na,x\n" + body)
+            with pytest.raises(MalformedRecordError) as exc:
+                load(path, "csv")
+            assert (exc.value.line, exc.value.reason) == (3, f"invalid CSV: {reason}")
 
     def test_unicode_line_separator_round_trips(self, tmp_path):
         # U+2028 is a legal raw character inside a JSON string and must not
@@ -302,11 +313,13 @@ def test_jsonl_loading_matches_json_loads_on_every_line(tmp_path_factory, lines,
 
 
 def _iter_csv_by_stringio(text):
-    """Reference reading: csv.reader over io.StringIO(text, newline="")."""
+    """Reference reading: a strict csv.reader over io.StringIO(text,
+    newline=""), each error reported at the line where its record starts."""
     if "\0" in text:
         line = len(io.StringIO(text[:text.index("\0") + 1], newline="").readlines())
         raise MalformedRecordError(line, "invalid CSV: line contains NUL")
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    start = 1
     try:
         header = next(reader, None)
         if header is None:
@@ -318,13 +331,13 @@ def _iter_csv_by_stringio(text):
         for name in REQUIRED_FIELDS + OPTIONAL_FIELDS:
             if columns.count(name) > 1:
                 raise MalformedRecordError(1, f"header repeats column {name!r}")
-        known = set(REQUIRED_FIELDS) | set(OPTIONAL_FIELDS)
+        start = reader.line_num + 1
         for row in reader:
             if row:
-                yield reader.line_num, {name: value for name, value in zip(columns, row)
-                                        if name in known}
+                yield reader.line_num, dict(zip(columns, row))
+            start = reader.line_num + 1
     except csv.Error as exc:
-        raise MalformedRecordError(reader.line_num, f"invalid CSV: {exc}") from exc
+        raise MalformedRecordError(start, f"invalid CSV: {exc}") from exc
 
 
 def _csv_outcome(iter_csv, text):

@@ -4,13 +4,18 @@ The pipeline relies on a few cross-file properties: modifier vocabularies
 never appear in the stopword list, lexicon words survive the cleaning
 pipeline unchanged (otherwise corpus tokens could never match them), and
 every synset lemma is reachable under the tag its entries carry. The two
-key/value tables must also be unambiguous.
+key/value tables must also be unambiguous, and every data file must ship in
+a built package.
 
 Per-file checks (duplicate words, score ranges, finite numbers, synset tags)
 are the lexicon loaders' own and run whenever the ``lexicons`` fixture loads.
 """
 
+import glob
 from collections import Counter
+from pathlib import Path
+
+import pytest
 
 from windsent.engines import AMPLIFIERS, CONTRAST_WORD, DAMPENERS, NEGATION_WORDS, tag_pos
 from windsent.errors import data_lines
@@ -87,3 +92,17 @@ def test_intensifier_entries_carry_zero_polarity(lexicons):
         if entry.is_intensifier:
             assert entry.polarity == 0.0
 
+
+def test_every_data_file_matches_a_package_data_glob():
+    # tests import the package from the source tree, so a data file that a
+    # built package would leave out is noticed here only
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = Path(__file__).resolve().parents[1]
+    pyproject = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    package = root / "src" / "windsent"
+    packaged = {Path(name).as_posix()
+                for pattern in pyproject["tool"]["setuptools"]["package-data"]["windsent"]
+                for name in glob.glob(pattern, root_dir=package)}
+    data = {path.relative_to(package).as_posix()
+            for path in (package / "data").rglob("*") if path.is_file()}
+    assert data and data - packaged == set()

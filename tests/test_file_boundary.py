@@ -114,6 +114,13 @@ def _jsonl_extra_key(tmp_path: Path, value: str) -> list[str]:
                    '{"id": "a", "text": "good wind farm here", "x": %s}\n' % value)
 
 
+# strict CSV quoting refuses both, naming the line where record b starts;
+# without it, the unclosed quote swallowed every later record and "x"y read
+# as xy, both exit 0
+_UNCLOSED_QUOTE = 'id,text\na,good wind farm\nb,"great turbines\nc,great clean energy\n'
+_TEXT_AFTER_QUOTE = 'id,text\na,good wind farm\nb,"x"y\nc,great clean energy\n'
+
+
 # case -> (arguments after the command and --input/--out, expected line start)
 BAD_INPUTS = {
     "stopwords-not-utf8": (
@@ -187,6 +194,18 @@ BAD_INPUTS = {
         lambda t: _corpus(t, "c.csv", 'id,text\na,"good\n'
                           + "b,fine words here\n" * 10_000) + ["--lenient"],
         "ERROR corpus/malformed-record: line "),
+    "csv-unclosed-quote": (
+        lambda t: _corpus(t, "c.csv", _UNCLOSED_QUOTE),
+        "ERROR corpus/malformed-record: line 3: invalid CSV: unexpected end of data"),
+    "csv-unclosed-quote-lenient": (
+        lambda t: _corpus(t, "c.csv", _UNCLOSED_QUOTE) + ["--lenient"],
+        "ERROR corpus/malformed-record: line 3: invalid CSV: unexpected end of data"),
+    "csv-text-after-closing-quote": (
+        lambda t: _corpus(t, "c.csv", _TEXT_AFTER_QUOTE),
+        "ERROR corpus/malformed-record: line 3: invalid CSV: ',' expected after '\"'"),
+    "csv-text-after-closing-quote-lenient": (
+        lambda t: _corpus(t, "c.csv", _TEXT_AFTER_QUOTE) + ["--lenient"],
+        "ERROR corpus/malformed-record: line 3: invalid CSV: ',' expected after '\"'"),
     # the last of the two columns used to load without an error
     # Python 3.10's csv reader refused NUL, later ones read it as data
     "csv-nul": (

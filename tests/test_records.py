@@ -21,6 +21,7 @@ from windsent.engines import (
     ENGINE_PATTERN,
     ENGINE_SYNSET,
     ENGINE_VALENCE,
+    ENGINES,
     MODE_PAPER,
     EngineScores,
     SentimentScore,
@@ -135,6 +136,14 @@ def test_named_tuple_records_equal_plain_tuples():
     assert SkippedRecord(3, "text is empty") == (3, "text is empty")
     line, reason = SkippedRecord(3, "text is empty")
     assert (line, reason) == (3, "text is empty")
+
+
+def test_engine_scores_fields_are_in_engine_order():
+    # the pipeline and by_engine zip the scores against ENGINES
+    assert EngineScores._fields == ENGINES
+    assert SCORES.by_engine() == {ENGINE_PATTERN: SCORES.pattern_avg,
+                                  ENGINE_SYNSET: SCORES.synset,
+                                  ENGINE_VALENCE: SCORES.valence_rule}
 
 
 def test_synset_lexicon_lemmas_are_derived():

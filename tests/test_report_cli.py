@@ -291,6 +291,18 @@ class TestSettingsTable:
         dests = {action.dest for action in _analyze_parser()._actions}
         assert dests - {"help", "config"} == set(SETTINGS)
 
+    def test_readme_names_each_key_and_its_flag(self):
+        flags = {action.dest: action.option_strings for action in _analyze_parser()._actions
+                 if action.dest in SETTINGS}
+        renamed = {"stemming": ["--stem"], "lemmatization": ["--no-lemmatize"]}
+        assert flags == {key: renamed.get(key, ["--" + key.replace("_", "-")])
+                         for key in SETTINGS}
+        readme = " ".join((SRC.parent / "README.md").read_text(encoding="utf-8").split())
+        keys = readme.split("those of `windsent.config.SETTINGS`:", 1)[1].split(". Each", 1)[0]
+        assert {word.strip("`,") for word in keys.split()} == set(SETTINGS)
+        assert "`stemming = true` is `--stem`" in readme
+        assert "`lemmatization = false` is `--no-lemmatize`" in readme
+
     @pytest.mark.parametrize("key", sorted(SETTING_CASES))
     def test_file_value_equals_flag_value(self, key):
         flags, text = SETTING_CASES[key]
@@ -750,6 +762,29 @@ def test_cross_python_names_a_file_that_differs(tmp_path):
     lines = result.stdout.splitlines()
     assert len(lines) == 8  # three analyze runs on each of two corpora, one on each other
     assert lines[0].startswith(f"DIFFERS {fake}: golden/analyze: comments.csv differs at line ")
+
+
+def test_cross_python_names_an_error_line_that_differs(tmp_path):
+    # an "interpreter" whose ERROR lines name the line after the right one
+    fake = tmp_path / "fake-python"
+    fake.write_text(f"#!{sys.executable}\n"
+                    "import subprocess, sys\n"
+                    f"run = subprocess.run([{sys.executable!r}, *sys.argv[1:]],\n"
+                    "                     capture_output=True, text=True)\n"
+                    "sys.stdout.write(run.stdout)\n"
+                    "sys.stderr.write(run.stderr.replace('line 3:', 'line 4:'))\n"
+                    "sys.exit(run.returncode)\n", encoding="utf-8")
+    fake.chmod(0o755)
+    result = subprocess.run([sys.executable, str(CROSS_PYTHON), str(fake)],
+                            capture_output=True, text=True)
+    assert result.returncode == 1, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 4  # strict and lenient runs on two bad-quote CSVs
+    assert lines[0] == (
+        f"DIFFERS {fake}: csv-unclosed-quote/analyze: exit status 1 (ERROR "
+        "corpus/malformed-record: line 4: invalid CSV: unexpected end of data), not exit "
+        "status 1 (ERROR corpus/malformed-record: line 3: invalid CSV: unexpected end of "
+        f"data) (reference {sys.executable})")
 
 
 def test_cross_python_names_an_oracle_file_that_differs(tmp_path):

@@ -15,13 +15,9 @@ from windsent.svgplots import (
     render_report_plots,
 )
 
-COLORS = ("#2e7d32", "#9e9e9e", "#c62828")
-LABELS = ("positive", "neutral", "negative")
-
-
 class TestPieGeometry:
     def test_half_quarter_quarter_wedges(self):
-        svg = pie_chart_svg("t", LABELS, [2, 1, 1], COLORS)
+        svg = pie_chart_svg("t", [2, 1, 1])
         # wedges start at twelve o'clock (200, 80) and sweep clockwise:
         # 180 degrees lands at (200, 380), another 90 at (50, 230)
         assert 'L 200.00 80.00 A 150.00 150.00 0 0 1 200.00 380.00' in svg
@@ -29,28 +25,28 @@ class TestPieGeometry:
         assert 'L 50.00 230.00 A 150.00 150.00 0 0 1 200.00 80.00' in svg
 
     def test_all_zero_renders_placeholder(self):
-        svg = pie_chart_svg("t", LABELS, [0, 0, 0], COLORS)
+        svg = pie_chart_svg("t", [0, 0, 0])
         assert "<path" not in svg
         assert "empty" in svg
         assert "stroke-dasharray" in svg
 
     def test_single_full_wedge_is_a_circle(self):
-        svg = pie_chart_svg("t", LABELS, [5, 0, 0], COLORS)
+        svg = pie_chart_svg("t", [5, 0, 0])
         assert "<path" not in svg
         assert '<circle cx="200.00" cy="230.00" r="150.00" fill="#2e7d32"/>' in svg
 
     def test_large_arc_flag(self):
-        svg = pie_chart_svg("t", LABELS, [3, 1, 0], COLORS)
+        svg = pie_chart_svg("t", [3, 1, 0])
         assert " 0 1 1 " in svg  # 270-degree wedge uses the large-arc flag
 
 
 class TestBarCharts:
     def test_zero_counts_render_zero_height_bars(self):
-        svg = bar_chart_svg("t", LABELS, [0, 0, 0], COLORS)
+        svg = bar_chart_svg("t", [0, 0, 0])
         assert svg.count('height="0.00"') == 3
 
     def test_counts_scale_to_tallest(self):
-        svg = bar_chart_svg("t", LABELS, [10, 5, 0], COLORS)
+        svg = bar_chart_svg("t", [10, 5, 0])
         assert 'height="312.00"' in svg   # full plot height for the peak
         assert 'height="156.00"' in svg
 

@@ -19,10 +19,13 @@ U+31350, a letter newer than some interpreters' Unicode tables, and has one
 malformed record. Last, it runs ``analyze --plots`` on an awkward CSV
 corpus, so that CSV line splitting is compared too: LF, CRLF and bare-CR
 line endings, and quoted fields holding CR, LF, CRLF, U+2028, U+0085 and
-doubled quotes. Every report records the config digest, whose SHA-256 comes
-from the ``_sha256`` module on 3.10 and 3.11 and from ``_sha2`` on 3.12 and
-later. For each interpreter and run whose exit status or files differ from
-the reference's, it names the first file that differs. Each
+doubled quotes; and ``analyze``, strict and ``--lenient``, on two CSV
+corpora that the strict reader refuses, one with an unclosed quote and one
+with text after a closing quote. Every report records the config digest,
+whose SHA-256 comes from the ``_sha256`` module on 3.10 and 3.11 and from
+``_sha2`` on 3.12 and later. For each interpreter and run whose exit status,
+last stderr line (for a failed run, its ``ERROR`` line) or files differ from
+the reference's, it names the first difference. Each
 interpreter, the reference too, also runs the oracle
 ``tools/golden_reference.py`` in a temporary copy of the tree (never in the
 checkout); a file it writes that differs from its copy in ``tests/golden/``
@@ -79,6 +82,12 @@ CSV_RECORDS = ("id,text,source_group,timestamp\n",
                '"cr\rid","terrible\rnoisy cables\u2028hurt whales",,\r',
                '"lf\nid",short,,')  # too short: a dropped item; no final line break
 CSV_RUNS = {"analyze": RUNS["analyze"]}
+# each fails with one ERROR line naming the line where record b starts
+BAD_QUOTE_CSVS = {
+    "csv-unclosed-quote": 'id,text\na,good wind farm\nb,"great turbines\nc,clean energy\n',
+    "csv-text-after-quote": 'id,text\na,good wind farm\nb,"x"y\nc,clean energy\n',
+}
+BAD_QUOTE_RUNS = {"analyze": RUNS["analyze"], "analyze-lenient": ["analyze", "--lenient"]}
 LENIENT_RUNS = {
     "analyze-lenient": ["analyze", "--lenient"],
     "preprocess-lenient": ["preprocess", "--lenient"],
@@ -109,12 +118,13 @@ def write_csv_corpus(path: Path) -> Path:
 
 
 def run_all(interpreter: str, corpora: dict[str, tuple[Path, dict]],
-            base: Path) -> dict[str, int]:
+            base: Path) -> dict[str, tuple[int, str | None]]:
     """Run each corpus's commands on it into ``base``; the exit status of
-    each run, keyed by its directory under ``base``."""
+    each run and, for a failed run, the last line of its stderr, keyed by
+    the run's directory under ``base``."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
-    status = {}
+    outcomes = {}
     for corpus_name, (corpus, runs) in corpora.items():
         for run_name, args in runs.items():
             key = f"{corpus_name}/{run_name}"
@@ -126,11 +136,16 @@ def run_all(interpreter: str, corpora: dict[str, tuple[Path, dict]],
                 [interpreter, "-m", "windsent.cli", *args, "--input", str(corpus),
                  "--out", str(out)],
                 env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True)
-            status[key] = result.returncode
+            error = None
             if result.returncode:
-                lines = result.stderr.strip().splitlines() or ["(no stderr)"]
-                print(f"{interpreter}: {key} exited {result.returncode}: {lines[-1]}")
-    return status
+                error = (result.stderr.strip().splitlines() or ["(no stderr)"])[-1]
+            outcomes[key] = (result.returncode, error)
+    return outcomes
+
+
+def outcome_text(outcome: tuple[int, str | None]) -> str:
+    status, error = outcome
+    return f"exit status {status}" + (f" ({error})" if error else "")
 
 
 def files_under(directory: Path) -> dict[str, bytes]:
@@ -196,8 +211,12 @@ def main(argv: list[str]) -> int:
                    "lenient": (write_lenient_corpus(tmp_path / "lenient.jsonl"),
                                LENIENT_RUNS),
                    "csv": (write_csv_corpus(tmp_path / "awkward.csv"), CSV_RUNS)}
+        for name, text in BAD_QUOTE_CSVS.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text, encoding="utf-8")
+            corpora[name] = (path, BAD_QUOTE_RUNS)
         reference = sys.executable
-        ref_status = run_all(reference, corpora, tmp_path / "run-0")
+        ref_outcomes = run_all(reference, corpora, tmp_path / "run-0")
         differ = False
         for index, interpreter in enumerate([reference, *argv]):
             reason = cannot_run(interpreter) if index else None
@@ -208,10 +227,11 @@ def main(argv: list[str]) -> int:
             problems = []
             if index:
                 base = tmp_path / f"run-{index}"
-                status = run_all(interpreter, corpora, base)
-                for key in ref_status:
-                    if status[key] != ref_status[key]:
-                        problem = f"exit status {status[key]}, not {ref_status[key]}"
+                outcomes = run_all(interpreter, corpora, base)
+                for key, ref_outcome in ref_outcomes.items():
+                    if outcomes[key] != ref_outcome:
+                        problem = (f"{outcome_text(outcomes[key])}, "
+                                   f"not {outcome_text(ref_outcome)}")
                     else:
                         problem = first_difference(files_under(tmp_path / "run-0" / key),
                                                    files_under(base / key))
