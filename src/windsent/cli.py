@@ -35,8 +35,6 @@ def _add_common_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-tokens", dest="min_tokens",
                         help="drop cleaned comments shorter than this many tokens "
                              "(default 3)")
-    parser.add_argument("--stem", action="store_true", default=None, dest="stemming",
-                        help="stem tokens after lemmatization (default off)")
     parser.add_argument("--no-lemmatize", action="store_false", default=None,
                         dest="lemmatization", help="disable lemmatization")
 

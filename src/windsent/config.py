@@ -87,7 +87,6 @@ SETTINGS: dict[str, tuple[str, Callable[[str, str], object]]] = {
     "plots": ("plots", parse_bool),
     "lenient": ("lenient", parse_bool),
     "min_tokens": ("min_token_count", _number(int)),
-    "stemming": ("apply_stemming", parse_bool),
     "lemmatization": ("apply_lemmatization", parse_bool),
     "stopwords": ("stopwords_path", _path),
     "lemmas": ("lemmas_path", _path),
@@ -109,7 +108,6 @@ class RunConfig(NamedTuple):
     plots: bool = False
     lenient: bool = False
     min_token_count: int = 3
-    apply_stemming: bool = False
     apply_lemmatization: bool = True
     stopwords_path: Path = DEFAULT_STOPWORDS_PATH
     lemmas_path: Path = DEFAULT_LEMMAS_PATH
@@ -152,7 +150,7 @@ class RunConfig(NamedTuple):
             "lexicons": [LEXICON_FILENAMES[k] for k in ("valence", "pattern", "synset")],
             "min_tokens": self.min_token_count,
             "mode": self.mode,
-            "stemming": self.apply_stemming,
+            "stemming": False,  # no longer a setting; kept so digests stay comparable
             "stopwords": self.stopwords_path.name,
             "top_n": self.top_n,
             "valence_rule": {

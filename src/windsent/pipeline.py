@@ -84,7 +84,6 @@ def _preprocess_config(config: RunConfig) -> PreprocessConfig:
         stopwords_path=config.stopwords_path,
         lemmas_path=config.lemmas_path,
         min_token_count=config.min_token_count,
-        apply_stemming=config.apply_stemming,
         apply_lemmatization=config.apply_lemmatization,
     )
 

@@ -2,8 +2,8 @@
 
 Per comment, in order: null/empty check, normalize (lowercase, drop URL
 tokens, delete punctuation including '#', collapse whitespace), tokenize,
-stopword removal, lemmatization (plus optional stemming), and a length
-threshold that drops documents with fewer than ``min_token_count`` tokens.
+stopword removal, lemmatization, and a length threshold that drops
+documents with fewer than ``min_token_count`` tokens.
 Normalize acts on each whitespace piece of the raw text alone (lowercasing
 never makes or unmakes whitespace, nor reads across it), so one loop over
 the raw pieces does every step for each piece in turn. Social-media text
@@ -20,11 +20,10 @@ before punctuation is deleted, otherwise punctuation stripping would shred
 URLs into residue tokens.
 
 Idempotence guarantee: re-running the pipeline over the space-joined token
-output reproduces the token sequence exactly. Hence the per-token transform
-ends on a fixpoint (``lemmatize`` is idempotent by itself; only stemming
-needs a joint lemmatize/stem loop), stopwords are filtered once more after
-lemmatization ("ours" -> "our" may land on a stopword), and every lemma-table
-key and value is one clean token.
+output reproduces the token sequence exactly. Hence ``lemmatize`` ends on a
+fixpoint of itself, stopwords are filtered once more after lemmatization
+("ours" -> "our" may land on a stopword), and every lemma-table key and
+value is one clean token.
 
 The stopword list and lemma table are read, and their words checked, by
 ``windsent.lexicons`` on every ``default_config`` call, so a rewritten file
@@ -39,7 +38,6 @@ from typing import Mapping, NamedTuple, Sequence
 from .corpus import CommentCollection
 from .lexicons import (DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, PUNCTUATION,
                        load_stopwords, load_table)
-from .stemming import stem
 
 URL_PREFIXES = ("http://", "https://", "www.")
 DELETE_PUNCTUATION = str.maketrans(dict.fromkeys(PUNCTUATION))
@@ -52,7 +50,6 @@ class _PreprocessFields(NamedTuple):
     stopwords: frozenset[str]
     lemma_table: Mapping[str, str]
     min_token_count: int = 3
-    apply_stemming: bool = False
     apply_lemmatization: bool = True
 
 
@@ -160,49 +157,16 @@ def lemmatize(token: str, table: Mapping[str, str]) -> str:
     return current  # table cycle: its first repeated element is a fixpoint too
 
 
-def _stem_fixpoint(token: str) -> str:
-    current = token
-    for _ in range(16):
-        reduced = stem(current)
-        if reduced == current:
-            return current
-        current = reduced
-    return current
-
-
-def _transform_token(token: str, config: PreprocessConfig) -> str:
-    """Lemma/stem transform to a fixpoint, so that re-running the pipeline
-    over its own output cannot shift a token further. ``lemmatize`` alone
-    returns a fixpoint of itself; only stemming needs the joint loop."""
-    if not config.apply_stemming:
-        if config.apply_lemmatization:
-            return lemmatize(token, table=config.lemma_table)
-        return token
-    seen = set()
-    current = token
-    while current not in seen:
-        seen.add(current)
-        candidate = current
-        if config.apply_lemmatization:
-            candidate = lemmatize(candidate, table=config.lemma_table)
-        candidate = _stem_fixpoint(candidate)
-        if candidate == current:
-            return current
-        current = candidate
-    return current
-
-
 def _clean_text(text: str | None, config: PreprocessConfig,
                 memo: dict[str, str | None]) -> tuple[tuple[str, ...], str | None]:
     """One text's tokens and drop reason. A raw piece not in the memo is
     normalized like ``normalize_piece`` does, dropped when it is a stopword
-    before or after the transform, and stored (unless it is a URL)."""
+    before or after lemmatization, and stored (unless it is a URL)."""
     pieces = text.split() if text is not None else ()
     if not pieces:
         return (), "null"
     stopwords = config.stopwords
     table = config.lemma_table if config.apply_lemmatization else None
-    stemming = config.apply_stemming
     tokens = []
     seen = memo.get
     for piece in pieces:
@@ -216,9 +180,7 @@ def _clean_text(text: str | None, config: PreprocessConfig,
             if not word or word in stopwords:
                 cleaned = None
             else:
-                if stemming:
-                    word = _transform_token(word, config)
-                elif table is not None:
+                if table is not None:
                     word = lemmatize(word, table)
                 cleaned = None if word in stopwords else word
             if len(memo) < MEMO_CAP:

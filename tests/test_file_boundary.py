@@ -1,7 +1,8 @@
 """The package's one file boundary: every input file is read and every
 output file written through ``windsent.errors``, so a bad file of any kind
 ends in exactly one ``ERROR <code>:`` line and exit 1, with no report
-written, and a BOM never changes what a file means."""
+written, and a BOM never changes what a file means. A flag the CLI does not
+know is argparse's usage error, exit 2, again with no report written."""
 
 import ast
 import json
@@ -121,7 +122,8 @@ _UNCLOSED_QUOTE = 'id,text\na,good wind farm\nb,"great turbines\nc,great clean e
 _TEXT_AFTER_QUOTE = 'id,text\na,good wind farm\nb,"x"y\nc,great clean energy\n'
 
 
-# case -> (arguments after the command and --input/--out, expected line start)
+# case -> (arguments after the command and --input/--out, expected start of the
+# last stderr line)
 BAD_INPUTS = {
     "stopwords-not-utf8": (
         lambda t: ["--stopwords", str(_not_utf8(t / "stop.txt",
@@ -240,6 +242,13 @@ BAD_INPUTS = {
     "jsonl-int-too-long-lenient": (
         lambda t: _jsonl_extra_key(t, _LONG_INT) + ["--lenient"],
         "ERROR corpus/malformed-record: line 1: invalid JSON: Exceeds the limit"),
+    # stemming is no setting: neither spelling of one is silently ignored
+    "config-key-stemming": (
+        lambda t: ["--config", str(_write(t / "run.conf", "stemming = true\n", False))],
+        "ERROR config/invalid: unknown config key: 'stemming'"),
+    "flag-stem": (
+        lambda t: ["--stem"],
+        "windsent: error: unrecognized arguments: --stem"),
 }
 
 
@@ -250,13 +259,17 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, case):
     out = tmp_path / "out"
     if args[0] != "plot":
         args = ["analyze", "--input", str(GOLDEN_CORPUS), *args, "--plots"]
-    code = main([*args, "--out", str(out)])
+    try:
+        code = main([*args, "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
-    assert code == 1
+    usage_error = not expected.startswith("ERROR ")  # argparse prints its usage line first
+    assert code == (2 if usage_error else 1)
     assert captured.out == ""
     err = captured.err.splitlines()
-    assert len(err) == 1, captured.err
-    assert err[0].startswith(expected.format(tmp=tmp_path))
+    assert len(err) == 1 + usage_error, captured.err
+    assert err[-1].startswith(expected.format(tmp=tmp_path))
     assert not out.exists()
 
 

@@ -13,7 +13,6 @@ from windsent.preprocess import (
     URL_PREFIXES,
     CleanedDocument,
     PreprocessConfig,
-    _transform_token,
     default_config,
     lemmatize,
     normalize,
@@ -37,7 +36,7 @@ class TestNormalize:
 
 
 def _split_only(stopwords=frozenset()):
-    # no lemma or stem transform and no length threshold: only the split and
+    # no lemmatization and no length threshold: only the split and
     # the stopword filter act
     return PreprocessConfig(stopwords=stopwords, lemma_table={}, min_token_count=1,
                             apply_lemmatization=False)
@@ -139,11 +138,6 @@ class TestPreprocessCorpus:
         doc = self.run_one("clean energy", min_token_count=3)
         assert doc.drop_reason == "too_short"
 
-    def test_stemming_mode(self):
-        doc = self.run_one("Relational energies matter greatly", apply_stemming=True)
-        assert "relat" in doc.tokens
-        assert "energi" in doc.tokens
-
     def test_lemma_landing_on_stopword_is_filtered(self):
         # "ours" lemmatizes to the stopword "our" and must not survive
         doc = self.run_one("ours turbines kill whales")
@@ -181,14 +175,6 @@ class TestPipelineProperties:
         assert again == first
         if reason1 is None:
             assert reason2 is None
-
-    @given(comment_texts)
-    @settings(max_examples=300, deadline=None)
-    def test_idempotence_with_stemming(self, text):
-        config = default_config(apply_stemming=True)
-        first, _ = preprocess_text(text, config)
-        again, _ = preprocess_text(" ".join(first), config)
-        assert again == first
 
     @given(comment_texts)
     @settings(max_examples=200, deadline=None)
@@ -254,15 +240,15 @@ def _multipass_preprocess_text(text, config):
         return (), "null"
     tokens = _generator_normalize(text).split()
     tokens = [t for t in tokens if t not in config.stopwords]
-    tokens = [_transform_token(t, config) for t in tokens]
+    if config.apply_lemmatization:
+        tokens = [lemmatize(t, config.lemma_table) for t in tokens]
     tokens = [t for t in tokens if t not in config.stopwords]
     if len(tokens) < config.min_token_count:
         return tuple(tokens), "too_short"
     return tuple(tokens), None
 
 
-@pytest.mark.parametrize("overrides", [{}, {"apply_stemming": True},
-                                       {"apply_lemmatization": False, "min_token_count": 1}])
+@pytest.mark.parametrize("overrides", [{}, {"apply_lemmatization": False, "min_token_count": 1}])
 @given(text=st.one_of(comment_texts, st.none()))
 @settings(max_examples=200, deadline=None)
 def test_preprocess_text_matches_multipass(overrides, text):
@@ -301,11 +287,10 @@ def _memo_sizes(collection, config):
 
 
 @pytest.mark.parametrize("overrides", [
-    {}, {"apply_stemming": True}, {"apply_lemmatization": False},
-    {"apply_stemming": True, "apply_lemmatization": False},
+    {}, {"apply_lemmatization": False},
     # "ours" is kept by the first stopword test and dropped only as "our"
     {"stopwords": frozenset({"our", "the", "turbine"})},
-], ids=["default", "stem", "no-lemmatize", "stem-no-lemmatize", "stopword-after-lemma"])
+], ids=["default", "no-lemmatize", "stopword-after-lemma"])
 @given(texts=_memo_corpora)
 @settings(max_examples=150, deadline=None)
 def test_corpus_memo_matches_per_text_reference(overrides, texts):

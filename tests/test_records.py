@@ -78,7 +78,7 @@ PAIRS = [
     (LexiconSet(VALENCE, PATTERN, SYNSET),
      LexiconSet(ValenceLexicon("valence.tsv", 1, {}), PATTERN, SYNSET)),
     (PreprocessConfig(frozenset({"the"}), {"winds": "wind"}),
-     PreprocessConfig(frozenset({"the"}), {"winds": "wind"}, apply_stemming=True)),
+     PreprocessConfig(frozenset({"the"}), {"winds": "wind"}, apply_lemmatization=False)),
     (RunConfig(Path("in.jsonl"), "jsonl", Path("out")),
      RunConfig(Path("in.jsonl"), "jsonl", Path("out"), top_n=5)),
 ]

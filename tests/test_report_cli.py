@@ -264,7 +264,6 @@ SETTING_CASES = {
     "plots": (["--plots"], "true"),
     "lenient": (["--lenient"], "yes"),
     "min_tokens": (["--min-tokens", "2"], "2"),
-    "stemming": (["--stem"], "on"),
     "lemmatization": (["--no-lemmatize"], "false"),
     "stopwords": (["--stopwords", "stop.txt"], "stop.txt"),
     "lemmas": (["--lemmas", "lem.tsv"], "lem.tsv"),
@@ -294,13 +293,12 @@ class TestSettingsTable:
     def test_readme_names_each_key_and_its_flag(self):
         flags = {action.dest: action.option_strings for action in _analyze_parser()._actions
                  if action.dest in SETTINGS}
-        renamed = {"stemming": ["--stem"], "lemmatization": ["--no-lemmatize"]}
+        renamed = {"lemmatization": ["--no-lemmatize"]}
         assert flags == {key: renamed.get(key, ["--" + key.replace("_", "-")])
                          for key in SETTINGS}
         readme = " ".join((SRC.parent / "README.md").read_text(encoding="utf-8").split())
         keys = readme.split("those of `windsent.config.SETTINGS`:", 1)[1].split(". Each", 1)[0]
         assert {word.strip("`,") for word in keys.split()} == set(SETTINGS)
-        assert "`stemming = true` is `--stem`" in readme
         assert "`lemmatization = false` is `--no-lemmatize`" in readme
 
     @pytest.mark.parametrize("key", sorted(SETTING_CASES))
@@ -691,29 +689,6 @@ class TestCliConfigFile:
         assert wide_neutral > narrow_neutral
 
 
-class TestStemmingMode:
-    def test_stem_flag_changes_tokens_and_report(self, golden_corpus_path, tmp_path):
-        plain = tmp_path / "plain"
-        stemmed = tmp_path / "stemmed"
-        assert main(["analyze", "--input", str(golden_corpus_path),
-                     "--out", str(plain)]) == 0
-        assert main(["analyze", "--input", str(golden_corpus_path),
-                     "--stem", "--out", str(stemmed)]) == 0
-        a = read_json(plain / "report.json")
-        b = read_json(stemmed / "report.json")
-        assert a["meta"]["config_digest"] != b["meta"]["config_digest"]
-        # stems defeat lexicon lookups, so scores generally shift
-        assert a["comments"] != b["comments"]
-
-    def test_stemmed_run_stays_in_bounds(self, golden_corpus_path, tmp_path):
-        out = tmp_path / "out"
-        assert main(["analyze", "--input", str(golden_corpus_path),
-                     "--stem", "--out", str(out)]) == 0
-        report = read_json(out / "report.json")
-        for row in report["comments"]:
-            assert -1.0 <= row["scores"]["valence_rule"]["polarity"] <= 1.0
-
-
 @pytest.mark.parametrize("mode", ["paper-faithful", "engine-native"])
 def test_output_tree_does_not_depend_on_the_hash_seed(golden_corpus_path, tmp_path, mode):
     # several stages iterate over sets of strings, whose order follows the
@@ -724,7 +699,7 @@ def test_output_tree_does_not_depend_on_the_hash_seed(golden_corpus_path, tmp_pa
         out = tmp_path / seed
         subprocess.run(
             [sys.executable, "-m", "windsent.cli", "analyze", "--input", str(golden_corpus_path),
-             "--mode", mode, "--stem", "--plots", "--out", str(out)],
+             "--mode", mode, "--no-lemmatize", "--plots", "--out", str(out)],
             check=True, capture_output=True,
             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": python_path})
         trees.append({path.relative_to(out): path.read_bytes()
@@ -760,7 +735,7 @@ def test_cross_python_names_a_file_that_differs(tmp_path):
                             capture_output=True, text=True)
     assert result.returncode == 1, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 8  # three analyze runs on each of two corpora, one on each other
+    assert len(lines) == 6  # two analyze runs on each of two corpora, one on each other
     assert lines[0].startswith(f"DIFFERS {fake}: golden/analyze: comments.csv differs at line ")
 
 

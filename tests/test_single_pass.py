@@ -3,9 +3,9 @@ test-local copies of their earlier multi-pass versions: a list of valences
 rescaled around "but" and summed in separate passes, and a negation window
 re-sliced and a previous entry looked up again for every matched word.
 Floats are compared by repr, so -0.0 against 0.0 counts as a difference.
-Cleaning's one lemmatize per token is checked against the joint
-lemmatize/stem loop it replaced, ``lemmatize`` against the walk that keeps
-a ``seen`` set from its first step, and the suffix rules against their
+Cleaning's one lemmatize per token is checked against the loop that
+lemmatized to a joint fixpoint, ``lemmatize`` against the walk that keeps a
+``seen`` set from its first step, and the suffix rules against their
 chain."""
 
 import pytest
@@ -48,11 +48,10 @@ from windsent.preprocess import (
     DELETE_PUNCTUATION,
     URL_PREFIXES,
     PreprocessConfig,
-    _stem_fixpoint,
     _suffix_lemma,
-    _transform_token,
     default_config,
     lemmatize,
+    preprocess_text,
 )
 
 from test_preprocess import mixed_texts
@@ -338,8 +337,6 @@ def joint_transform_token(token, config):
         candidate = current
         if config.apply_lemmatization:
             candidate = lemmatize(candidate, table=config.lemma_table)
-        if config.apply_stemming:
-            candidate = _stem_fixpoint(candidate)
         if candidate == current:
             return current
         current = candidate
@@ -457,17 +454,18 @@ def test_lemma_table_cycle_ends_on_a_fixpoint():
 @example(table={"farm": "farms"}, token="farming")
 @settings(max_examples=500, deadline=None)
 def test_transform_token_matches_joint_loop(lemmatization, table, token):
-    config = PreprocessConfig(stopwords=frozenset(), lemma_table=table,
+    config = PreprocessConfig(stopwords=frozenset(), lemma_table=table, min_token_count=1,
                               apply_lemmatization=lemmatization)
-    assert _transform_token(token, config) == joint_transform_token(token, config)
+    expected = (joint_transform_token(token, config),) if token else ()
+    assert preprocess_text(token, config)[0] == expected
 
 
 def test_transform_token_matches_joint_loop_on_bundled_table():
-    config = default_config()
+    config = default_config(min_token_count=1)._replace(stopwords=frozenset())
     words = set(config.lemma_table) | set(config.lemma_table.values())
     for word in sorted(words):
         for token in (word, word + "s", word + "ing", word + "ed", word + "es"):
-            assert _transform_token(token, config) == joint_transform_token(token, config)
+            assert preprocess_text(token, config)[0] == (joint_transform_token(token, config),)
 
 
 @given(token=st.one_of(_lemma_words, st.text(max_size=10)))

@@ -5,12 +5,11 @@ compare the files each one writes.
     python3 tools/cross_python.py python3.10 python3.12 python3.13
 
 Under each interpreter given, and under the one running this script (the
-reference), it runs ``analyze --plots`` (paper-faithful; engine-native with
-``--stem``; engine-native with ``--disambiguation average-senses``),
-``preprocess`` and ``top-words --out`` on the golden corpus and on a small
-corpus that it writes to a temporary directory: awkward comment ids (comma,
-quote, CR, LF, NUL, U+2028, non-ASCII and astral characters) and awkward
-texts (Greek final sigma, dotted capital I, upper-case URLs,
+reference), it runs ``analyze --plots`` (paper-faithful, and engine-native
+with ``--disambiguation average-senses``), ``preprocess`` and
+``top-words --out`` on the golden corpus and on a small corpus that it
+writes to a temporary directory: awkward comment ids (comma, quote, CR, LF,
+NUL, U+2028, non-ASCII and astral characters) and awkward texts (Greek final sigma, dotted capital I, upper-case URLs,
 punctuation-only pieces, words parted by NBSP, U+2028 or U+3000, and
 inflected words that the suffix rules reduce, some in ALL CAPS). It
 also runs ``analyze --lenient`` and ``preprocess --lenient`` on a third
@@ -66,7 +65,6 @@ AWKWARD_TEXTS = ("ΟΔΟΣ ΣΑΣ: the GREAT wind farm ΣΑΣ!",
 
 RUNS = {
     "analyze": ["analyze", "--plots"],
-    "analyze-native-stem": ["analyze", "--plots", "--mode", "engine-native", "--stem"],
     "analyze-native-average": ["analyze", "--plots", "--mode", "engine-native",
                                "--disambiguation", "average-senses"],
     "preprocess": ["preprocess"],
