@@ -248,11 +248,14 @@ def _multipass_preprocess_text(text, config):
     return tuple(tokens), None
 
 
-@pytest.mark.parametrize("overrides", [{}, {"apply_lemmatization": False, "min_token_count": 1}])
+# the middle case puts the lemma "our" of "ours" among the stopwords, so the
+# stopword test after lemmatizing drops a word the first one kept
+@pytest.mark.parametrize("overrides", [{}, {"stopwords": frozenset({"our", "the", "turbine"})},
+                                       {"apply_lemmatization": False, "min_token_count": 1}])
 @given(text=st.one_of(comment_texts, st.none()))
 @settings(max_examples=200, deadline=None)
 def test_preprocess_text_matches_multipass(overrides, text):
-    config = default_config(**overrides)
+    config = default_config()._replace(**overrides)
     assert preprocess_text(text, config) == _multipass_preprocess_text(text, config)
 
 
