@@ -22,15 +22,12 @@ import re
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import FrozenRecord, WindsentError, read_text, write_file
+from .errors import LINE, FrozenRecord, WindsentError, read_text, write_file
 
 REQUIRED_FIELDS = ("id", "text")
 OPTIONAL_FIELDS = ("source_group", "timestamp")
 
 _scan_once = json.JSONDecoder().scan_once  # what json.loads runs, minus its per-call checks
-# one line as io.StringIO(text, newline="") yields it: through "\r\n", "\r" or
-# "\n", or the unterminated last line; never empty
-_CSV_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 # one JSONL line: through "\n", or the unterminated last line; never empty
 _JSONL_LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
@@ -128,13 +125,13 @@ def validate_record(raw: Mapping[str, object]) -> Comment:
 
 def _iter_csv(text: str) -> Iterator[tuple[int, Mapping[str, object]]]:
     if "\0" in text:  # Python 3.10's reader refuses it, later ones read it as data
-        line = sum(1 for _ in _CSV_LINE.finditer(text, 0, text.index("\0") + 1))
+        line = sum(1 for _ in LINE.finditer(text, 0, text.index("\0") + 1))
         raise MalformedRecordError(line, "invalid CSV: line contains NUL")
     # lines are cut one at a time, where io.StringIO would first copy the
     # whole text at four bytes a character; strict quoting refuses an
     # unclosed quote, which would otherwise swallow every later line, and
     # text after a closing quote
-    reader = csv.reader(map(re.Match.group, _CSV_LINE.finditer(text)), strict=True)
+    reader = csv.reader(map(re.Match.group, LINE.finditer(text)), strict=True)
     start = 1  # the line where the record being read starts
     # the reader cannot resume after an error, so lenient loading aborts too
     try:

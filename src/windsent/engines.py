@@ -37,9 +37,10 @@ from .lexicons import (
     SynsetLexicon,
     ValenceLexicon,
     load_table,
+    normalize_piece,
     require_kind,
 )
-from .preprocess import URL_PREFIXES, CleanedDocument, normalize_piece
+from .preprocess import CleanedDocument
 
 ENGINE_VALENCE = "valence_rule"
 ENGINE_PATTERN = "pattern_avg"
@@ -149,7 +150,7 @@ def _caps_profile(raw_text: str) -> tuple[frozenset[str], bool]:
             if word is not None and (piece.isascii() or any(c.isalpha() for c in word)):
                 caps_words.add(word)
         elif not mixed and (piece.isalpha() or any(c.isalpha() for c in piece)):
-            mixed = not piece.lower().startswith(URL_PREFIXES)
+            mixed = normalize_piece(piece) is not None
     return frozenset(caps_words), bool(caps_words) and not mixed
 
 

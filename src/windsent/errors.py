@@ -8,13 +8,19 @@ print is one; a bad argument from a library caller is a ValueError or TypeError.
 Every input file is read through ``read_text`` (UTF-8 with an optional BOM),
 every output file is written through ``write_file`` (and a leftover one
 removed through ``remove_file``), so a file that cannot be read, decoded,
-written or removed always ends in one such error naming it.
+written or removed always ends in one such error naming it. ``LINE`` cuts
+data, config and CSV files into lines.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Iterator
+
+# one line as io.StringIO(text, newline="") yields it, never empty: through "\r\n", "\r"
+# or "\n" only (str.splitlines also ends one at VT, FF, U+2028 and five more), or to the end
+LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
 class WindsentError(Exception):
@@ -39,9 +45,9 @@ def read_text(path: str | Path, error: type[WindsentError]) -> str:
 
 
 def data_lines(path: str | Path, error: type[WindsentError]) -> Iterator[tuple[int, str]]:
-    """(line number, stripped line) for each line of a data file that is
+    """(line number, stripped line) for each ``LINE`` of a data file that is
     neither blank nor a ``#`` comment."""
-    for lineno, raw in enumerate(read_text(path, error).splitlines(), start=1):
+    for lineno, raw in enumerate(LINE.findall(read_text(path, error)), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line

@@ -45,8 +45,10 @@ DEFAULT_STOPWORDS_PATH = _DATA_DIR / "stopwords.txt"
 DEFAULT_LEMMAS_PATH = _DATA_DIR / "lemmas.tsv"
 DEFAULT_POS_TABLE_PATH = _DATA_DIR / "pos_tags.tsv"
 
+URL_PREFIXES = ("http://", "https://", "www.")  # cleaning drops a piece starting so
 # the characters cleaning deletes, so no data-file word may hold one
 PUNCTUATION = frozenset(string.punctuation)
+DELETE_PUNCTUATION = str.maketrans(dict.fromkeys(PUNCTUATION))
 # the characters outside XML 1.0's Char (controls but tab, LF and CR;
 # surrogates; U+FFFE, U+FFFF), which no SVG chart can hold
 NOT_XML_CHARS = frozenset(map(chr, [*range(0x9), 0xB, 0xC, *range(0xE, 0x20),
@@ -55,6 +57,17 @@ NOT_XML_CHARS = frozenset(map(chr, [*range(0x9), 0xB, 0xC, *range(0xE, 0x20),
 
 def bundled_lexicon_dir() -> Path:
     return _DATA_DIR / "lexicons"
+
+
+def normalize_piece(piece: str) -> str | None:
+    """One whitespace piece of raw text lowercased, with its punctuation
+    deleted (an alphanumeric word holds none); None for a URL, which is
+    tested first, as deleting punctuation would shred it into residue. The
+    one word rule: cleaning, ``_check_word`` and the caps profile call it."""
+    word = piece.lower()
+    if word.startswith(URL_PREFIXES):
+        return None
+    return word if word.isalnum() else word.translate(DELETE_PUNCTUATION)
 
 
 class _EntryError(WindsentError):
@@ -187,10 +200,10 @@ def _parse_float(value: str, lineno: int, what: str) -> float:
 
 def _check_word(word: str, lineno: int) -> str:
     """The word rule: ``word`` must be one clean token, i.e. a single
-    whitespace piece that ``preprocess.normalize``, which works piece by
-    piece, leaves as it is: no upper case and no punctuation, hence no URL
-    prefix either; and no control character, so a chart can draw it."""
-    if (word.split() != [word] or word != word.lower() or not PUNCTUATION.isdisjoint(word)
+    whitespace piece that is a fixpoint of ``normalize_piece``: no upper
+    case, no punctuation and no URL prefix; and no control character, so a
+    chart can draw it."""
+    if (word.split() != [word] or normalize_piece(word) != word
             or not NOT_XML_CHARS.isdisjoint(word)):
         raise MalformedEntryError(lineno, f"not one clean token: {word!r}")
     return word

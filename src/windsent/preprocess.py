@@ -1,9 +1,9 @@
 """Text cleaning pipeline.
 
-Per comment, in order: null/empty check, normalize (lowercase, drop URL
-tokens, delete punctuation including '#', collapse whitespace), tokenize,
-stopword removal, lemmatization, and a length threshold that drops
-documents with fewer than ``min_token_count`` tokens.
+Per comment, in order: null/empty check, normalize (``lexicons.normalize_piece``
+on each whitespace piece: lowercase, drop URL pieces, delete punctuation
+including '#'), stopword removal, lemmatization, and a length threshold that
+drops documents with fewer than ``min_token_count`` tokens.
 Normalize acts on each whitespace piece of the raw text alone (lowercasing
 never makes or unmakes whitespace, nor reads across it), so one loop over
 the raw pieces does every step for each piece in turn. Social-media text
@@ -14,10 +14,6 @@ it. URL pieces, which seldom repeat, are never stored. The memo admits at
 most ``MEMO_CAP`` pieces; later new pieces are cleaned without being
 stored, which keeps a corpus of mostly distinct words from growing it
 without bound.
-
-The normalization order is a fixed pipeline constant: URLs are removed
-before punctuation is deleted, otherwise punctuation stripping would shred
-URLs into residue tokens.
 
 Idempotence guarantee: re-running the pipeline over the space-joined token
 output reproduces the token sequence exactly. Hence ``lemmatize`` ends on a
@@ -36,11 +32,9 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import CommentCollection
-from .lexicons import (DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, PUNCTUATION,
-                       load_stopwords, load_table)
+from .lexicons import (DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, load_stopwords,
+                       load_table, normalize_piece)
 
-URL_PREFIXES = ("http://", "https://", "www.")
-DELETE_PUNCTUATION = str.maketrans(dict.fromkeys(PUNCTUATION))
 _VOWELS = frozenset("aeiou")
 MEMO_CAP = 4096
 _UNSEEN = object()
@@ -88,15 +82,6 @@ class CleanedDocument(NamedTuple):
     @property
     def dropped(self) -> bool:
         return self.drop_reason is not None
-
-
-def normalize_piece(piece: str) -> str | None:
-    """One whitespace piece of raw text lowercased, with its punctuation
-    deleted; None for a URL. An alphanumeric word holds no punctuation."""
-    word = piece.lower()
-    if word.startswith(URL_PREFIXES):
-        return None
-    return word if word.isalnum() else word.translate(DELETE_PUNCTUATION)
 
 
 def normalize(text: str) -> str:
@@ -160,8 +145,8 @@ def lemmatize(token: str, table: Mapping[str, str]) -> str:
 def _clean_text(text: str | None, config: PreprocessConfig,
                 memo: dict[str, str | None]) -> tuple[tuple[str, ...], str | None]:
     """One text's tokens and drop reason. A raw piece not in the memo is
-    normalized like ``normalize_piece`` does, dropped when it is a stopword
-    before or after lemmatization, and stored (unless it is a URL)."""
+    normalized by ``normalize_piece``, dropped when it is a stopword before
+    or after lemmatization, and stored (unless it is a URL)."""
     pieces = text.split() if text is not None else ()
     if not pieces:
         return (), "null"
@@ -169,14 +154,13 @@ def _clean_text(text: str | None, config: PreprocessConfig,
     table = config.lemma_table if config.apply_lemmatization else None
     tokens = []
     seen = memo.get
+    to_word = normalize_piece
     for piece in pieces:
         cleaned = seen(piece, _UNSEEN)
         if cleaned is _UNSEEN:
-            word = piece.lower()
-            if word.startswith(URL_PREFIXES):
+            word = to_word(piece)
+            if word is None:
                 continue  # a URL: seldom repeated, so it takes no memo slot
-            if not word.isalnum():
-                word = word.translate(DELETE_PUNCTUATION)
             if not word or word in stopwords:
                 cleaned = None
             else:

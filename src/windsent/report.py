@@ -29,16 +29,12 @@ from json.encoder import encode_basestring as _json_str
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .analytics import (
-    LABELS,
-    DistributionReport,
-    SubjectivityHistogram,
-    WordRanking,
-)
+from .analytics import (LABELS, NEGATIVE, POSITIVE, DistributionReport, SubjectivityHistogram,
+                        WordRanking)
 from .engines import ENGINES, ENGINE_PATTERN, ENGINE_SYNSET, ENGINE_VALENCE, EngineScores
 from .errors import WindsentError, read_text, write_file
 
-SIDES = ("negative", "positive")
+SIDES = (NEGATIVE, POSITIVE)
 
 
 class ReportNotReadableError(WindsentError):

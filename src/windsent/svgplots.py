@@ -14,17 +14,14 @@ import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .analytics import NEGATIVE, NEUTRAL, POSITIVE
 from .engines import ENGINES
 from .errors import write_file
 from .lexicons import NOT_XML_CHARS
 from .report import SIDES, ReportNotReadableError
 
-PLOT_LABEL_ORDER = ("positive", "neutral", "negative")
-LABEL_COLORS = {
-    "negative": "#c62828",
-    "neutral": "#9e9e9e",
-    "positive": "#2e7d32",
-}
+PLOT_LABEL_ORDER = (POSITIVE, NEUTRAL, NEGATIVE)
+LABEL_COLORS = {NEGATIVE: "#c62828", NEUTRAL: "#9e9e9e", POSITIVE: "#2e7d32"}
 BAR_COLOR = "#1565c0"
 FONT = "font-family=\"Helvetica, Arial, sans-serif\""
 

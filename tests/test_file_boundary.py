@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 from windsent.cli import main
-from windsent.lexicons import DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, bundled_lexicon_dir
+from windsent.config import parse_config_file
+from windsent.lexicons import (DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, bundled_lexicon_dir,
+                               load_stopwords)
 from windsent.svgplots import CHART_FILES
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "windsent"
@@ -38,6 +40,24 @@ def test_only_errors_module_opens_files(path):
         elif isinstance(func, ast.Name) and func.id == "open":
             calls.append(f"line {node.lineno}: open(")
     assert not calls, f"{path.name} touches files outside errors.py: {calls}"
+
+
+# the word rule's parts, which only lexicons.normalize_piece may use
+WORD_RULE_NAMES = {"URL_PREFIXES", "DELETE_PUNCTUATION", "translate"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_each_input_rule_is_stated_once(path):
+    # a line is cut by errors.LINE (JSONL by its own "\n" rule), never by
+    # str.splitlines; a word is normalized by lexicons.normalize_piece alone
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        # a Name's id, an Attribute's attr, an imported alias's or a def's name
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if name == "splitlines" or (name in WORD_RULE_NAMES and path.name != "lexicons.py"):
+            found.append(f"line {node.lineno}: {name}")
+    assert not found, f"{path.name} restates an input rule: {found}"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -181,6 +201,16 @@ BAD_INPUTS = {
         lambda t: _lexicon_line(t, "synset.tsv", "wind_farm.n.01\tnoun\t0.5\t0.0\t1\twind_farm"),
         "ERROR lexicon/malformed-entry: {tmp}/lexicons/synset.tsv: line 1: "
         "not one clean token: 'wind_farm'"),
+    # only CR and LF end a data-file line, as in a CSV corpus; str.splitlines
+    # also broke lines at U+2028, which split the word and shifted line numbers
+    "stopword-with-line-separator": (
+        lambda t: _stopwords(t, "the\u2028wind"),
+        "ERROR lexicon/malformed-entry: {tmp}/stop.txt: line 3: "
+        "not one clean token: 'the\\u2028wind'"),
+    "valence-comment-with-line-separator": (
+        lambda t: _lexicon_line(t, "valence.tsv", "# a note\u2028# more\nbad\tx"),
+        "ERROR lexicon/malformed-entry: {tmp}/lexicons/valence.tsv: line 2: "
+        "valence is not a number: 'x'"),
     "valence-word-with-nul": (
         lambda t: _lexicon_line(t, "valence.tsv", "bad\x00word\t-2.0"),
         "ERROR lexicon/malformed-entry: {tmp}/lexicons/valence.tsv: line 1: "
@@ -286,6 +316,17 @@ def test_unclean_lemma_entry_stops_preprocess_before_writing(tmp_path, capsys):
     assert captured.err == (f"ERROR lexicon/malformed-entry: {tmp_path}/lemmas.tsv: line 3: "
                             "not one clean token: 'Green Car!'\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("load,text,expected", [
+    (parse_config_file, "# old: \x85top_n = 5\n", {}),
+    (load_stopwords, "# common words\x0cwind\nthe\n", frozenset({"the"})),
+], ids=["config-comment-with-nel", "stopword-comment-with-ff"])
+def test_line_break_character_in_a_comment_is_comment_text(tmp_path, load, text, expected):
+    # str.splitlines ended the comment there and read the rest as data
+    path = tmp_path / "data.txt"
+    path.write_text(text, encoding="utf-8")
+    assert load(path) == expected
 
 
 def _write(path: Path, text: str, bom: bool) -> Path:

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from windsent import preprocess
 from windsent.corpus import Comment, CommentCollection
-from windsent.lexicons import PUNCTUATION
+from windsent.lexicons import PUNCTUATION, URL_PREFIXES
 from windsent.preprocess import (
     MEMO_CAP,
-    URL_PREFIXES,
     CleanedDocument,
     PreprocessConfig,
     default_config,

@@ -38,15 +38,15 @@ from windsent.engines import (
     score_valence_rule,
 )
 from windsent.lexicons import (
+    DELETE_PUNCTUATION,
     PUNCTUATION,
+    URL_PREFIXES,
     PatternEntry,
     PatternLexicon,
     ValenceLexicon,
     load_lexicon_set,
 )
 from windsent.preprocess import (
-    DELETE_PUNCTUATION,
-    URL_PREFIXES,
     PreprocessConfig,
     _suffix_lemma,
     default_config,
