@@ -1,10 +1,10 @@
 """Corpus ingestion: the comment data model plus CSV/JSONL loaders.
 
 Input formats:
-  CSV   - UTF-8, header row ``id,text,source_group,timestamp``, strict
-          RFC-4180 quoting. Extra columns are ignored; a known column named
-          twice is an error; empty optional cells mean "absent".
-  JSONL - one JSON object per line with the same field names. Unknown keys
+  CSV   - UTF-8, a header row naming ``id`` and ``text``, strict RFC-4180
+          quoting. Other columns are ignored; ``id`` or ``text`` named twice
+          is an error.
+  JSONL - one JSON object per line with the same field names. Other keys
           are ignored so that files with extra annotations (for example the
           cleaned-corpus output of the preprocess subcommand) stay loadable;
           a repeated key keeps its last value, as in JSON.
@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 from .errors import LINE, FrozenRecord, WindsentError, read_text, write_file
 
 REQUIRED_FIELDS = ("id", "text")
-OPTIONAL_FIELDS = ("source_group", "timestamp")
 
 _scan_once = json.JSONDecoder().scan_once  # what json.loads runs, minus its per-call checks
 # one JSONL line: through "\n", or the unterminated last line; never empty
@@ -59,8 +58,6 @@ class Comment(NamedTuple):
 
     id: str
     text: str
-    source_group: str | None = None
-    timestamp: str | None = None
 
 
 class CommentCollection(FrozenRecord):
@@ -99,9 +96,9 @@ def _string(name: str, value: object) -> str:
 def validate_record(raw: Mapping[str, object]) -> Comment:
     """Build a Comment from a parsed record.
 
-    The id is whitespace-trimmed; text is preserved byte for byte. Empty
-    optional fields become absent (None), never empty strings. A bad record
-    raises ValueError whose message is the reason a load reports for it.
+    The id is whitespace-trimmed; text is preserved byte for byte; other
+    fields are ignored. A bad record raises ValueError whose message is the
+    reason a load reports for it.
     """
     raw_id = raw.get("id")
     if raw_id is None:
@@ -115,12 +112,7 @@ def validate_record(raw: Mapping[str, object]) -> Comment:
         raise ValueError("missing field: text")
     if _string("text", text) == "":
         raise ValueError("text is empty")
-
-    optionals: list[str | None] = []
-    for name in OPTIONAL_FIELDS:
-        value = raw.get(name)
-        optionals.append(None if value is None or value == "" else _string(name, value))
-    return Comment(comment_id, text, *optionals)
+    return Comment(comment_id, text)
 
 
 def _iter_csv(text: str) -> Iterator[tuple[int, Mapping[str, object]]]:
@@ -142,7 +134,7 @@ def _iter_csv(text: str) -> Iterator[tuple[int, Mapping[str, object]]]:
         for required in REQUIRED_FIELDS:
             if required not in columns:
                 raise MalformedRecordError(1, f"header lacks required column {required!r}")
-        for name in REQUIRED_FIELDS + OPTIONAL_FIELDS:
+        for name in REQUIRED_FIELDS:
             if columns.count(name) > 1:
                 raise MalformedRecordError(1, f"header repeats column {name!r}")
         start = reader.line_num + 1

@@ -29,7 +29,7 @@ def write_corpora(golden_corpus_path, tmp_path):
     tenfold.write_text("".join(json.dumps({**record, "id": f"{record['id']}-{k}"}) + "\n"
                                for k in range(10) for record in records), encoding="utf-8")
     bad = ['{"text": "no id"}', '{"id": "empty", "text": ""}', '{"id": 7, "text": "x"}',
-           '{"id": "s", "text": "x", "timestamp": 3}', json.dumps(records[0])]
+           '{"id": "s", "text": ["x"]}', json.dumps(records[0])]
     lenient = tmp_path / "lenient.jsonl"
     lenient.write_text("\n".join(lines[:20] + bad + lines[20:]) + "\n", encoding="utf-8")
     return tenfold, lenient

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from windsent import corpus
 from windsent.corpus import (
-    OPTIONAL_FIELDS,
     REQUIRED_FIELDS,
     Comment,
     CommentCollection,
@@ -37,12 +36,10 @@ class TestValidateRecord:
         with pytest.raises(ValueError, match="^missing field: text$"):
             validate_record({"id": "a1"})
 
-    def test_id_trimmed_and_timestamp_retained(self):
+    def test_id_trimmed(self):
         comment = validate_record(
             {"id": " a2 ", "text": "ok", "timestamp": "2023-06-01T00:00:00Z"})
-        assert comment.id == "a2"
-        assert comment.text == "ok"
-        assert comment.timestamp == "2023-06-01T00:00:00Z"
+        assert comment == Comment("a2", "ok")
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError, match="^text is empty$"):
@@ -50,10 +47,6 @@ class TestValidateRecord:
 
     def test_whitespace_text_is_preserved_verbatim(self):
         assert validate_record({"id": "a1", "text": "  "}).text == "  "
-
-    def test_empty_optional_fields_become_absent(self):
-        comment = validate_record({"id": "a1", "text": "x", "source_group": ""})
-        assert comment.source_group is None
 
     def test_missing_id(self):
         with pytest.raises(ValueError, match="^missing field: id$"):
@@ -76,13 +69,10 @@ class TestCsvLoading:
                      'a,"hello, world",grp,2023-01-01T00:00:00Z\n'
                      'b,"line\nbreak",,\n'
                      'c,say "hi" x""y,,\n')
-        collection = load_corpus(path, "csv")
-        assert collection.comments[0].text == "hello, world"
-        assert collection.comments[0].source_group == "grp"
-        assert collection.comments[1].text == "line\nbreak"
-        assert collection.comments[1].source_group is None
         # a quote inside an unquoted field is an ordinary character
-        assert collection.comments[2].text == 'say "hi" x""y'
+        assert load_corpus(path, "csv").comments == (
+            Comment("a", "hello, world"), Comment("b", "line\nbreak"),
+            Comment("c", 'say "hi" x""y'))
 
     def test_missing_required_column(self, tmp_path):
         path = write(tmp_path / "c.csv", "id,body\na,x\n")
@@ -130,6 +120,22 @@ class TestJsonlLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotReadableError):
             load_corpus(tmp_path / "nope.jsonl", "jsonl")
+
+
+@pytest.mark.parametrize("fmt,body", [
+    pytest.param("jsonl", '{"id": "a", "text": "x", "source_group": 1}\n',
+                 id="source-group-number"),
+    pytest.param("jsonl", '{"id": "a", "text": "x", "timestamp": [2023]}\n',
+                 id="timestamp-list"),
+    pytest.param("jsonl", '{"id": "a", "text": "x", "source_group": "\\udfff"}\n',
+                 id="source-group-lone-surrogate"),
+    pytest.param("csv", "id,text,source_group,source_group\na,x,g,h\n",
+                 id="csv-source-group-twice"),
+])
+def test_fields_other_than_id_and_text_are_ignored(tmp_path, fmt, body):
+    path = write(tmp_path / f"c.{fmt}", body)
+    assert load_corpus(path, fmt).comments == (Comment("a", "x"),)
+    assert load_corpus_lenient(path, fmt)[1] == ()
 
 
 class TestLenientMode:
@@ -199,7 +205,7 @@ class TestEncodingEdgeCases:
         with pytest.raises(FileNotReadableError):
             load_corpus(path, "jsonl")
 
-    @pytest.mark.parametrize("field", ["id", "text", "source_group", "timestamp"])
+    @pytest.mark.parametrize("field", ["id", "text"])
     def test_lone_surrogate_rejected(self, field):
         record = {"id": "a", "text": "x", field: "wind \ud800"}
         with pytest.raises(ValueError, match=f"^field {field}: contains a lone surrogate$"):
@@ -328,7 +334,7 @@ def _iter_csv_by_stringio(text):
         for required in REQUIRED_FIELDS:
             if required not in columns:
                 raise MalformedRecordError(1, f"header lacks required column {required!r}")
-        for name in REQUIRED_FIELDS + OPTIONAL_FIELDS:
+        for name in REQUIRED_FIELDS:
             if columns.count(name) > 1:
                 raise MalformedRecordError(1, f"header repeats column {name!r}")
         start = reader.line_num + 1

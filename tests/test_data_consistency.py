@@ -4,14 +4,16 @@ The pipeline relies on a few cross-file properties: modifier vocabularies
 never appear in the stopword list, lexicon words survive the cleaning
 pipeline unchanged (otherwise corpus tokens could never match them), and
 every synset lemma is reachable under the tag its entries carry. The two
-key/value tables must also be unambiguous, and every data file must ship in
-a built package.
+key/value tables must also be unambiguous, every data file must ship in a
+built package, and the frozen oracle must read each data file into the same
+lines as the package.
 
 Per-file checks (duplicate words, score ranges, finite numbers, synset tags)
 are the lexicon loaders' own and run whenever the ``lexicons`` fixture loads.
 """
 
 import glob
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -27,6 +29,11 @@ from windsent.lexicons import (
     load_stopwords,
 )
 from windsent.preprocess import default_config, lemmatize
+
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "src" / "windsent" / "data"
+DATA_FILES = sorted(path for path in DATA.rglob("*") if path.is_file())
 
 
 def _table_rows(path):
@@ -97,12 +104,27 @@ def test_every_data_file_matches_a_package_data_glob():
     # tests import the package from the source tree, so a data file that a
     # built package would leave out is noticed here only
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
-    root = Path(__file__).resolve().parents[1]
-    pyproject = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
-    package = root / "src" / "windsent"
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    package = DATA.parent
     packaged = {Path(name).as_posix()
                 for pattern in pyproject["tool"]["setuptools"]["package-data"]["windsent"]
                 for name in glob.glob(pattern, root_dir=package)}
-    data = {path.relative_to(package).as_posix()
-            for path in (package / "data").rglob("*") if path.is_file()}
+    data = {path.relative_to(package).as_posix() for path in DATA_FILES}
     assert data and data - packaged == set()
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    spec = importlib.util.spec_from_file_location(
+        "golden_reference", ROOT / "tools" / "golden_reference.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("path", DATA_FILES, ids=lambda path: path.relative_to(DATA).as_posix())
+def test_oracle_reads_the_same_data_lines_as_the_package(oracle, path):
+    # the oracle cuts lines with str.splitlines, the package with errors.LINE;
+    # they differ only on VT, FF, FS, GS, RS, U+0085, U+2028 and U+2029
+    package_lines = [line for _, line in data_lines(path, LexiconFileError)]
+    assert oracle.data_lines(path) == package_lines

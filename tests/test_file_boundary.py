@@ -385,13 +385,13 @@ def test_unwritable_skip_report_is_one_error_line(tmp_path, capsys):
 def test_lone_surrogate_is_skipped_in_lenient_mode(tmp_path, command, skip_file):
     corpus = tmp_path / "c.jsonl"
     corpus.write_text('{"id": "a", "text": "clean energy wins today"}\n'
-                      '{"id": "b", "text": "wind farm", "source_group": "\\udfff"}\n',
+                      '{"id": "b", "text": "wind farm \\udfff"}\n',
                       encoding="utf-8")
     out = tmp_path / ("out" if command == "analyze" else "out.jsonl")
     assert main([command, "--input", str(corpus), "--out", str(out), "--lenient"]) == 0
     skipped = (tmp_path / skip_file).read_text(encoding="utf-8").splitlines()
     assert [json.loads(line) for line in skipped] == [
-        {"line": 2, "reason": "field source_group: contains a lone surrogate"}]
+        {"line": 2, "reason": "field text: contains a lone surrogate"}]
 
 
 @pytest.mark.parametrize("command,skip_file", [

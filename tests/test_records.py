@@ -37,7 +37,7 @@ from windsent.lexicons import (
 from windsent.preprocess import CleanedDocument, PreprocessConfig
 from windsent.report import AnalysisReport, CommentRow
 
-COMMENT = Comment("c1", "Good wind", "group", "2024-01-01")
+COMMENT = Comment("c1", "Good wind")
 SCORES = EngineScores(SentimentScore(ENGINE_PATTERN, 0.5, 0.25),
                       SentimentScore(ENGINE_SYNSET, -0.125),
                       SentimentScore(ENGINE_VALENCE, 0.75, proportions=(0.5, 0.5, 0.0)))
@@ -55,7 +55,7 @@ REPORT = AnalysisReport("digest", 1, 1, 0, "corpus.jsonl", MODE_PAPER, 0.0, 10,
 
 # each record beside one that differs from it in exactly one field
 PAIRS = [
-    (COMMENT, Comment("c1", "Good wind", "group", "2024-01-02")),
+    (COMMENT, Comment("c1", "Good winds")),
     (CommentCollection((COMMENT,), "corpus.jsonl"), CommentCollection((COMMENT,), "other.jsonl")),
     (SkippedRecord(3, "text is empty"), SkippedRecord(4, "text is empty")),
     (CleanedDocument("c1", "Good wind", ("good", "wind")),

@@ -585,10 +585,6 @@ class TestCli:
         pytest.param('{"id": "b", "text": ""}', "text is empty", id="empty-text"),
         pytest.param('{"id": 5, "text": "x"}', "field id: must be a string", id="id-number"),
         pytest.param('{"id": "b", "text": 7}', "field text: must be a string", id="text-number"),
-        pytest.param('{"id": "b", "text": "x", "source_group": 1}',
-                     "field source_group: must be a string", id="source-group-number"),
-        pytest.param('{"id": "b", "text": "x", "timestamp": [2023]}',
-                     "field timestamp: must be a string", id="timestamp-list"),
         pytest.param('{"id": "b", "text": "wind \\ud800"}',
                      "field text: contains a lone surrogate", id="lone-surrogate"),
     ])
