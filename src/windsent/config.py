@@ -21,7 +21,7 @@ from .engines import (
     PIPELINE_MODES,
 )
 from .errors import WindsentError, data_lines
-from .lexicons import (DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, LEXICON_FILENAMES,
+from .lexicons import (DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, LexiconSet,
                        bundled_lexicon_dir)
 from .svgplots import MAX_BINS
 
@@ -124,7 +124,7 @@ class RunConfig(NamedTuple):
         if self.disambiguation not in (DISAMBIGUATION_FIRST, DISAMBIGUATION_AVERAGE):
             raise ConfigError("disambiguation must be first-sense or average-senses, "
                               f"got {self.disambiguation!r}")
-        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+        if not math.isfinite(self.epsilon) or math.copysign(1.0, self.epsilon) < 0:
             raise ConfigError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
         if self.top_n < 1:
             raise ConfigError("top-n must be >= 1")
@@ -147,7 +147,7 @@ class RunConfig(NamedTuple):
             "input": self.input_path.name,
             "lemmas": self.lemmas_path.name,
             "lemmatization": self.apply_lemmatization,
-            "lexicons": [LEXICON_FILENAMES[k] for k in ("valence", "pattern", "synset")],
+            "lexicons": [f"{kind}.tsv" for kind in LexiconSet._fields],
             "min_tokens": self.min_token_count,
             "mode": self.mode,
             "stemming": False,  # no longer a setting; kept so digests stay comparable

@@ -115,15 +115,21 @@ def validate_record(raw: Mapping[str, object]) -> Comment:
     return Comment(comment_id, text)
 
 
+def _csv_lines(text: str) -> Iterator[str]:
+    """``text`` cut into lines one at a time (io.StringIO would first copy it
+    whole, at four bytes a character); a NUL raises the error that Python
+    3.10's reader raises for it, as later ones read it as data."""
+    for match in LINE.finditer(text):
+        line = match.group()
+        if "\0" in line:
+            raise csv.Error("line contains NUL")
+        yield line
+
+
 def _iter_csv(text: str) -> Iterator[tuple[int, Mapping[str, object]]]:
-    if "\0" in text:  # Python 3.10's reader refuses it, later ones read it as data
-        line = sum(1 for _ in LINE.finditer(text, 0, text.index("\0") + 1))
-        raise MalformedRecordError(line, "invalid CSV: line contains NUL")
-    # lines are cut one at a time, where io.StringIO would first copy the
-    # whole text at four bytes a character; strict quoting refuses an
-    # unclosed quote, which would otherwise swallow every later line, and
-    # text after a closing quote
-    reader = csv.reader(map(re.Match.group, LINE.finditer(text)), strict=True)
+    # strict quoting refuses an unclosed quote, which would otherwise
+    # swallow every later line, and text after a closing quote
+    reader = csv.reader(_csv_lines(text), strict=True)
     start = 1  # the line where the record being read starts
     # the reader cannot resume after an error, so lenient loading aborts too
     try:

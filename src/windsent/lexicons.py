@@ -15,8 +15,10 @@ that cleaning leaves unchanged, so corpus tokens can match it and cleaning's
 output stays a fixpoint of cleaning. A key may appear once per file. Every
 invariant is checked at load time; a file that violates one never produces
 a partially valid lexicon or table, and the error names the file and line.
-Each lexicon kind loads into its own immutable type whose table callers
-read directly; loaded lexicons are safe for concurrent lookup.
+Each lexicon kind loads into an immutable type that holds its table alone,
+read directly and safe for concurrent lookup; an entry keeps only what
+scoring reads. A synset row's id (unique per file), tag and lemmas are
+checked, but kept only as the table's (lemma, tag) keys.
 """
 
 from __future__ import annotations
@@ -32,13 +34,6 @@ POS_TAGS = ("noun", "verb", "adj", "adv")
 
 VALENCE_BOUND = 4.0
 _SCORE_SUM_TOL = 1e-9
-
-# fixed file names inside a lexicon directory
-LEXICON_FILENAMES = {
-    "valence": "valence.tsv",
-    "pattern": "pattern.tsv",
-    "synset": "synset.tsv",
-}
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 DEFAULT_STOPWORDS_PATH = _DATA_DIR / "stopwords.txt"
@@ -106,7 +101,6 @@ class LexiconFileError(WindsentError):
 
 
 class PatternEntry(NamedTuple):
-    word: str
     polarity: float
     subjectivity: float
     is_intensifier: bool = False
@@ -114,26 +108,21 @@ class PatternEntry(NamedTuple):
 
 
 class SynsetEntry(NamedTuple):
-    synset_id: str
-    pos_tag: str
     pos_score: float
     neg_score: float
-    lemmas: frozenset[str]
     sense_rank: int
 
 
 class _Lexicon(FrozenRecord):
-    """A loaded lexicon: its source, its entry count and its lookup table,
-    which the first slot of each kind's own ``__slots__`` holds under a
-    private name. Immutable, and equal to a lexicon of the same kind with
-    equal fields."""
+    """A loaded lexicon: its lookup table alone, which the first slot of
+    each kind's own ``__slots__`` holds under a private name. Immutable, and
+    equal to a lexicon of the same kind with an equal table."""
 
-    __slots__ = ("source_path", "entry_count")
+    __slots__ = ()
     kind: ClassVar[str]
 
     def __repr__(self) -> str:  # the table is too long to print
-        return (f"{type(self).__name__}(source_path={self.source_path!r}, "
-                f"entry_count={self.entry_count!r})")
+        return f"{type(self).__name__}({len(getattr(self, self._fields[0]))} keys)"
 
 
 class ValenceLexicon(_Lexicon):
@@ -159,12 +148,11 @@ class SynsetLexicon(_Lexicon):
     _synsets: Mapping[tuple[str, str], tuple[SynsetEntry, ...]]
     lemmas: frozenset[str]
 
-    def __init__(self, source_path: str, entry_count: int, table: Mapping) -> None:
-        super().__init__(source_path, entry_count, table,
-                         frozenset(lemma for lemma, _ in table))
+    def __init__(self, table: Mapping) -> None:
+        super().__init__(table, frozenset(lemma for lemma, _ in table))
 
     def __reduce__(self) -> tuple:  # lemmas is derived from the table
-        return SynsetLexicon, (self.source_path, self.entry_count, self._synsets)
+        return SynsetLexicon, (self._synsets,)
 
 
 AnyLexicon = ValenceLexicon | PatternLexicon | SynsetLexicon
@@ -224,7 +212,7 @@ def _load_valence(path: Path) -> ValenceLexicon:
         if not -VALENCE_BOUND <= valence <= VALENCE_BOUND:
             raise OutOfRangeScoreError(lineno, f"valence {valence} outside [-4, 4]")
         _put(entries, word, valence, lineno)
-    return ValenceLexicon(str(path), len(entries), entries)
+    return ValenceLexicon(entries)
 
 
 _TRUE_FLAGS = {"1", "true"}
@@ -251,9 +239,8 @@ def _load_pattern(path: Path) -> PatternLexicon:
             raise OutOfRangeScoreError(lineno, f"subjectivity {subjectivity} outside [0, 1]")
         if factor <= 0.0:
             raise OutOfRangeScoreError(lineno, f"intensity_factor {factor} not positive")
-        _put(entries, word, PatternEntry(word, polarity, subjectivity, is_intensifier, factor),
-             lineno)
-    return PatternLexicon(str(path), len(entries), entries)
+        _put(entries, word, PatternEntry(polarity, subjectivity, is_intensifier, factor), lineno)
+    return PatternLexicon(entries)
 
 
 def _load_synset(path: Path) -> SynsetLexicon:
@@ -285,8 +272,7 @@ def _load_synset(path: Path) -> SynsetLexicon:
         lemmas = [_check_word(w, lineno) for w in fields[5].split(",") if w]
         if not lemmas:
             raise MalformedEntryError(lineno, "empty lemma set")
-        entry = SynsetEntry(synset_id, pos_tag, pos_score, neg_score,
-                            frozenset(lemmas), sense_rank)
+        entry = SynsetEntry(pos_score, neg_score, sense_rank)
         for lemma in lemmas:
             key = (lemma, pos_tag, sense_rank)
             if key in seen_ranks:
@@ -294,11 +280,8 @@ def _load_synset(path: Path) -> SynsetLexicon:
                     lineno, f"duplicate sense_rank {sense_rank} for ({lemma}, {pos_tag})")
             seen_ranks.add(key)
             by_key.setdefault((lemma, pos_tag), []).append(entry)
-    indexed = {
-        key: tuple(sorted(senses, key=lambda e: e.sense_rank))
-        for key, senses in by_key.items()
-    }
-    return SynsetLexicon(str(path), len(seen_ids), indexed)
+    return SynsetLexicon({key: tuple(sorted(senses, key=lambda e: e.sense_rank))
+                          for key, senses in by_key.items()})
 
 
 _LOADERS = {
@@ -351,8 +334,8 @@ class LexiconSet(NamedTuple):
 
 
 def load_lexicon_set(directory: str | Path | None = None) -> LexiconSet:
-    """Load valence.tsv, pattern.tsv and synset.tsv from a directory
-    (bundled lexicons when none is given)."""
+    """Load ``<kind>.tsv`` for each kind in field order (valence.tsv,
+    pattern.tsv, synset.tsv) from a directory (bundled lexicons when none is
+    given)."""
     base = Path(directory) if directory is not None else bundled_lexicon_dir()
-    return LexiconSet(**{kind: load_lexicon(base / name, kind)
-                         for kind, name in LEXICON_FILENAMES.items()})
+    return LexiconSet(*(load_lexicon(base / f"{kind}.tsv", kind) for kind in LexiconSet._fields))

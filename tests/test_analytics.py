@@ -342,31 +342,25 @@ def _doc(cid, tokens):
     return CleanedDocument(cid, " ".join(tokens), tuple(tokens), None)
 
 
-def _sense(lemma, tag, pos_score, neg_score, rank):
-    return SynsetEntry(f"{lemma}.{tag}.{rank:02d}", tag, pos_score, neg_score,
-                       frozenset({lemma}), rank)
-
-
 # built by position, as a caller outside the loader would; "zqxly" (tagged
 # adv by its suffix) and "kill" (verb in the POS table) are lemmas only under
 # a tag that tag_pos never gives them, so they can never match
-_CUSTOM_SYNSET = SynsetLexicon("custom", 5, {
-    ("zqxly", "noun"): (_sense("zqxly", "noun", 0.5, 0.0, 1),),
-    ("kill", "noun"): (_sense("kill", "noun", 0.0, 0.75, 1),),
-    ("breeze", "noun"): (_sense("breeze", "noun", 0.25, 0.0, 1),
-                         _sense("breeze", "noun", 0.0, 0.5, 2)),
-    ("good", "adj"): (_sense("good", "adj", 0.625, 0.0, 1),),
+_CUSTOM_SYNSET = SynsetLexicon({
+    ("zqxly", "noun"): (SynsetEntry(0.5, 0.0, 1),),
+    ("kill", "noun"): (SynsetEntry(0.0, 0.75, 1),),
+    ("breeze", "noun"): (SynsetEntry(0.25, 0.0, 1), SynsetEntry(0.0, 0.5, 2)),
+    ("good", "adj"): (SynsetEntry(0.625, 0.0, 1),),
 })
 # an intensifier with a polarity of its own ("zqxly"), intensifiers with none,
 # and a word whose polarity is zero ("breeze"): each is a lexicon word
-_CUSTOM_PATTERN = PatternLexicon("custom", 5, {
-    "zqxly": PatternEntry("zqxly", -0.5, 0.75, True, 1.5),
-    "very": PatternEntry("very", 0.0, 0.0, True, 1.3),
-    "utterly": PatternEntry("utterly", 0.0, 0.0, True, 2.0),
-    "breeze": PatternEntry("breeze", 0.0, 0.25),
-    "good": PatternEntry("good", 0.75, 0.5),
+_CUSTOM_PATTERN = PatternLexicon({
+    "zqxly": PatternEntry(-0.5, 0.75, True, 1.5),
+    "very": PatternEntry(0.0, 0.0, True, 1.3),
+    "utterly": PatternEntry(0.0, 0.0, True, 2.0),
+    "breeze": PatternEntry(0.0, 0.25),
+    "good": PatternEntry(0.75, 0.5),
 })
-_CUSTOM_VALENCE = ValenceLexicon("custom", 4, {
+_CUSTOM_VALENCE = ValenceLexicon({
     "breeze": 1.5, "kill": -3.0, "zqxly": 0.0, "very": 0.5})
 _CUSTOM_LEXICONS = LexiconSet(_CUSTOM_VALENCE, _CUSTOM_PATTERN, _CUSTOM_SYNSET)
 _custom_words = ["zqxly", "kill", "breeze", "good", "zqx", "very", "utterly"]
@@ -496,7 +490,6 @@ def test_top_words_repeated_document_id_rejected(lexicons):
 
 def test_custom_synset_lexicon_derives_its_lemmas():
     assert _CUSTOM_SYNSET.lemmas == {"zqxly", "kill", "breeze", "good"}
-    assert (_CUSTOM_SYNSET.source_path, _CUSTOM_SYNSET.entry_count) == ("custom", 5)
 
 
 @pytest.mark.parametrize("disambiguation", [DISAMBIGUATION_FIRST, DISAMBIGUATION_AVERAGE])

@@ -243,10 +243,15 @@ BAD_INPUTS = {
     "csv-nul": (
         lambda t: _corpus(t, "c.csv", "id,text\na,good wind\x00 farm\nb,fine words\n"),
         "ERROR corpus/malformed-record: line 2: invalid CSV: line contains NUL"),
+    # named by the line where its record starts, as every CSV refusal is
     "csv-nul-in-quoted-field-lenient": (
         lambda t: _corpus(t, "c.csv", 'id,text\na,"good wind\nfarm\x00 here"\nb,fine\n')
         + ["--lenient"],
-        "ERROR corpus/malformed-record: line 3: invalid CSV: line contains NUL"),
+        "ERROR corpus/malformed-record: line 2: invalid CSV: line contains NUL"),
+    # the header is checked before a later line is read
+    "csv-nul-after-bad-header": (
+        lambda t: _corpus(t, "c.csv", "idx,txt\na,\x00\n"),
+        "ERROR corpus/malformed-record: line 1: header lacks required column 'id'"),
     "csv-header-repeats-column": (
         lambda t: _corpus(t, "c.csv", "id,text,text\na,good,bad\n"),
         "ERROR corpus/malformed-record: line 1: header repeats column 'text'"),
@@ -272,6 +277,13 @@ BAD_INPUTS = {
     "jsonl-int-too-long-lenient": (
         lambda t: _jsonl_extra_key(t, _LONG_INT) + ["--lenient"],
         "ERROR corpus/malformed-record: line 1: invalid JSON: Exceeds the limit"),
+    # -0 labels as 0 does, so accepting it would give one run a second report and digest
+    "flag-epsilon-negative-zero": (
+        lambda t: ["--epsilon", "-0"],
+        "ERROR config/invalid: epsilon must be a finite number >= 0, got -0.0"),
+    "config-epsilon-negative-zero": (
+        lambda t: ["--config", str(_write(t / "run.conf", "epsilon = -0\n", False))],
+        "ERROR config/invalid: epsilon must be a finite number >= 0, got -0.0"),
     # stemming is no setting: neither spelling of one is silently ignored
     "config-key-stemming": (
         lambda t: ["--config", str(_write(t / "run.conf", "stemming = true\n", False))],

@@ -9,6 +9,11 @@ from windsent.lexicons import (
     LexiconFileError,
     MalformedEntryError,
     OutOfRangeScoreError,
+    PatternEntry,
+    PatternLexicon,
+    SynsetEntry,
+    SynsetLexicon,
+    ValenceLexicon,
     _check_word,
     bundled_lexicon_dir,
     load_lexicon,
@@ -25,7 +30,7 @@ def write(path, text):
 class TestValenceLoading:
     def test_basic_entry(self, tmp_path):
         lex = load_lexicon(write(tmp_path / "v.tsv", "great\t3.1\n"), "valence")
-        assert lex.entry_count == 1
+        assert len(lex._valence) == 1
         assert lex._valence.get("great") == 3.1
 
     def test_out_of_range(self, tmp_path):
@@ -40,7 +45,7 @@ class TestValenceLoading:
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         lex = load_lexicon(
             write(tmp_path / "v.tsv", "# header\n\ngood\t1.9\n"), "valence")
-        assert lex.entry_count == 1
+        assert lex._valence == {"good": 1.9}
 
     def test_bad_field_count(self, tmp_path):
         with pytest.raises(MalformedEntryError):
@@ -135,6 +140,20 @@ class TestSynsetLoading:
             load_lexicon(write(tmp_path / "s.tsv", "x.q.01\tqqq\t0.5\t0.0\t1\tx\n"),
                          "synset")
 
+    # the id and the lemma list are checked although no entry keeps them
+    @pytest.mark.parametrize("row,error,reason", [
+        # stripping the line drops an empty leading field, so the row is short
+        ("\tadj\t0.5\t0.0\t1\ty", MalformedEntryError, "expected 6 fields, got 5"),
+        ("x.a.01\tadj\t0.5\t0.0\t2\ty", DuplicateWordError, "duplicate word 'x.a.01'"),
+        ("y.a.01\tadj\t0.5\t0.0\t1\t,", MalformedEntryError, "empty lemma set"),
+    ], ids=["empty-synset-id", "repeated-synset-id", "empty-lemma-list"])
+    def test_synset_row_refused(self, tmp_path, row, error, reason):
+        text = "x.a.01\tadj\t0.5\t0.0\t1\tx\n" + row + "\n"
+        with pytest.raises(error) as exc:
+            load_lexicon(write(tmp_path / "s.tsv", text), "synset")
+        assert (exc.value.line, exc.value.reason) == (2, reason)
+        assert exc.value.code == error.code
+
 
 class TestWrongKind:
     def test_engine_entry_kind_checks(self, lexicons):
@@ -170,13 +189,13 @@ class TestBundledLexicons:
 
     def test_valence_matches_manifest(self, lexicons, manifest):
         recorded = manifest["lexicons"]["valence"]
-        assert lexicons.valence.entry_count == len(recorded)
+        assert len(lexicons.valence._valence) == len(recorded)
         for word, value in recorded.items():
             assert lexicons.valence._valence.get(word) == value
 
     def test_pattern_matches_manifest(self, lexicons, manifest):
         recorded = manifest["lexicons"]["pattern"]
-        assert lexicons.pattern.entry_count == len(recorded)
+        assert len(lexicons.pattern._pattern) == len(recorded)
         for word, (pol, subj, flag, factor) in recorded.items():
             entry = lexicons.pattern._pattern[word]
             assert (entry.polarity, entry.subjectivity,
@@ -184,12 +203,17 @@ class TestBundledLexicons:
                 == (pol, subj, flag, factor)
 
     def test_synsets_match_manifest(self, lexicons, manifest):
+        # the loader keeps each (lemma, tag, rank) unique, so it names one sense
         rows = manifest["lexicons"]["synset"]
-        assert lexicons.synset.entry_count == len(rows)
-        for sid, pos, ps, ns, rank, lemmas in rows:
+        loaded = {(lemma, tag, sense.sense_rank)
+                  for (lemma, tag), senses in lexicons.synset._synsets.items()
+                  for sense in senses}
+        assert loaded == {(lemma, pos, rank)
+                          for _, pos, _, _, rank, lemmas in rows for lemma in lemmas}
+        for _, pos, ps, ns, rank, lemmas in rows:
             for lemma in lemmas:
                 senses = lexicons.synset._synsets.get((lemma, pos), ())
-                match = [s for s in senses if s.synset_id == sid]
+                match = [s for s in senses if s.sense_rank == rank]
                 assert len(match) == 1
                 entry = match[0]
                 assert (entry.pos_score, entry.neg_score, entry.sense_rank) \
@@ -216,12 +240,21 @@ class TestBundledLexicons:
         noun = lexicons.synset._synsets.get(("good", "noun"), ())
         adj = lexicons.synset._synsets.get(("good", "adj"), ())
         assert noun and adj
-        assert {s.synset_id for s in noun} != {s.synset_id for s in adj}
+        assert noun != adj
 
     def test_repeated_lookup_deterministic(self, lexicons):
         first = lexicons.synset._synsets.get(("good", "adj"), ())
         second = lexicons.synset._synsets.get(("good", "adj"), ())
         assert first == second
+
+
+def test_records_hold_only_what_scoring_reads():
+    assert PatternEntry._fields == (
+        "polarity", "subjectivity", "is_intensifier", "intensity_factor")
+    assert SynsetEntry._fields == ("pos_score", "neg_score", "sense_rank")
+    assert ValenceLexicon._fields == ("_valence",)
+    assert PatternLexicon._fields == ("_pattern",)
+    assert SynsetLexicon._fields == ("_synsets", "lemmas")
 
 
 def test_load_lexicon_set_bundled(lexicons):
@@ -240,7 +273,7 @@ def test_empty_lexicon_files_load_as_empty(tmp_path):
         path = tmp_path / f"{kind}.tsv"
         path.write_text("# nothing here\n", encoding="utf-8")
         lex = load_lexicon(path, kind)
-        assert lex.entry_count == 0
+        assert lex == type(lex)({})
         if kind == "valence":
             assert score_valence_rule(["good"], lex).polarity == 0.0
         elif kind == "pattern":

@@ -45,11 +45,11 @@ LABELS = {ENGINE_PATTERN: "positive", ENGINE_SYNSET: "negative", ENGINE_VALENCE:
 HISTOGRAM = SubjectivityHistogram((0.0, 0.5, 1.0), (1, 0), 0.25, 0.25)
 DISTRIBUTION = DistributionReport(ENGINE_VALENCE, {"positive": 1}, {"positive": 1.0})
 ROW = CommentRow("c1", SCORES, LABELS)
-PATTERN_ENTRY = PatternEntry("good", 0.7, 0.6)
-SYNSET_ENTRY = SynsetEntry("good.a.01", "adj", 0.75, 0.0, frozenset({"good"}), 1)
-VALENCE = ValenceLexicon("valence.tsv", 1, {"good": 1.9})
-PATTERN = PatternLexicon("pattern.tsv", 1, {"good": PATTERN_ENTRY})
-SYNSET = SynsetLexicon("synset.tsv", 1, {("good", "adj"): (SYNSET_ENTRY,)})
+PATTERN_ENTRY = PatternEntry(0.7, 0.6)
+SYNSET_ENTRY = SynsetEntry(0.75, 0.0, 1)
+VALENCE = ValenceLexicon({"good": 1.9})
+PATTERN = PatternLexicon({"good": PATTERN_ENTRY})
+SYNSET = SynsetLexicon({("good", "adj"): (SYNSET_ENTRY,)})
 REPORT = AnalysisReport("digest", 1, 1, 0, "corpus.jsonl", MODE_PAPER, 0.0, 10,
                         (ROW,), (), {ENGINE_VALENCE: DISTRIBUTION}, HISTOGRAM, {})
 
@@ -67,16 +67,16 @@ PAIRS = [
     (HISTOGRAM, SubjectivityHistogram((0.0, 0.5, 1.0), (0, 1), 0.25, 0.25)),
     (WordRanking(ENGINE_VALENCE, "positive", (("good", 2),)),
      WordRanking(ENGINE_VALENCE, "positive", (("good", 3),))),
-    (PATTERN_ENTRY, PatternEntry("good", 0.7, 0.6, True)),
-    (SYNSET_ENTRY, SynsetEntry("good.a.01", "adj", 0.75, 0.0, frozenset({"good"}), 2)),
+    (PATTERN_ENTRY, PatternEntry(0.7, 0.6, True)),
+    (SYNSET_ENTRY, SynsetEntry(0.75, 0.0, 2)),
     (DISTRIBUTION, DistributionReport(ENGINE_VALENCE, {"positive": 2}, {"positive": 1.0})),
     (ROW, CommentRow("c1", SCORES, {**LABELS, ENGINE_SYNSET: "neutral"})),
     (REPORT, REPORT._replace(top_n=30)),
-    (VALENCE, ValenceLexicon("valence.tsv", 1, {"good": 2.0})),
-    (PATTERN, PatternLexicon("pattern.tsv", 2, {"good": PATTERN_ENTRY})),
-    (SYNSET, SynsetLexicon("other.tsv", 1, {("good", "adj"): (SYNSET_ENTRY,)})),
-    (LexiconSet(VALENCE, PATTERN, SYNSET),
-     LexiconSet(ValenceLexicon("valence.tsv", 1, {}), PATTERN, SYNSET)),
+    (VALENCE, ValenceLexicon({"good": 2.0})),
+    (PATTERN, PatternLexicon({"bad": PATTERN_ENTRY})),
+    # the same lemma under another tag: the table differs, the derived lemmas do not
+    (SYNSET, SynsetLexicon({("good", "noun"): (SYNSET_ENTRY,)})),
+    (LexiconSet(VALENCE, PATTERN, SYNSET), LexiconSet(ValenceLexicon({}), PATTERN, SYNSET)),
     (PreprocessConfig(frozenset({"the"}), {"winds": "wind"}),
      PreprocessConfig(frozenset({"the"}), {"winds": "wind"}, apply_lemmatization=False)),
     (RunConfig(Path("in.jsonl"), "jsonl", Path("out")),

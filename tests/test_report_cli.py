@@ -750,7 +750,7 @@ def test_cross_python_names_an_error_line_that_differs(tmp_path):
                             capture_output=True, text=True)
     assert result.returncode == 1, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 4  # strict and lenient runs on two bad-quote CSVs
+    assert len(lines) == 6  # strict and lenient runs on three bad CSVs
     assert lines[0] == (
         f"DIFFERS {fake}: csv-unclosed-quote/analyze: exit status 1 (ERROR "
         "corpus/malformed-record: line 4: invalid CSV: unexpected end of data), not exit "

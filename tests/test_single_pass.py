@@ -182,14 +182,14 @@ BUNDLED = load_lexicon_set()
 # The bundled lexicons score no negation word and not "but", and hold no
 # zero valence, so some paths (a weight at the pivot, a negation word
 # negating itself, -0.0 from negating a zero) only show with these extras.
-EXTENDED_VALENCE = ValenceLexicon("extended", 0, {
+EXTENDED_VALENCE = ValenceLexicon({
     **BUNDLED.valence._valence, "but": 1.2, "meh": 0.0, "tiny": 1e-3})
-EXTENDED_PATTERN = PatternLexicon("extended", 0, {
+EXTENDED_PATTERN = PatternLexicon({
     **BUNDLED.pattern._pattern,
-    "but": PatternEntry("but", -0.2, 0.3),
-    "not": PatternEntry("not", -0.4, 0.5),
-    "never": PatternEntry("never", 0.0, 0.0, True, 1.7),
-    "meh": PatternEntry("meh", 0.0, 0.4),
+    "but": PatternEntry(-0.2, 0.3),
+    "not": PatternEntry(-0.4, 0.5),
+    "never": PatternEntry(0.0, 0.0, True, 1.7),
+    "meh": PatternEntry(0.0, 0.4),
 })
 VALENCE_LEXICONS = [BUNDLED.valence, EXTENDED_VALENCE]
 PATTERN_LEXICONS = [BUNDLED.pattern, EXTENDED_PATTERN]
