@@ -132,8 +132,6 @@ def subjectivity_histogram(scores: Sequence[SentimentScore],
 
 
 class WordRanking(NamedTuple):
-    engine: str
-    side: str
     entries: tuple[tuple[str, int], ...]
 
 
@@ -206,4 +204,4 @@ def top_words(documents: Sequence[CleanedDocument],
     ranked = sorted(((word, count) for word, count in counts.items()
                      if word_qualifies(lexicon, word, side)),
                     key=lambda kv: (-kv[1], kv[0]))
-    return WordRanking(engine, side, tuple(ranked[:n]))
+    return WordRanking(tuple(ranked[:n]))

@@ -3,7 +3,7 @@
 Subcommands mirror the pipeline stages:
   analyze    - full run: load, clean, score, label, aggregate, write report
   preprocess - cleaning only, writes a JSONL of cleaned documents
-  top-words  - full run, prints or writes the word rankings
+  top-words  - print or write the word rankings of an existing report.json
   plot       - re-render the SVG charts from an existing report.json
 
 Domain errors print a single machine-parsable line on stderr
@@ -81,38 +81,32 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_report(path: str) -> tuple[dict, list, list, dict]:
+    """What the charts draw from the report.json at ``path``, which
+    ``svgplots.drawn_values`` checks; a refusal names the file."""
+    summary = report_mod.load_report(path)
+    try:
+        return svgplots.drawn_values(summary)
+    except report_mod.ReportNotReadableError as exc:
+        raise report_mod.ReportNotReadableError(f"{path}: {exc}") from exc
+
+
 def cmd_top_words(args: argparse.Namespace) -> int:
-    file_values = parse_config_file(args.config) if args.config else {}
-    flag_values = _flag_values(args)
-    to_stdout = "out" not in flag_values and "out" not in file_values
-    if to_stdout:
-        flag_values["out"] = "."  # analysis-only run, nothing is written there
-    config = build_run_config(file_values, flag_values)
-    result, skipped = pipeline.analyze_only(config)
-    engines_wanted = [args.engine] if args.engine else sorted(result.rankings)
-    sides_wanted = [args.side] if args.side else list(report_mod.SIDES)
-    if to_stdout:
-        if skipped:
-            print(f"skipped {len(skipped)} records", file=sys.stderr)
-        for engine in engines_wanted:
-            for side in sides_wanted:
-                print(f"# {engine} {side}")
-                print(report_mod.ranking_csv_text(result.rankings[engine][side]),
-                      end="")
+    *_, rankings = _read_report(args.report)
+    wanted = {(engine, side): entries for (engine, side), entries in rankings.items()
+              if args.engine in (None, engine) and args.side in (None, side)}
+    if args.out is None:
+        for (engine, side), entries in wanted.items():
+            print(f"# {engine} {side}")
+            print(report_mod.ranking_csv_text(entries), end="")
         return 0
-    for path in report_mod.write_ranking_files(result.rankings, config.out_dir,
-                                               engines_wanted, sides_wanted):
+    for path in report_mod.write_ranking_files(wanted, args.out):
         print(f"wrote {path}")
-    pipeline.update_skip_report(skipped, config.out_dir / "skipped.jsonl")
     return 0
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    summary = report_mod.load_report(args.report)
-    try:
-        written = svgplots.render_report_plots(summary, args.out)
-    except report_mod.ReportNotReadableError as exc:
-        raise report_mod.ReportNotReadableError(f"{args.report}: {exc}") from exc
+    written = svgplots.render_report_plots(_read_report(args.report), args.out)
     print(f"wrote {len(written)} SVG files -> {args.out}")
     return 0
 
@@ -140,9 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output JSONL file for cleaned documents")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("top-words", help="print or write the word rankings")
-    _add_common_input_flags(p)
-    _add_analysis_flags(p)
+    p = sub.add_parser("top-words", help="print or write a report.json's word rankings")
+    p.add_argument("--report", required=True, help="path to report.json")
     p.add_argument("--engine", choices=ENGINES,
                    help="restrict to one engine")
     p.add_argument("--side", choices=report_mod.SIDES,

@@ -88,7 +88,7 @@ def _preprocess_config(config: RunConfig) -> PreprocessConfig:
     )
 
 
-def update_skip_report(skipped: tuple[corpus.SkippedRecord, ...], path: Path) -> None:
+def _update_skip_report(skipped: tuple[corpus.SkippedRecord, ...], path: Path) -> None:
     """Write the skip report, or remove a leftover one from an earlier run
     when nothing was skipped."""
     if skipped:
@@ -97,10 +97,11 @@ def update_skip_report(skipped: tuple[corpus.SkippedRecord, ...], path: Path) ->
         remove_file(path)
 
 
-def analyze_only(config: RunConfig) -> tuple[report_mod.AnalysisReport, tuple]:
+def _analyze(config: RunConfig) -> tuple[report_mod.AnalysisReport, tuple]:
     """Validate, load the data files (first, so that a bad one fails before a
     large corpus is read) and the corpus, and analyze, writing no files:
-    returns the report and the records a lenient load skipped."""
+    returns the report and the records a lenient load skipped. Returning
+    frees the corpus and the tables before ``run_analyze`` writes."""
     config.validate()
     cleaning = _preprocess_config(config)
     lexicons = load_lexicon_set(config.lexicon_dir)
@@ -113,12 +114,12 @@ def run_analyze(config: RunConfig) -> report_mod.AnalysisReport:
     enabled, else remove charts left by an earlier run) into the output
     directory. Validation happens before any output is written, so a bad
     configuration leaves no partial results."""
-    result, skipped = analyze_only(config)
+    result, skipped = _analyze(config)
     report_mod.write_report_files(result, config.out_dir)
-    update_skip_report(skipped, config.out_dir / "skipped.jsonl")
+    _update_skip_report(skipped, config.out_dir / "skipped.jsonl")
     if config.plots:
-        svgplots.render_report_plots(report_mod.summary_to_dict(result),
-                                     config.out_dir / "plots")
+        summary = report_mod.summary_to_dict(result)
+        svgplots.render_report_plots(svgplots.drawn_values(summary), config.out_dir / "plots")
     else:
         for name in svgplots.CHART_FILES:
             remove_file(config.out_dir / "plots" / name)
@@ -149,5 +150,5 @@ def run_preprocess_only(config: RunConfig, out_file: str | Path) -> Path:
     out_path = Path(out_file)
     write_file(out_path, corpus.jsonl_text(cleaned_document_record(doc)
                                            for doc in documents))
-    update_skip_report(skipped, out_path.with_suffix(".skipped.jsonl"))
+    _update_skip_report(skipped, out_path.with_suffix(".skipped.jsonl"))
     return out_path

@@ -208,23 +208,22 @@ def comments_csv_text(cells: Sequence[tuple[str, ...]]) -> str:
     return _COMMENTS_CSV_HEADER + "".join(map(_comments_csv_row, cells))
 
 
-def ranking_csv_text(ranking: WordRanking) -> str:
+def ranking_csv_text(entries: Sequence[tuple[str, int]]) -> str:
+    """The text of a ranking CSV from a ranking's (word, count) entries."""
     return "word,frequency\n" + "".join(f"{_csv_field(word)},{count}\n"
-                                        for word, count in ranking.entries)
+                                        for word, count in entries)
 
 
-def write_ranking_files(rankings: Mapping[str, Mapping[str, WordRanking]],
-                        outdir: str | Path, engines: Sequence[str] = ENGINES,
-                        sides: Sequence[str] = SIDES) -> list[Path]:
-    """Write ranking_<engine>_<side>.csv for each engine and side; returns
-    the paths written."""
+def write_ranking_files(rankings: Mapping[tuple[str, str], Sequence[tuple[str, int]]],
+                        outdir: str | Path) -> list[Path]:
+    """Write ranking_<engine>_<side>.csv for each (engine, side) key's
+    entries; returns the paths written."""
     outdir = Path(outdir)
     written = []
-    for engine in engines:
-        for side in sides:
-            path = outdir / f"ranking_{engine}_{side}.csv"
-            write_file(path, ranking_csv_text(rankings[engine][side]))
-            written.append(path)
+    for (engine, side), entries in rankings.items():
+        path = outdir / f"ranking_{engine}_{side}.csv"
+        write_file(path, ranking_csv_text(entries))
+        written.append(path)
     return written
 
 
@@ -235,7 +234,9 @@ def write_report_files(report: AnalysisReport, outdir: str | Path) -> None:
     cells = list(map(_row_cells, report.comments))
     write_file(outdir / "report.json", report_json_bytes(report, cells))
     write_file(outdir / "comments.csv", comments_csv_text(cells))
-    write_ranking_files(report.rankings, outdir)
+    write_ranking_files({(engine, side): ranking.entries
+                         for engine, sides in report.rankings.items()
+                         for side, ranking in sides.items()}, outdir)
 
 
 def load_report(path: str | Path) -> object:

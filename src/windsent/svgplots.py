@@ -197,12 +197,22 @@ def _count(value, where: str) -> int:
     return value
 
 
+def drawn_values(summary: Mapping) -> tuple[dict, list, list, dict]:
+    """What the charts draw from a report's summary sections
+    (``summary_to_dict`` or a parsed report.json): label counts per engine,
+    the histogram's edges and counts, and the ranking entries per (engine,
+    side). Anything that would not draw as valid SVG raises
+    ReportNotReadableError."""
+    try:
+        return _drawn_values(summary)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReportNotReadableError(
+            f"not a windsent report ({type(exc).__name__}: {exc})") from exc
+
+
 def _drawn_values(summary: Mapping) -> tuple[dict, list, list, dict]:
-    """What the charts draw, read from the report's ``distributions``,
-    ``subjectivity`` and ``rankings`` sections: label counts per engine, the
-    histogram's edges and counts, and the ranking entries per engine and
-    side. Raises KeyError, TypeError or ValueError on anything that would not
-    draw as valid SVG."""
+    """``drawn_values``, read from the ``distributions``, ``subjectivity``
+    and ``rankings`` sections; raises KeyError, TypeError or ValueError."""
     distributions = {
         engine: [_count(summary["distributions"][engine]["counts"][lab],
                         f"distributions.{engine}.counts.{lab}")
@@ -248,16 +258,11 @@ CHART_FILES = (
 )
 
 
-def render_report_plots(summary: Mapping, outdir: str | Path) -> list[Path]:
-    """Emit the 13 SVG files into ``outdir`` from a report's summary sections
-    (``summary_to_dict`` or a parsed report.json). Everything drawn is checked
-    before any file is written; a section that cannot be drawn raises
-    ReportNotReadableError."""
-    try:
-        distributions, edges, counts, rankings = _drawn_values(summary)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ReportNotReadableError(
-            f"not a windsent report ({type(exc).__name__}: {exc})") from exc
+def render_report_plots(values: tuple[dict, list, list, dict],
+                        outdir: str | Path) -> list[Path]:
+    """Emit the 13 SVG files into ``outdir`` from a report's checked
+    ``drawn_values``."""
+    distributions, edges, counts, rankings = values
     outdir = Path(outdir)
     charts = []
     for engine in ENGINES:

@@ -65,8 +65,7 @@ PAIRS = [
     (LabeledComment("c1", ENGINE_SYNSET, SCORES.synset, "negative"),
      LabeledComment("c1", ENGINE_SYNSET, SCORES.synset, "neutral")),
     (HISTOGRAM, SubjectivityHistogram((0.0, 0.5, 1.0), (0, 1), 0.25, 0.25)),
-    (WordRanking(ENGINE_VALENCE, "positive", (("good", 2),)),
-     WordRanking(ENGINE_VALENCE, "positive", (("good", 3),))),
+    (WordRanking((("good", 2),)), WordRanking((("good", 3),))),
     (PATTERN_ENTRY, PatternEntry(0.7, 0.6, True)),
     (SYNSET_ENTRY, SynsetEntry(0.75, 0.0, 2)),
     (DISTRIBUTION, DistributionReport(ENGINE_VALENCE, {"positive": 2}, {"positive": 1.0})),
@@ -130,6 +129,10 @@ def test_records_differing_in_one_field_are_unequal(record, other):
 def test_collection_and_lexicons_are_not_tuples(record):
     assert not isinstance(record, tuple)
     assert record != tuple(getattr(record, name) for name in fields(record))
+
+
+def test_word_ranking_holds_only_its_entries():
+    assert WordRanking._fields == ("entries",)
 
 
 def test_named_tuple_records_equal_plain_tuples():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from windsent import config as config_module
+from windsent import engines
 from windsent.cli import _flag_values, build_parser, main
 from windsent.config import (
     SETTINGS,
@@ -20,9 +21,11 @@ from windsent.config import (
     infer_format,
     parse_config_file,
 )
+from windsent.engines import ENGINES
 from windsent.errors import WindsentError
 from windsent.lexicons import LexiconFileError
 from windsent.pipeline import run_analyze, run_preprocess_only
+from windsent.report import SIDES, ranking_csv_text
 from windsent.svgplots import CHART_FILES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -411,65 +414,63 @@ class TestCli:
         records = [json.loads(line) for line in out_file.read_text().splitlines()]
         assert len(records) == 50
 
-    def test_top_words_stdout(self, golden_corpus_path, capsys):
-        code = main(["top-words", "--input", str(golden_corpus_path),
-                     "--engine", "valence_rule", "--side", "positive",
-                     "--top-n", "5"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert out.startswith("# valence_rule positive\nword,frequency\n")
-        assert len(out.strip().splitlines()) <= 2 + 5
+    @staticmethod
+    def _rankings_text(golden_dir, pairs):
+        """What ``top-words`` prints for these (engine, side) pairs of the
+        golden report: a ``# <engine> <side>`` line, then the ranking CSV."""
+        rankings = read_json(golden_dir / "golden_report.json")["rankings"]
+        return "".join(f"# {engine} {side}\n"
+                       + ranking_csv_text(rankings[engine][side])
+                       for engine, side in pairs)
 
-    def test_top_words_written(self, golden_corpus_path, tmp_path):
-        out = tmp_path / "rankings"
-        code = main(["top-words", "--input", str(golden_corpus_path),
-                     "--out", str(out)])
-        assert code == 0
-        assert len(list(out.glob("ranking_*.csv"))) == 6
-
-    def _planted_bad_records(self, tmp_path):
-        corpus = tmp_path / "c.jsonl"
-        corpus.write_text('{"id": "a", "text": "clean energy is a great idea"}\n'
-                          '{"id": "b"}\n'
-                          '{"id": "a", "text": "a repeated id"}\n'
-                          '{"id": "c", "text": "the turbines are horrible"}\n',
-                          encoding="utf-8")
-        return corpus
-
-    def test_top_words_lenient_writes_skip_report(self, tmp_path, capsys):
-        corpus = self._planted_bad_records(tmp_path)
-        out = tmp_path / "rankings"
-        code = main(["top-words", "--input", str(corpus), "--out", str(out), "--lenient"])
-        assert code == 0
-        assert capsys.readouterr().err == ""
-        analyzed = tmp_path / "analyzed"
-        assert main(["analyze", "--input", str(corpus), "--out", str(analyzed),
-                     "--lenient"]) == 0
-        skipped = (out / "skipped.jsonl").read_text(encoding="utf-8")
-        assert skipped == (analyzed / "skipped.jsonl").read_text(encoding="utf-8")
-        assert [json.loads(line)["line"] for line in skipped.splitlines()] == [2, 3]
-        # a later run that skips nothing removes the stale report
-        corpus.write_text('{"id": "a", "text": "clean energy is a great idea"}\n',
-                          encoding="utf-8")
-        assert main(["top-words", "--input", str(corpus), "--out", str(out),
-                     "--lenient"]) == 0
-        assert not (out / "skipped.jsonl").exists()
-
-    def test_top_words_lenient_stdout_counts_skipped(self, tmp_path, capsys, monkeypatch):
-        corpus = self._planted_bad_records(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        code = main(["top-words", "--input", str(corpus), "--lenient",
-                     "--engine", "valence_rule", "--side", "positive"])
+    def test_top_words_stdout(self, golden_dir, capsys, monkeypatch):
+        monkeypatch.setattr(engines, "score_all", None)  # only analyze scores
+        code = main(["top-words", "--report", str(golden_dir / "golden_report.json")])
         assert code == 0
         captured = capsys.readouterr()
-        assert captured.err == "skipped 2 records\n"
-        assert captured.out.startswith("# valence_rule positive\nword,frequency\n")
-        assert not (tmp_path / "skipped.jsonl").exists()
-        # nothing skipped, nothing said
-        corpus.write_text('{"id": "a", "text": "clean energy is a great idea"}\n',
-                          encoding="utf-8")
-        assert main(["top-words", "--input", str(corpus), "--lenient"]) == 0
-        assert capsys.readouterr().err == ""
+        assert captured.err == ""
+        assert captured.out == self._rankings_text(
+            golden_dir, [(engine, side) for engine in ENGINES for side in SIDES])
+
+    def test_top_words_written(self, golden_corpus_path, tmp_path, capsys):
+        analyzed = tmp_path / "analyzed"
+        assert main(["analyze", "--input", str(golden_corpus_path),
+                     "--out", str(analyzed)]) == 0
+        out = tmp_path / "rankings"
+        code = main(["top-words", "--report", str(analyzed / "report.json"),
+                     "--out", str(out)])
+        assert code == 0
+        written = sorted(path.name for path in out.iterdir())
+        assert written == sorted(path.name for path in analyzed.glob("ranking_*.csv"))
+        assert len(written) == 6
+        for name in written:
+            assert (out / name).read_bytes() == (analyzed / name).read_bytes()
+
+    @pytest.mark.parametrize("flags,pairs", [
+        (["--engine", "synset"], [("synset", "negative"), ("synset", "positive")]),
+        (["--side", "positive"], [(engine, "positive") for engine in ENGINES]),
+        (["--engine", "valence_rule", "--side", "negative"], [("valence_rule", "negative")]),
+    ])
+    def test_top_words_filters(self, golden_dir, tmp_path, capsys, flags, pairs):
+        report = str(golden_dir / "golden_report.json")
+        assert main(["top-words", "--report", report, *flags]) == 0
+        assert capsys.readouterr().out == self._rankings_text(golden_dir, pairs)
+        out = tmp_path / "rankings"
+        assert main(["top-words", "--report", report, *flags, "--out", str(out)]) == 0
+        names = [f"ranking_{engine}_{side}.csv" for engine, side in pairs]
+        assert capsys.readouterr().out == "".join(f"wrote {out / name}\n" for name in names)
+        assert sorted(path.name for path in out.iterdir()) == sorted(names)
+
+    @pytest.mark.parametrize("flags", [
+        ["--input", "c.jsonl"], ["--lenient"], ["--config", "run.conf"], ["--top-n", "5"],
+    ], ids=lambda flags: flags[0])
+    def test_top_words_reads_no_corpus(self, golden_dir, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["top-words", "--report", str(golden_dir / "golden_report.json"), *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
 
     def test_plot_subcommand_rerenders(self, golden_config, golden_dir, tmp_path,
                                        capsys):
@@ -485,11 +486,26 @@ class TestCli:
                    for p in replot.glob("*.svg")}
         assert digests == pinned
 
+    @staticmethod
+    def _refusal(report, out, capsys):
+        """The one stderr line that ``plot`` and ``top-words --out`` both
+        print for ``report``, after checking that each exits 1 and writes
+        nothing."""
+        lines = []
+        for command in ("plot", "top-words"):
+            assert main([command, "--report", str(report), "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines += captured.err.strip().splitlines()
+        assert not out.exists()
+        plot_line, top_words_line = lines
+        assert plot_line == top_words_line
+        return plot_line
+
     def test_plot_missing_report_error(self, tmp_path, capsys):
-        code = main(["plot", "--report", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("ERROR report/file-not-readable:")
+        report = tmp_path / "nope.json"
+        assert self._refusal(report, tmp_path / "o", capsys).startswith(
+            f"ERROR report/file-not-readable: {report}:")
 
     @pytest.mark.parametrize("content", [
         '{"meta": {}}', "[1, 2]",
@@ -500,11 +516,8 @@ class TestCli:
         report = tmp_path / "report.json"
         # latin-1 writes ASCII unchanged and \xff as a byte that is not UTF-8
         report.write_text(content, encoding="latin-1")
-        code = main(["plot", "--report", str(report), "--out", str(tmp_path / "o")])
-        assert code == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("ERROR report/file-not-readable:")
+        assert self._refusal(report, tmp_path / "o", capsys).startswith(
+            f"ERROR report/file-not-readable: {report}:")
 
     @pytest.mark.parametrize("mutate", [
         _set_leaf("distributions.pattern_avg.counts.positive", True),
@@ -540,23 +553,22 @@ class TestCli:
         mutate(data)
         report = tmp_path / "report.json"
         report.write_text(json.dumps(data), encoding="utf-8")
-        out = tmp_path / "o"
-        code = main(["plot", "--report", str(report), "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert err[0].startswith(f"ERROR report/file-not-readable: {report}:")
-        assert not list(out.glob("*.svg"))
+        assert self._refusal(report, tmp_path / "o", capsys).startswith(
+            f"ERROR report/file-not-readable: {report}:")
 
     @pytest.mark.parametrize("command,target", [
         ("analyze", "sub"), ("top-words", "sub"), ("preprocess", "sub/x.jsonl"),
+        ("plot", "sub"),
     ])
-    def test_unwritable_out_is_one_error_line(self, golden_corpus_path, tmp_path,
+    def test_unwritable_out_is_one_error_line(self, golden_corpus_path, golden_dir, tmp_path,
                                               capsys, command, target):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory", encoding="utf-8")
-        code = main([command, "--input", str(golden_corpus_path),
-                     "--out", str(blocker / target)])
+        if command in ("top-words", "plot"):
+            source = ["--report", str(golden_dir / "golden_report.json")]
+        else:
+            source = ["--input", str(golden_corpus_path)]
+        code = main([command, *source, "--out", str(blocker / target)])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1

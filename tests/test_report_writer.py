@@ -166,8 +166,8 @@ def reports(draw):
             None if empty else draw(FLOAT)),
         rankings={
             engine: {
-                side: WordRanking(engine, side, tuple(draw(st.lists(
-                    st.tuples(TEXT, COUNT), max_size=3))))
+                side: WordRanking(tuple(draw(st.lists(st.tuples(TEXT, COUNT),
+                                                      max_size=3))))
                 for side in SIDES
             }
             for engine in ENGINES
@@ -191,7 +191,7 @@ def _report(comments=(), dropped=(), mean=0.5) -> AnalysisReport:
                                                   dict.fromkeys(LABELS, 0.0))
                        for engine in ENGINES},
         histogram=SubjectivityHistogram((0.0, 1.0), (len(comments),), mean, mean),
-        rankings={engine: {side: WordRanking(engine, side, ()) for side in SIDES}
+        rankings={engine: {side: WordRanking(()) for side in SIDES}
                   for engine in ENGINES},
     )
 
@@ -291,8 +291,8 @@ def test_comments_csv_quotes_cr_and_writes_nul_bare():
 
 
 def test_ranking_csv_quotes_a_word_that_needs_it():
-    ranking = WordRanking(ENGINE_PATTERN, "positive", (("a,b", 3), ('q"', 2), ("wind", 1)))
-    assert ranking_csv_text(ranking) == 'word,frequency\n"a,b",3\n"q""",2\nwind,1\n'
+    entries = (("a,b", 3), ('q"', 2), ("wind", 1))
+    assert ranking_csv_text(entries) == 'word,frequency\n"a,b",3\n"q""",2\nwind,1\n'
 
 
 @settings(max_examples=50, deadline=None)

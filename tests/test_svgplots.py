@@ -9,6 +9,7 @@ from windsent.svgplots import (
     MAX_BINS,
     _escape,
     bar_chart_svg,
+    drawn_values,
     hbar_chart_svg,
     histogram_svg,
     pie_chart_svg,
@@ -72,24 +73,24 @@ class TestRenderedSet:
         import hashlib
         import json
 
-        report = load_report(golden_dir / "golden_report.json")
-        written = render_report_plots(report, tmp_path)
+        values = drawn_values(load_report(golden_dir / "golden_report.json"))
+        written = render_report_plots(values, tmp_path)
         assert len(written) == 13
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
         pinned = json.loads((golden_dir / "svg_digests.json").read_text())
         assert digests == pinned
 
     def test_rendering_is_deterministic(self, golden_dir, tmp_path):
-        report = load_report(golden_dir / "golden_report.json")
+        values = drawn_values(load_report(golden_dir / "golden_report.json"))
         first = {p.name: p.read_bytes()
-                 for p in render_report_plots(report, tmp_path / "a")}
+                 for p in render_report_plots(values, tmp_path / "a")}
         second = {p.name: p.read_bytes()
-                  for p in render_report_plots(report, tmp_path / "b")}
+                  for p in render_report_plots(values, tmp_path / "b")}
         assert first == second
 
     def test_svg_has_no_timestamps(self, golden_dir, tmp_path):
-        report = load_report(golden_dir / "golden_report.json")
-        for path in render_report_plots(report, tmp_path):
+        values = drawn_values(load_report(golden_dir / "golden_report.json"))
+        for path in render_report_plots(values, tmp_path):
             content = path.read_text(encoding="utf-8")
             assert "date" not in content.lower()
             assert content.startswith("<svg ")

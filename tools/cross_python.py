@@ -6,12 +6,14 @@ compare the files each one writes.
 
 Under each interpreter given, and under the one running this script (the
 reference), it runs ``analyze --plots`` (paper-faithful, and engine-native
-with ``--disambiguation average-senses``), ``preprocess`` and
-``top-words --out`` on the golden corpus and on a small corpus that it
-writes to a temporary directory: awkward comment ids (comma, quote, CR, LF,
-NUL, U+2028, non-ASCII and astral characters) and awkward texts (Greek final sigma, dotted capital I, upper-case URLs,
-punctuation-only pieces, words parted by NBSP, U+2028 or U+3000, and
-inflected words that the suffix rules reduce, some in ALL CAPS). It
+with ``--disambiguation average-senses``) and ``preprocess`` on the golden
+corpus and on a small corpus that it writes to a temporary directory, and
+``top-words --out`` on the report.json that the same interpreter's
+paper-faithful ``analyze`` run wrote for that corpus. The small corpus has
+awkward comment ids (comma, quote, CR, LF, NUL, U+2028, non-ASCII and astral
+characters) and awkward texts (Greek final sigma, dotted capital I,
+upper-case URLs, punctuation-only pieces, words parted by NBSP, U+2028 or
+U+3000, and inflected words that the suffix rules reduce, some in ALL CAPS). It
 also runs ``analyze --lenient`` and ``preprocess --lenient`` on a third
 corpus, so that skip reports are compared too: it repeats an id holding
 U+31350, a letter newer than some interpreters' Unicode tables, and has one
@@ -132,9 +134,12 @@ def run_all(interpreter: str, corpora: dict[str, tuple[Path, dict]],
             if args[0] == "preprocess":
                 out.mkdir(parents=True)
                 out = out / "clean.jsonl"
+            if args[0] == "top-words":
+                source = ["--report", str(base / corpus_name / "analyze" / "report.json")]
+            else:
+                source = ["--input", str(corpus)]
             result = subprocess.run(
-                [interpreter, "-m", "windsent.cli", *args, "--input", str(corpus),
-                 "--out", str(out)],
+                [interpreter, "-m", "windsent.cli", *args, *source, "--out", str(out)],
                 env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True)
             error = None
             if result.returncode:
