@@ -14,12 +14,17 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import sys
 
 from . import pipeline, report as report_mod, svgplots
-from .config import SETTINGS, build_run_config, parse_config_file
+from .config import SETTINGS, build_run_config, parse_config_file, parse_path
 from .engines import ENGINES
-from .errors import WindsentError
+from .errors import WindsentError, read_text
+
+
+class ReportNotReadableError(WindsentError):
+    code = "report/file-not-readable"
 
 
 def _add_common_input_flags(parser: argparse.ArgumentParser) -> None:
@@ -82,13 +87,24 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def _read_report(path: str) -> tuple[dict, list, list, dict]:
-    """What the charts draw from the report.json at ``path``, which
-    ``svgplots.drawn_values`` checks; a refusal names the file."""
-    summary = report_mod.load_report(path)
+    """The ``svgplots.drawn_values`` of the report.json at ``path``; a
+    refusal names the file."""
+    parse_path(path, "report")  # the check alone: a refusal names the file as given
+    text = read_text(path, ReportNotReadableError)
+    try:
+        summary = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ReportNotReadableError(f"{path}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # an over-long integer; Python's own text for it varies
+        raise ReportNotReadableError(f"{path}: invalid JSON: an integer of more than "
+                                     f"{sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:  # too deep nesting
+        raise ReportNotReadableError(f"{path}: {exc}") from exc
     try:
         return svgplots.drawn_values(summary)
-    except report_mod.ReportNotReadableError as exc:
-        raise report_mod.ReportNotReadableError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReportNotReadableError(
+            f"{path}: not a windsent report ({type(exc).__name__}: {exc})") from exc
 
 
 def cmd_top_words(args: argparse.Namespace) -> int:
@@ -100,13 +116,14 @@ def cmd_top_words(args: argparse.Namespace) -> int:
             print(f"# {engine} {side}")
             print(report_mod.ranking_csv_text(entries), end="")
         return 0
-    for path in report_mod.write_ranking_files(wanted, args.out):
+    for path in report_mod.write_ranking_files(wanted, parse_path(args.out, "out")):
         print(f"wrote {path}")
     return 0
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    written = svgplots.render_report_plots(_read_report(args.report), args.out)
+    written = svgplots.render_report_plots(_read_report(args.report),
+                                           parse_path(args.out, "out"))
     print(f"wrote {len(written)} SVG files -> {args.out}")
     return 0
 

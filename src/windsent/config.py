@@ -14,12 +14,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import engines
-from .engines import (
-    DISAMBIGUATION_AVERAGE,
-    DISAMBIGUATION_FIRST,
-    MODE_PAPER,
-    PIPELINE_MODES,
-)
+from .corpus import CORPUS_FORMATS
+from .engines import DISAMBIGUATION_FIRST, DISAMBIGUATIONS, MODE_PAPER, PIPELINE_MODES
 from .errors import WindsentError, data_lines
 from .lexicons import (DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, LexiconSet,
                        bundled_lexicon_dir)
@@ -54,7 +50,10 @@ def parse_bool(value: str, key: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
-def _path(value: str, key: str) -> Path:
+def parse_path(value: str, key: str) -> Path:
+    # Path("") is the working directory, which no one means by an empty value
+    if not value:
+        raise ConfigError(f"{key}: expected a path, got ''")
     return Path(value)
 
 
@@ -77,10 +76,10 @@ def _number(cast: type[int] | type[float]) -> Callable[[str, str], object]:
 # Converters only turn the text into the field's type; RunConfig.validate is
 # the one place that checks the value.
 SETTINGS: dict[str, tuple[str, Callable[[str, str], object]]] = {
-    "input": ("input_path", _path),
+    "input": ("input_path", parse_path),
     "format": ("input_format", _name),
-    "out": ("out_dir", _path),
-    "lexicons": ("lexicon_dir", _path),
+    "out": ("out_dir", parse_path),
+    "lexicons": ("lexicon_dir", parse_path),
     "mode": ("mode", _name),
     "epsilon": ("epsilon", _number(float)),
     "top_n": ("top_n", _number(int)),
@@ -88,8 +87,8 @@ SETTINGS: dict[str, tuple[str, Callable[[str, str], object]]] = {
     "lenient": ("lenient", parse_bool),
     "min_tokens": ("min_token_count", _number(int)),
     "lemmatization": ("apply_lemmatization", parse_bool),
-    "stopwords": ("stopwords_path", _path),
-    "lemmas": ("lemmas_path", _path),
+    "stopwords": ("stopwords_path", parse_path),
+    "lemmas": ("lemmas_path", parse_path),
     "disambiguation": ("disambiguation", _name),
     "bins": ("bin_count", _number(int)),
 }
@@ -116,12 +115,12 @@ class RunConfig(NamedTuple):
 
     def validate(self) -> None:
         """Check each setting's value; each input file is checked where it is read."""
-        if self.input_format not in ("csv", "jsonl"):
+        if self.input_format not in CORPUS_FORMATS:
             raise ConfigError(f"format must be csv or jsonl, got {self.input_format!r}")
         if self.mode not in PIPELINE_MODES:
             raise ConfigError(
                 f"mode must be paper-faithful or engine-native, got {self.mode!r}")
-        if self.disambiguation not in (DISAMBIGUATION_FIRST, DISAMBIGUATION_AVERAGE):
+        if self.disambiguation not in DISAMBIGUATIONS:
             raise ConfigError("disambiguation must be first-sense or average-senses, "
                               f"got {self.disambiguation!r}")
         if not math.isfinite(self.epsilon) or math.copysign(1.0, self.epsilon) < 0:

@@ -19,12 +19,14 @@ from __future__ import annotations
 import csv
 import json
 import re
+import sys
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import LINE, FrozenRecord, WindsentError, read_text, write_file
 
 REQUIRED_FIELDS = ("id", "text")
+CORPUS_FORMATS = ("csv", "jsonl")
 
 _scan_once = json.JSONDecoder().scan_once  # what json.loads runs, minus its per-call checks
 # one JSONL line: through "\n", or the unterminated last line; never empty
@@ -172,7 +174,10 @@ def _iter_jsonl(text: str) -> Iterator[tuple[int, Mapping[str, object]]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecordError(lineno, f"invalid JSON: {exc.msg}") from exc
-            except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
+            except ValueError as exc:  # an over-long integer; Python's own text for it varies
+                raise MalformedRecordError(lineno, "invalid JSON: an integer of more than "
+                                           f"{sys.get_int_max_str_digits()} digits") from exc
+            except RecursionError as exc:  # too deep nesting
                 raise MalformedRecordError(lineno, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise MalformedRecordError(lineno, "record is not a JSON object")
@@ -181,7 +186,7 @@ def _iter_jsonl(text: str) -> Iterator[tuple[int, Mapping[str, object]]]:
 
 def _load(path: str | Path, fmt: str, lenient: bool) -> tuple[CommentCollection, tuple[SkippedRecord, ...]]:
     path = Path(path)
-    if fmt not in ("csv", "jsonl"):
+    if fmt not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format: {fmt!r}")
     text = read_text(path, FileNotReadableError)
     records = _iter_csv(text) if fmt == "csv" else _iter_jsonl(text)

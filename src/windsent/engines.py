@@ -60,6 +60,7 @@ PIPELINE_MODES = (MODE_PAPER, MODE_NATIVE)
 
 DISAMBIGUATION_FIRST = "first_sense"
 DISAMBIGUATION_AVERAGE = "average_senses"
+DISAMBIGUATIONS = (DISAMBIGUATION_FIRST, DISAMBIGUATION_AVERAGE)
 
 # closed modifier vocabularies; punctuation stripping mangles contractions,
 # hence the bare "nt" form
@@ -300,7 +301,7 @@ def score_synset(tagged_tokens: Sequence[tuple[str, str]], lexicon: SynsetLexico
                  disambiguation: str = DISAMBIGUATION_FIRST) -> SentimentScore:
     require_kind(lexicon, SynsetLexicon)
     table = lexicon._synsets
-    if disambiguation not in (DISAMBIGUATION_FIRST, DISAMBIGUATION_AVERAGE):
+    if disambiguation not in DISAMBIGUATIONS:
         raise ValueError(f"unknown disambiguation: {disambiguation!r}")
     total = 0.0
     matched = 0

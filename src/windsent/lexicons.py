@@ -249,8 +249,6 @@ def _load_synset(path: Path) -> SynsetLexicon:
     seen_ranks: set[tuple[str, str, int]] = set()
     for lineno, fields in _rows(path, 6):
         synset_id = fields[0]
-        if not synset_id:
-            raise MalformedEntryError(lineno, "empty synset id")
         _put(seen_ids, synset_id, None, lineno)
         pos_tag = fields[1]
         if pos_tag not in POS_TAGS:

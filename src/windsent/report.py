@@ -32,13 +32,9 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .analytics import (LABELS, NEGATIVE, POSITIVE, DistributionReport, SubjectivityHistogram,
                         WordRanking)
 from .engines import ENGINES, ENGINE_PATTERN, ENGINE_SYNSET, ENGINE_VALENCE, EngineScores
-from .errors import WindsentError, read_text, write_file
+from .errors import write_file
 
 SIDES = (NEGATIVE, POSITIVE)
-
-
-class ReportNotReadableError(WindsentError):
-    code = "report/file-not-readable"
 
 
 class CommentRow(NamedTuple):
@@ -237,15 +233,3 @@ def write_report_files(report: AnalysisReport, outdir: str | Path) -> None:
     write_ranking_files({(engine, side): ranking.entries
                          for engine, sides in report.rankings.items()
                          for side, ranking in sides.items()}, outdir)
-
-
-def load_report(path: str | Path) -> object:
-    """The parsed JSON of a report file, unchecked: each reader checks the
-    sections it uses."""
-    text = read_text(path, ReportNotReadableError)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ReportNotReadableError(f"{path}: invalid JSON ({exc.msg})") from exc
-    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
-        raise ReportNotReadableError(f"{path}: {exc}") from exc

@@ -18,7 +18,7 @@ from .analytics import NEGATIVE, NEUTRAL, POSITIVE
 from .engines import ENGINES
 from .errors import write_file
 from .lexicons import NOT_XML_CHARS
-from .report import SIDES, ReportNotReadableError
+from .report import SIDES
 
 PLOT_LABEL_ORDER = (POSITIVE, NEUTRAL, NEGATIVE)
 LABEL_COLORS = {NEGATIVE: "#c62828", NEUTRAL: "#9e9e9e", POSITIVE: "#2e7d32"}
@@ -198,21 +198,11 @@ def _count(value, where: str) -> int:
 
 
 def drawn_values(summary: Mapping) -> tuple[dict, list, list, dict]:
-    """What the charts draw from a report's summary sections
-    (``summary_to_dict`` or a parsed report.json): label counts per engine,
-    the histogram's edges and counts, and the ranking entries per (engine,
-    side). Anything that would not draw as valid SVG raises
-    ReportNotReadableError."""
-    try:
-        return _drawn_values(summary)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ReportNotReadableError(
-            f"not a windsent report ({type(exc).__name__}: {exc})") from exc
-
-
-def _drawn_values(summary: Mapping) -> tuple[dict, list, list, dict]:
-    """``drawn_values``, read from the ``distributions``, ``subjectivity``
-    and ``rankings`` sections; raises KeyError, TypeError or ValueError."""
+    """What the charts draw from a report's ``distributions``,
+    ``subjectivity`` and ``rankings`` sections (``summary_to_dict`` or a
+    parsed report.json): label counts per engine, the histogram's edges and
+    counts, and the ranking entries per (engine, side). Anything that would
+    not draw as valid SVG raises KeyError, TypeError or ValueError."""
     distributions = {
         engine: [_count(summary["distributions"][engine]["counts"][lab],
                         f"distributions.{engine}.counts.{lab}")

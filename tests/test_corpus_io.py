@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 from unittest import mock
 
 import pytest
@@ -266,7 +267,10 @@ def _iter_jsonl_by_json_loads(text):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedRecordError(lineno, f"invalid JSON: {exc.msg}") from exc
-        except (ValueError, RecursionError) as exc:
+        except ValueError as exc:
+            raise MalformedRecordError(lineno, "invalid JSON: an integer of more than "
+                                       f"{sys.get_int_max_str_digits()} digits") from exc
+        except RecursionError as exc:
             raise MalformedRecordError(lineno, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise MalformedRecordError(lineno, "record is not a JSON object")

@@ -118,16 +118,20 @@ def _corpus(tmp_path: Path, name: str, text: str) -> list[str]:
     return ["--input", str(path)]
 
 
-def _plot(tmp_path: Path, data: bytes = b'{"meta": "\xff"}\n') -> list[str]:
+def _plot(tmp_path: Path, data: bytes = b'{"meta": "\xff"}\n',
+          command: str = "plot") -> list[str]:
     report = tmp_path / "report.json"
     report.write_bytes(data)
-    return ["plot", "--report", str(report)]
+    return [command, "--report", str(report)]
 
 
 # JSON the parser refuses without a JSONDecodeError; in a corpus line it sits
 # under a key the loader ignores
 _DEEP = "[" * 100_000 + "]" * 100_000
 _LONG_INT = "1" + "0" * 5_000
+# a report whose first count is _LONG_INT
+_LONG_COUNT = ('{"distributions": {"pattern_avg": {"counts": {"positive": %s}}}}'
+               % _LONG_INT).encode()
 
 
 def _jsonl_extra_key(tmp_path: Path, value: str) -> list[str]:
@@ -218,6 +222,9 @@ BAD_INPUTS = {
     "plot-report-not-utf8": (
         _plot,
         "ERROR report/file-not-readable: {tmp}/report.json: not valid UTF-8"),
+    "top-words-report-not-utf8": (
+        lambda t: _plot(t, command="top-words"),
+        "ERROR report/file-not-readable: {tmp}/report.json: not valid UTF-8"),
     "csv-field-over-limit": (
         lambda t: _corpus(t, "c.csv", "id,text\na,good\nb," + "x" * 140_000 + "\n"),
         "ERROR corpus/malformed-record: line 3: invalid CSV: field larger than "
@@ -265,6 +272,18 @@ BAD_INPUTS = {
     "plot-report-nested-too-deep": (
         lambda t: _plot(t, _DEEP.encode()),
         "ERROR report/file-not-readable: {tmp}/report.json: maximum recursion depth"),
+    "top-words-report-nested-too-deep": (
+        lambda t: _plot(t, _DEEP.encode(), "top-words"),
+        "ERROR report/file-not-readable: {tmp}/report.json: maximum recursion depth"),
+    # Python's own text for an over-long integer differs between versions
+    "plot-report-int-too-long": (
+        lambda t: _plot(t, _LONG_COUNT),
+        "ERROR report/file-not-readable: {tmp}/report.json: invalid JSON: "
+        "an integer of more than 4300 digits"),
+    "top-words-report-int-too-long": (
+        lambda t: _plot(t, _LONG_COUNT, "top-words"),
+        "ERROR report/file-not-readable: {tmp}/report.json: invalid JSON: "
+        "an integer of more than 4300 digits"),
     "jsonl-nested-too-deep": (
         lambda t: _jsonl_extra_key(t, _DEEP),
         "ERROR corpus/malformed-record: line 1: invalid JSON: maximum recursion depth"),
@@ -273,10 +292,12 @@ BAD_INPUTS = {
         "ERROR corpus/malformed-record: line 1: invalid JSON: maximum recursion depth"),
     "jsonl-int-too-long": (
         lambda t: _jsonl_extra_key(t, _LONG_INT),
-        "ERROR corpus/malformed-record: line 1: invalid JSON: Exceeds the limit"),
+        "ERROR corpus/malformed-record: line 1: invalid JSON: "
+        "an integer of more than 4300 digits"),
     "jsonl-int-too-long-lenient": (
         lambda t: _jsonl_extra_key(t, _LONG_INT) + ["--lenient"],
-        "ERROR corpus/malformed-record: line 1: invalid JSON: Exceeds the limit"),
+        "ERROR corpus/malformed-record: line 1: invalid JSON: "
+        "an integer of more than 4300 digits"),
     # -0 labels as 0 does, so accepting it would give one run a second report and digest
     "flag-epsilon-negative-zero": (
         lambda t: ["--epsilon", "-0"],
@@ -299,7 +320,7 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, case):
     make_args, expected = BAD_INPUTS[case]
     args = make_args(tmp_path)
     out = tmp_path / "out"
-    if args[0] != "plot":
+    if args[0] not in ("plot", "top-words"):
         args = ["analyze", "--input", str(GOLDEN_CORPUS), *args, "--plots"]
     try:
         code = main([*args, "--out", str(out)])

@@ -333,6 +333,36 @@ class TestSettingsTable:
         assert err[0].startswith("ERROR config/invalid:")
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("args,key", [
+        (["analyze", "--input", "{corpus}", "--out", ""], "out"),
+        (["analyze", "--input", "{corpus}", "--out", "o", "--lexicons", ""], "lexicons"),
+        (["analyze", "--input", "{corpus}", "--out", "o", "--stopwords", ""], "stopwords"),
+        (["analyze", "--config", "{conf}"], "out"),
+        (["preprocess", "--input", "{corpus}", "--out", ""], "out"),
+        (["preprocess", "--input", "", "--out", "o.jsonl"], "input"),
+        (["top-words", "--report", "{report}", "--out", ""], "out"),
+        (["top-words", "--report", ""], "report"),
+        (["plot", "--report", "{report}", "--out", ""], "out"),
+        (["plot", "--report", "", "--out", "o"], "report"),
+    ], ids=["analyze-out", "analyze-lexicons", "analyze-stopwords", "analyze-config-out",
+            "preprocess-out", "preprocess-input", "top-words-out", "top-words-report",
+            "plot-out", "plot-report"])
+    def test_empty_path_is_refused(self, golden_corpus_path, golden_dir, tmp_path,
+                                   monkeypatch, capsys, args, key):
+        # Path("") is the working directory: analyze --out "" wrote its report there
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"input = {golden_corpus_path}\nout =\n", encoding="utf-8")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        names = {"corpus": golden_corpus_path, "conf": conf,
+                 "report": golden_dir / "golden_report.json"}
+        assert main([arg.format(**names) for arg in args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ERROR config/invalid: {key}: expected a path, got ''\n"
+        assert list(cwd.iterdir()) == []
+
 
 def _set_leaf(path: str, value):
     """Mutator for a report dict: set the leaf at a dotted path (list

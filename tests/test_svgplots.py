@@ -1,10 +1,12 @@
+import json
 import math
 from xml.sax.saxutils import escape
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from windsent.report import load_report
+from windsent.errors import WindsentError
 from windsent.svgplots import (
     MAX_BINS,
     _escape,
@@ -15,6 +17,15 @@ from windsent.svgplots import (
     pie_chart_svg,
     render_report_plots,
 )
+
+
+def _golden_summary(golden_dir):
+    return json.loads((golden_dir / "golden_report.json").read_text(encoding="utf-8"))
+
+
+def _golden_values(golden_dir):
+    return drawn_values(_golden_summary(golden_dir))
+
 
 class TestPieGeometry:
     def test_half_quarter_quarter_wedges(self):
@@ -71,9 +82,8 @@ class TestBarCharts:
 class TestRenderedSet:
     def test_thirteen_files_with_pinned_digests(self, golden_dir, tmp_path):
         import hashlib
-        import json
 
-        values = drawn_values(load_report(golden_dir / "golden_report.json"))
+        values = _golden_values(golden_dir)
         written = render_report_plots(values, tmp_path)
         assert len(written) == 13
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
@@ -81,7 +91,7 @@ class TestRenderedSet:
         assert digests == pinned
 
     def test_rendering_is_deterministic(self, golden_dir, tmp_path):
-        values = drawn_values(load_report(golden_dir / "golden_report.json"))
+        values = _golden_values(golden_dir)
         first = {p.name: p.read_bytes()
                  for p in render_report_plots(values, tmp_path / "a")}
         second = {p.name: p.read_bytes()
@@ -89,12 +99,27 @@ class TestRenderedSet:
         assert first == second
 
     def test_svg_has_no_timestamps(self, golden_dir, tmp_path):
-        values = drawn_values(load_report(golden_dir / "golden_report.json"))
+        values = _golden_values(golden_dir)
         for path in render_report_plots(values, tmp_path):
             content = path.read_text(encoding="utf-8")
             assert "date" not in content.lower()
             assert content.startswith("<svg ")
             assert content.endswith("</svg>\n")
+
+
+@pytest.mark.parametrize("mutate,error", [
+    (lambda data: data.pop("rankings"), KeyError),
+    (lambda data: data["subjectivity"].update(counts=None), TypeError),
+    (lambda data: data["distributions"]["synset"]["counts"].update(neutral=-1), ValueError),
+    (lambda data: data["subjectivity"]["bin_edges"].reverse(), ValueError),
+], ids=["no-rankings", "counts-not-a-list", "negative-count", "edges-descending"])
+def test_drawn_values_raises_a_plain_error(golden_dir, mutate, error):
+    # the reader of a report file names the file; drawn_values knows none
+    summary = _golden_summary(golden_dir)
+    mutate(summary)
+    with pytest.raises(error) as caught:
+        drawn_values(summary)
+    assert not isinstance(caught.value, WindsentError)
 
 
 def test_wedge_angle_math_matches_fractions():

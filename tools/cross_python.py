@@ -20,15 +20,17 @@ U+31350, a letter newer than some interpreters' Unicode tables, and has one
 malformed record. Last, it runs ``analyze --plots`` on an awkward CSV
 corpus, so that CSV line splitting is compared too: LF, CRLF and bare-CR
 line endings, and quoted fields holding CR, LF, CRLF, U+2028, U+0085 and
-doubled quotes; and ``analyze``, strict and ``--lenient``, on three CSV
-corpora that the reader refuses: one with an unclosed quote, one with text
-after a closing quote, and one with a NUL on the second line of a quoted
-record, which Python 3.10's reader refuses itself and later ones read as
-data. Every report records the config digest, whose SHA-256 comes from the
-``_sha256`` module on 3.10 and 3.11 and from ``_sha2`` on 3.12 and later. For each interpreter and run whose exit status,
-last stderr line (for a failed run, its ``ERROR`` line) or files differ from
-the reference's, it names the first difference. Each
-interpreter, the reference too, also runs the oracle
+doubled quotes; and ``analyze``, strict and ``--lenient``, on four corpora
+that the reader refuses: three CSVs, one with an unclosed quote, one with
+text after a closing quote, and one with a NUL on the second line of a
+quoted record, which Python 3.10's reader refuses itself and later ones read
+as data; and a JSONL whose second record holds a 5,000-digit integer, which
+``json`` refuses in words that differ between Python versions. Every
+report records the config digest, whose SHA-256 comes from the ``_sha256``
+module on 3.10 and 3.11 and from ``_sha2`` on 3.12 and later. For each
+interpreter and run whose exit status, last stderr line (for a failed run,
+its ``ERROR`` line) or files differ from the reference's, it names the first
+difference. Each interpreter, the reference too, also runs the oracle
 ``tools/golden_reference.py`` in a temporary copy of the tree (never in the
 checkout); a file it writes that differs from its copy in ``tests/golden/``
 is named the same way. An interpreter that cannot run ``-c "import sys"`` is
@@ -84,12 +86,15 @@ CSV_RECORDS = ("id,text,source_group,timestamp\n",
                '"lf\nid",short,,')  # too short: a dropped item; no final line break
 CSV_RUNS = {"analyze": RUNS["analyze"]}
 # each fails with one ERROR line naming the line where record b starts
-BAD_CSVS = {
-    "csv-unclosed-quote": 'id,text\na,good wind farm\nb,"great turbines\nc,clean energy\n',
-    "csv-text-after-quote": 'id,text\na,good wind farm\nb,"x"y\nc,clean energy\n',
-    "csv-nul-second-line": 'id,text\na,good wind farm\nb,"great\nturbines\x00"\nc,clean\n',
+BAD_CORPORA = {
+    "csv-unclosed-quote.csv": 'id,text\na,good wind farm\nb,"great turbines\nc,clean energy\n',
+    "csv-text-after-quote.csv": 'id,text\na,good wind farm\nb,"x"y\nc,clean energy\n',
+    "csv-nul-second-line.csv": 'id,text\na,good wind farm\nb,"great\nturbines\x00"\nc,clean\n',
+    "jsonl-int-too-long.jsonl": ('{"id": "a", "text": "good wind farm"}\n'
+                                 '{"id": "b", "text": "great turbines", "x": 1%s}\n'
+                                 % ("0" * 5_000)),
 }
-BAD_CSV_RUNS = {"analyze": RUNS["analyze"], "analyze-lenient": ["analyze", "--lenient"]}
+BAD_RUNS = {"analyze": RUNS["analyze"], "analyze-lenient": ["analyze", "--lenient"]}
 LENIENT_RUNS = {
     "analyze-lenient": ["analyze", "--lenient"],
     "preprocess-lenient": ["preprocess", "--lenient"],
@@ -216,10 +221,10 @@ def main(argv: list[str]) -> int:
                    "lenient": (write_lenient_corpus(tmp_path / "lenient.jsonl"),
                                LENIENT_RUNS),
                    "csv": (write_csv_corpus(tmp_path / "awkward.csv"), CSV_RUNS)}
-        for name, text in BAD_CSVS.items():
-            path = tmp_path / f"{name}.csv"
+        for name, text in BAD_CORPORA.items():
+            path = tmp_path / name
             path.write_text(text, encoding="utf-8")
-            corpora[name] = (path, BAD_CSV_RUNS)
+            corpora[path.stem] = (path, BAD_RUNS)
         reference = sys.executable
         ref_outcomes = run_all(reference, corpora, tmp_path / "run-0")
         differ = False
