@@ -19,6 +19,7 @@ import sys
 
 from . import pipeline, report as report_mod, svgplots
 from .config import SETTINGS, build_run_config, parse_config_file, parse_path
+from .corpus import parse_int
 from .engines import ENGINES
 from .errors import WindsentError, read_text
 
@@ -66,7 +67,7 @@ def _flag_values(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _build_config(args: argparse.Namespace):
-    file_values = parse_config_file(args.config) if args.config else {}
+    file_values = parse_config_file(args.config) if args.config is not None else {}
     return build_run_config(file_values, _flag_values(args))
 
 
@@ -92,12 +93,9 @@ def _read_report(path: str) -> tuple[dict, list, list, dict]:
     parse_path(path, "report")  # the check alone: a refusal names the file as given
     text = read_text(path, ReportNotReadableError)
     try:
-        summary = json.loads(text)
+        summary = json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise ReportNotReadableError(f"{path}: invalid JSON ({exc.msg})") from exc
-    except ValueError as exc:  # an over-long integer; Python's own text for it varies
-        raise ReportNotReadableError(f"{path}: invalid JSON: an integer of more than "
-                                     f"{sys.get_int_max_str_digits()} digits") from exc
     except RecursionError as exc:  # too deep nesting
         raise ReportNotReadableError(f"{path}: {exc}") from exc
     try:

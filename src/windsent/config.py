@@ -171,6 +171,7 @@ class RunConfig(NamedTuple):
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` file; '#' comments and blank lines ignored. A key
     may appear once."""
+    parse_path(str(path), "config")  # the check alone: a refusal names the file as given
     values: dict[str, str] = {}
     for lineno, line in data_lines(path, ConfigError):
         if "=" not in line:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import re
-import sys
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -28,7 +27,14 @@ from .errors import LINE, FrozenRecord, WindsentError, read_text, write_file
 REQUIRED_FIELDS = ("id", "text")
 CORPUS_FORMATS = ("csv", "jsonl")
 
-_scan_once = json.JSONDecoder().scan_once  # what json.loads runs, minus its per-call checks
+
+def parse_int(digits: str) -> int | float:
+    """A JSON integer on every interpreter: ``int`` up to 640 digits, which no
+    digit limit refuses; past every float and count, ``float``'s infinity."""
+    return int(digits) if len(digits) <= 640 else float(digits)
+
+
+_scan_once = json.JSONDecoder(parse_int=parse_int).scan_once  # json.loads minus its checks
 # one JSONL line: through "\n", or the unterminated last line; never empty
 _JSONL_LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
@@ -171,12 +177,9 @@ def _iter_jsonl(text: str) -> Iterator[tuple[int, Mapping[str, object]]]:
             end = -1
         if end != len(line):
             try:
-                obj = json.loads(line)
+                obj = json.loads(line, parse_int=parse_int)
             except json.JSONDecodeError as exc:
                 raise MalformedRecordError(lineno, f"invalid JSON: {exc.msg}") from exc
-            except ValueError as exc:  # an over-long integer; Python's own text for it varies
-                raise MalformedRecordError(lineno, "invalid JSON: an integer of more than "
-                                           f"{sys.get_int_max_str_digits()} digits") from exc
             except RecursionError as exc:  # too deep nesting
                 raise MalformedRecordError(lineno, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):

@@ -8,6 +8,7 @@ File formats (UTF-8 with optional BOM, blank and '#'-prefixed lines ignored):
   synset    : synset_id<TAB>pos<TAB>pos_score<TAB>neg_score<TAB>sense_rank<TAB>lemma1,lemma2,...
   stopwords : word
   table     : key<TAB>value
+  lemmas    : inflected<TAB>lemma                    a table whose every lemma is final
 
 One contract holds for every file. Each word field (lexicon words, synset
 lemmas, stopwords, table keys and values) must be one clean token: a word
@@ -48,6 +49,7 @@ DELETE_PUNCTUATION = str.maketrans(dict.fromkeys(PUNCTUATION))
 # surrogates; U+FFFE, U+FFFF), which no SVG chart can hold
 NOT_XML_CHARS = frozenset(map(chr, [*range(0x9), 0xB, 0xC, *range(0xE, 0x20),
                                     *range(0xD800, 0xE000), 0xFFFE, 0xFFFF]))
+_VOWELS = frozenset("aeiou")
 
 
 def bundled_lexicon_dir() -> Path:
@@ -63,6 +65,26 @@ def normalize_piece(piece: str) -> str | None:
     if word.startswith(URL_PREFIXES):
         return None
     return word if word.isalnum() else word.translate(DELETE_PUNCTUATION)
+
+
+def suffix_lemma(token: str) -> str | None:
+    """One application of the fallback lemma rules, by last letter; else None."""
+    n = len(token)
+    last = token[-1:]
+    if last == "s":
+        if token.endswith("ies") and n >= 5:
+            return token[:-3] + "y"
+        if n >= 5 and token.endswith(("ches", "shes", "xes", "zes", "sses")):
+            return token[:-2]
+        if n >= 4 and not token.endswith(("ss", "us", "is")):
+            return token[:-1]
+    elif (last == "g" and token.endswith("ing") and n >= 6
+          and not _VOWELS.isdisjoint(token[:-3])):
+        return token[:-3]
+    elif (last == "d" and token.endswith("ed") and not token.endswith("eed") and n >= 5
+          and not _VOWELS.isdisjoint(token[:-2])):
+        return token[:-2]
+    return None
 
 
 class _EntryError(WindsentError):
@@ -307,16 +329,35 @@ def load_lexicon(path: str | Path, kind: str) -> AnyLexicon:
     return _load(_LOADERS[kind], path)
 
 
-def _parse_table(path: Path) -> dict[str, str]:
+def _parse_table(path: Path) -> tuple[dict[str, str], list[int]]:
+    """A two-column table, and the line of each of its rows in key order."""
     table: dict[str, str] = {}
+    lines = []
     for lineno, (key, value) in _rows(path, 2):
         _put(table, _check_word(key, lineno), _check_word(value, lineno), lineno)
-    return table
+        lines.append(lineno)
+    return table, lines
 
 
 def load_table(path: str | Path) -> dict[str, str]:
-    """A two-column ``key<TAB>value`` table such as the lemma or POS table."""
-    return _load(_parse_table, path)
+    """A two-column ``key<TAB>value`` table such as the POS table."""
+    return _load(_parse_table, path)[0]
+
+
+def _parse_lemmas(path: Path) -> dict[str, str]:
+    table, lines = _parse_table(path)
+    for lineno, lemma in zip(lines, table.values()):
+        to = table.get(lemma) or suffix_lemma(lemma)
+        if to not in (None, lemma):
+            how = "the table maps" if lemma in table else "a suffix rule shortens"
+            raise MalformedEntryError(lineno, f"lemma {lemma!r} is not final: {how} it to {to!r}")
+    return table
+
+
+def load_lemmas(path: str | Path) -> dict[str, str]:
+    """An ``inflected<TAB>lemma`` table whose every lemma is final: a key that
+    maps to itself, or no key and a word that no suffix rule shortens."""
+    return _load(_parse_lemmas, path)
 
 
 def load_stopwords(path: str | Path = DEFAULT_STOPWORDS_PATH) -> frozenset[str]:

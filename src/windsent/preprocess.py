@@ -16,10 +16,10 @@ stored, which keeps a corpus of mostly distinct words from growing it
 without bound.
 
 Idempotence guarantee: re-running the pipeline over the space-joined token
-output reproduces the token sequence exactly. Hence ``lemmatize`` ends on a
-fixpoint of itself, stopwords are filtered once more after lemmatization
-("ours" -> "our" may land on a stopword), and every lemma-table key and
-value is one clean token.
+output reproduces the token sequence exactly. Hence every lemma is final
+(``lexicons.load_lemmas``), so ``lemmatize`` ends on a fixpoint of itself,
+stopwords are filtered once more after lemmatization ("ours" -> "our" may
+land on a stopword), and every lemma-table key and value is one clean token.
 
 The stopword list and lemma table are read, and their words checked, by
 ``windsent.lexicons`` on every ``default_config`` call, so a rewritten file
@@ -32,10 +32,9 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import CommentCollection
-from .lexicons import (DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, load_stopwords,
-                       load_table, normalize_piece)
+from .lexicons import (DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, load_lemmas,
+                       load_stopwords, normalize_piece, suffix_lemma)
 
-_VOWELS = frozenset("aeiou")
 MEMO_CAP = 4096
 _UNSEEN = object()
 
@@ -69,7 +68,7 @@ def default_config(
     """Config backed by the bundled stopword list and lemma table; both
     paths are overridable."""
     stop = load_stopwords(stopwords_path or DEFAULT_STOPWORDS_PATH)
-    table = load_table(lemmas_path or DEFAULT_LEMMAS_PATH)
+    table = load_lemmas(lemmas_path or DEFAULT_LEMMAS_PATH)
     return PreprocessConfig(stopwords=stop, lemma_table=table, **overrides)
 
 
@@ -88,58 +87,16 @@ def normalize(text: str) -> str:
     return " ".join(filter(None, map(normalize_piece, text.split())))
 
 
-def _suffix_lemma(token: str) -> str | None:
-    """One application of the fallback rules, by last letter; else None."""
-    n = len(token)
-    last = token[-1:]
-    if last == "s":
-        if token.endswith("ies") and n >= 5:
-            return token[:-3] + "y"
-        if n >= 5 and token.endswith(("ches", "shes", "xes", "zes", "sses")):
-            return token[:-2]
-        if n >= 4 and not token.endswith(("ss", "us", "is")):
-            return token[:-1]
-    elif (last == "g" and token.endswith("ing") and n >= 6
-          and not _VOWELS.isdisjoint(token[:-3])):
-        return token[:-3]
-    elif (last == "d" and token.endswith("ed") and not token.endswith("eed") and n >= 5
-          and not _VOWELS.isdisjoint(token[:-2])):
-        return token[:-2]
-    return None
-
-
 def lemmatize(token: str, table: Mapping[str, str]) -> str:
     """Dictionary lemma when the token is in the table, else suffix-rule
-    fallback, iterated to a fixpoint. Unknown tokens pass through.
-
-    A suffix step always shortens the token, so the walk cannot repeat a
-    token before it reaches a table key; until then no ``seen`` set is
-    kept, and a token whose last letter no rule reads ends the walk."""
-    current = token
-    while current not in table:
-        if current[-1:] not in "sgd":
-            return current
-        reduced = _suffix_lemma(current)
-        if reduced is None:
-            return current
-        current = reduced
-    # a table step may lengthen the token and lead back to one already
-    # walked: from here, walk again from the start keeping every token seen
-    seen = set()
-    current = token
-    while current not in seen:
-        seen.add(current)
-        if current in table:
-            mapped = table[current]
-            if mapped == current:
-                return current
-            current = mapped
-            continue
-        reduced = _suffix_lemma(current)
-        if reduced is None:
-            return current
-        current = reduced
-    return current  # table cycle: its first repeated element is a fixpoint too
+    fallback, iterated to a fixpoint. Unknown tokens pass through. The
+    table's lemmas are final (``load_lemmas``), so the walk ends at the first
+    key it reaches; a token whose last letter no rule reads ends it at once."""
+    while token not in table:
+        if token[-1:] not in "sgd" or (reduced := suffix_lemma(token)) is None:
+            return token
+        token = reduced
+    return table[token]
 
 
 def _clean_text(text: str | None, config: PreprocessConfig,

@@ -19,6 +19,7 @@ from windsent.corpus import (
     MalformedRecordError,
     load_corpus,
     load_corpus_lenient,
+    parse_int,
     validate_record,
 )
 
@@ -264,17 +265,31 @@ def _iter_jsonl_by_json_loads(text):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = json.loads(line, parse_int=parse_int)
         except json.JSONDecodeError as exc:
             raise MalformedRecordError(lineno, f"invalid JSON: {exc.msg}") from exc
-        except ValueError as exc:
-            raise MalformedRecordError(lineno, "invalid JSON: an integer of more than "
-                                       f"{sys.get_int_max_str_digits()} digits") from exc
         except RecursionError as exc:
             raise MalformedRecordError(lineno, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise MalformedRecordError(lineno, "record is not a JSON object")
         yield lineno, obj
+
+
+@pytest.mark.parametrize("digits", [0, 640, 4300])
+def test_over_long_integer_loads_under_every_digit_limit(tmp_path, digits):
+    # int() refuses more digits than the interpreter's limit, which is 4300
+    # by default, 640 at the least, and none at all on some interpreters
+    path = write(tmp_path / "c.jsonl", '{"id": "a", "text": "x"}\n'
+                 '{"id": "b", "text": "y", "n": 1%s, "m": -9%s}\n' % ("0" * 5000, "9" * 639))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        loaded = load_corpus(path, "jsonl")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert loaded.comments == (Comment("a", "x"), Comment("b", "y"))
+    assert parse_int("-" + "9" * 639) == -int("9" * 639)
+    assert parse_int("1" + "0" * 640) == float("inf")
 
 
 def _outcomes(path):

@@ -128,6 +128,7 @@ def _plot(tmp_path: Path, data: bytes = b'{"meta": "\xff"}\n',
 # JSON the parser refuses without a JSONDecodeError; in a corpus line it sits
 # under a key the loader ignores
 _DEEP = "[" * 100_000 + "]" * 100_000
+# past int()'s default digit limit, so it reads as an infinity
 _LONG_INT = "1" + "0" * 5_000
 # a report whose first count is _LONG_INT
 _LONG_COUNT = ('{"distributions": {"pattern_avg": {"counts": {"positive": %s}}}}'
@@ -189,6 +190,11 @@ BAD_INPUTS = {
         lambda t: _lemmas(t, "site\twww.site"),
         "ERROR lexicon/malformed-entry: {tmp}/lemmas.tsv: line 3: "
         "not one clean token: 'www.site'"),
+    # a lemma a suffix rule shortens: "the lens" and "the lenses" cleaned to "len"
+    "lemma-not-final": (
+        lambda t: _lemmas(t, "lenses\tlens"),
+        "ERROR lexicon/malformed-entry: {tmp}/lemmas.tsv: line 3: "
+        "lemma 'lens' is not final: a suffix rule shortens it to 'len'"),
     "lemma-key-repeated": (
         lambda t: _lemmas(t, "farms\tfarm\nfarms\tfarms"),
         "ERROR lexicon/duplicate-word: {tmp}/lemmas.tsv: line 4: duplicate word 'farms'"),
@@ -275,15 +281,17 @@ BAD_INPUTS = {
     "top-words-report-nested-too-deep": (
         lambda t: _plot(t, _DEEP.encode(), "top-words"),
         "ERROR report/file-not-readable: {tmp}/report.json: maximum recursion depth"),
-    # Python's own text for an over-long integer differs between versions
+    # an integer of more than 640 digits reads as an infinity on every interpreter
     "plot-report-int-too-long": (
         lambda t: _plot(t, _LONG_COUNT),
-        "ERROR report/file-not-readable: {tmp}/report.json: invalid JSON: "
-        "an integer of more than 4300 digits"),
+        "ERROR report/file-not-readable: {tmp}/report.json: not a windsent report (ValueError: "
+        "distributions.pattern_avg.counts.positive: expected a count (int in 0..2**53), "
+        "got inf)"),
     "top-words-report-int-too-long": (
         lambda t: _plot(t, _LONG_COUNT, "top-words"),
-        "ERROR report/file-not-readable: {tmp}/report.json: invalid JSON: "
-        "an integer of more than 4300 digits"),
+        "ERROR report/file-not-readable: {tmp}/report.json: not a windsent report (ValueError: "
+        "distributions.pattern_avg.counts.positive: expected a count (int in 0..2**53), "
+        "got inf)"),
     "jsonl-nested-too-deep": (
         lambda t: _jsonl_extra_key(t, _DEEP),
         "ERROR corpus/malformed-record: line 1: invalid JSON: maximum recursion depth"),
@@ -291,13 +299,11 @@ BAD_INPUTS = {
         lambda t: _jsonl_extra_key(t, _DEEP) + ["--lenient"],
         "ERROR corpus/malformed-record: line 1: invalid JSON: maximum recursion depth"),
     "jsonl-int-too-long": (
-        lambda t: _jsonl_extra_key(t, _LONG_INT),
-        "ERROR corpus/malformed-record: line 1: invalid JSON: "
-        "an integer of more than 4300 digits"),
+        lambda t: _corpus(t, "c.jsonl", '{"id": %s, "text": "good wind farm"}\n' % _LONG_INT),
+        "ERROR corpus/malformed-record: line 1: field id: must be a string"),
     "jsonl-int-too-long-lenient": (
-        lambda t: _jsonl_extra_key(t, _LONG_INT) + ["--lenient"],
-        "ERROR corpus/malformed-record: line 1: invalid JSON: "
-        "an integer of more than 4300 digits"),
+        lambda t: _corpus(t, "c.jsonl", _LONG_INT + "\n") + ["--lenient"],
+        "ERROR corpus/malformed-record: line 1: record is not a JSON object"),
     # -0 labels as 0 does, so accepting it would give one run a second report and digest
     "flag-epsilon-negative-zero": (
         lambda t: ["--epsilon", "-0"],
@@ -348,6 +354,18 @@ def test_unclean_lemma_entry_stops_preprocess_before_writing(tmp_path, capsys):
     assert code == 1
     assert captured.err == (f"ERROR lexicon/malformed-entry: {tmp_path}/lemmas.tsv: line 3: "
                             "not one clean token: 'Green Car!'\n")
+    assert not out.exists()
+
+
+def test_non_final_lemma_stops_preprocess_before_writing(tmp_path, capsys):
+    args = _lemmas(tmp_path, "lenses\tlens")
+    out = tmp_path / "clean.jsonl"
+    code = main(["preprocess", "--input", str(GOLDEN_CORPUS), *args, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (f"ERROR lexicon/malformed-entry: {tmp_path}/lemmas.tsv: line 3: "
+                            "lemma 'lens' is not final: a suffix rule shortens it to 'len'\n")
     assert not out.exists()
 
 

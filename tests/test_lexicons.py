@@ -13,11 +13,14 @@ from windsent.lexicons import (
     PatternLexicon,
     SynsetEntry,
     SynsetLexicon,
+    DEFAULT_LEMMAS_PATH,
     ValenceLexicon,
     _check_word,
     bundled_lexicon_dir,
+    load_lemmas,
     load_lexicon,
     load_lexicon_set,
+    load_table,
 )
 from windsent.preprocess import normalize
 
@@ -261,6 +264,44 @@ def test_load_lexicon_set_bundled(lexicons):
     assert lexicons.valence.kind == "valence"
     assert lexicons.pattern.kind == "pattern"
     assert lexicons.synset.kind == "synset"
+
+
+_SHORTENS = "is not final: a suffix rule shortens it to"
+
+
+@pytest.mark.parametrize("rows,expected", [
+    ("lenses\tlens", f"line 3: lemma 'lens' {_SHORTENS} 'len'"),
+    ("farm\tfarms", f"line 3: lemma 'farms' {_SHORTENS} 'farm'"),
+    ("zqing\tzqingings", f"line 3: lemma 'zqingings' {_SHORTENS} 'zqinging'"),
+    ("farm\tfarming", f"line 3: lemma 'farming' {_SHORTENS} 'farm'"),
+    ("zqing\tzqings\nzqings\tzqing",
+     "line 3: lemma 'zqings' is not final: the table maps it to 'zqing'"),
+    ("box\tboxed\nboxe\tbox", f"line 3: lemma 'boxed' {_SHORTENS} 'box'"),
+    ("boxes\tbox\nbox\tbox\ncrates\tcrate\ncrate\tbox",
+     "line 5: lemma 'crate' is not final: the table maps it to 'box'"),
+], ids=["lens", "suffix-cycle", "onward", "back-to-start", "2-cycle", "chain", "later-row"])
+def test_load_lemmas_refuses_a_lemma_that_is_not_final(tmp_path, rows, expected):
+    # the walk would go on past the table, or round a cycle; a comment and a
+    # final row come first, so the error names the first non-final row's line
+    path = write(tmp_path / "lemmas.tsv", "# inflected<TAB>lemma\nruns\trun\n" + rows + "\n")
+    with pytest.raises(MalformedEntryError) as exc:
+        load_lemmas(path)
+    assert exc.value.code == "lexicon/malformed-entry"
+    assert str(exc.value) == f"{path}: {expected}"
+
+
+def test_load_lemmas_runs_the_row_checks_first(tmp_path):
+    path = write(tmp_path / "lemmas.tsv", "lenses\tlens\nlenses\tlens\n")
+    with pytest.raises(DuplicateWordError) as exc:
+        load_lemmas(path)
+    assert exc.value.line == 2
+
+
+def test_load_lemmas_loads_final_lemmas(tmp_path):
+    # a key that maps to itself is final, although a suffix rule shortens it
+    path = write(tmp_path / "lemmas.tsv", "lens\tlens\nlenses\tlens\n")
+    assert load_lemmas(path) == {"lens": "lens", "lenses": "lens"}
+    assert load_lemmas(DEFAULT_LEMMAS_PATH) == load_table(DEFAULT_LEMMAS_PATH)
 
 
 def test_unknown_kind_rejected(tmp_path):

@@ -344,9 +344,12 @@ class TestSettingsTable:
         (["top-words", "--report", ""], "report"),
         (["plot", "--report", "{report}", "--out", ""], "out"),
         (["plot", "--report", "", "--out", "o"], "report"),
+        # an empty --config ran on the defaults as if none were given
+        (["analyze", "--config", "", "--input", "{corpus}", "--out", "o"], "config"),
+        (["preprocess", "--config", "", "--input", "{corpus}", "--out", "o.jsonl"], "config"),
     ], ids=["analyze-out", "analyze-lexicons", "analyze-stopwords", "analyze-config-out",
             "preprocess-out", "preprocess-input", "top-words-out", "top-words-report",
-            "plot-out", "plot-report"])
+            "plot-out", "plot-report", "analyze-config", "preprocess-config"])
     def test_empty_path_is_refused(self, golden_corpus_path, golden_dir, tmp_path,
                                    monkeypatch, capsys, args, key):
         # Path("") is the working directory: analyze --out "" wrote its report there
@@ -773,7 +776,8 @@ def test_cross_python_names_a_file_that_differs(tmp_path):
                             capture_output=True, text=True)
     assert result.returncode == 1, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 6  # two analyze runs on each of two corpora, one on each other
+    # two analyze runs on each of two corpora, one on each other, and one with custom lemmas
+    assert len(lines) == 8
     assert lines[0].startswith(f"DIFFERS {fake}: golden/analyze: comments.csv differs at line ")
 
 

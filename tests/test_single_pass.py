@@ -6,7 +6,10 @@ Floats are compared by repr, so -0.0 against 0.0 counts as a difference.
 Cleaning's one lemmatize per token is checked against the loop that
 lemmatized to a joint fixpoint, ``lemmatize`` against the walk that keeps a
 ``seen`` set from its first step, and the suffix rules against their
-chain."""
+chain. Lemma tables are drawn from those that load: every lemma final."""
+
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,14 +44,16 @@ from windsent.lexicons import (
     DELETE_PUNCTUATION,
     PUNCTUATION,
     URL_PREFIXES,
+    MalformedEntryError,
     PatternEntry,
     PatternLexicon,
     ValenceLexicon,
+    load_lemmas,
     load_lexicon_set,
+    suffix_lemma,
 )
 from windsent.preprocess import (
     PreprocessConfig,
-    _suffix_lemma,
     default_config,
     lemmatize,
     preprocess_text,
@@ -365,14 +370,49 @@ _lemma_words = st.one_of(
     st.tuples(st.sampled_from(_STEMS), st.sampled_from(_ENDINGS)).map("".join),
     st.text("aeiouydgsbchxz", max_size=8),
 )
-# small tables: self-maps, chains into the suffix rules and cycles through them
-_lemma_tables = st.dictionaries(_lemma_words, _lemma_words, max_size=6)
+
+
+def is_final(lemma, table):
+    """The lemma table's load rule: a lemma is a key that maps to itself, or
+    no key and a word that no suffix rule shortens."""
+    return table[lemma] == lemma if lemma in table else suffix_lemma(lemma) is None
+
+
+def loadable(table):
+    """``table`` less each row whose lemma is not final, until every lemma is."""
+    while not all(is_final(lemma, table) for lemma in table.values()):
+        table = {key: lemma for key, lemma in table.items() if is_final(lemma, table)}
+    return table
+
+
+# small tables: self-maps and chains into the suffix rules, less the rows
+# that chain on or cycle through them, which the loader refuses
+_lemma_tables = st.dictionaries(_lemma_words, _lemma_words, max_size=6).map(loadable)
+
+
+@given(table=st.dictionaries(_lemma_words.filter(bool), _lemma_words.filter(bool), max_size=6))
+@example(table={"farm": "farms"})
+@example(table={"zqing": "zqings", "zqings": "zqing"})
+@example(table={"farm": "farms", "farms": "farms"})
+@settings(max_examples=300, deadline=None)
+def test_load_lemmas_refuses_exactly_a_lemma_that_is_not_final(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lemmas.tsv"
+        path.write_text("".join(f"{key}\t{lemma}\n" for key, lemma in table.items()),
+                        encoding="utf-8")
+        final = [is_final(lemma, table) for lemma in table.values()]
+        if all(final):
+            assert load_lemmas(path) == table == loadable(table)
+        else:
+            with pytest.raises(MalformedEntryError, match=" is not final: ") as exc:
+                load_lemmas(path)
+            assert exc.value.line == final.index(False) + 1
 
 
 @given(table=_lemma_tables, token=_lemma_words)
-@example(table={"farm": "farms"}, token="farming")
-@example(table={"cars": "carsing", "car": "car"}, token="carsing")
-@example(table={"box": "boxed", "boxe": "box"}, token="boxes")
+@example(table={"farm": "farms", "farms": "farms"}, token="farming")
+@example(table={"cars": "carsing", "carsing": "carsing", "car": "car"}, token="carsing")
+@example(table={"box": "boxed", "boxed": "boxed", "boxe": "boxed"}, token="boxes")
 @settings(max_examples=1000, deadline=None)
 def test_lemmatize_is_idempotent(table, token):
     once = lemmatize(token, table=table)
@@ -391,7 +431,7 @@ def seen_set_lemmatize(token, table):
                 return current
             current = mapped
             continue
-        reduced = _suffix_lemma(current)
+        reduced = suffix_lemma(current)
         if reduced is None:
             return current
         current = reduced
@@ -405,7 +445,8 @@ _INFLECTIONS = ["", "s", "es", "ies", "ing", "ings", "ed", "eds", "inged", "d", 
 def cyclic_tables(draw):
     """Distinct words split into self-maps and 2- and 3-cycles, plus a few
     onward maps, so that a walk reaches a table key after zero, one or two
-    suffix steps and may go round a cycle through the suffix rules."""
+    suffix steps; ``loadable`` then drops each row whose lemma is not final,
+    every row of a cycle among them."""
     words = draw(st.lists(st.one_of(_lemma_words, st.sampled_from(["zqing", "zqings"])),
                           min_size=1, max_size=7, unique=True))
     table = {}
@@ -420,7 +461,7 @@ def cyclic_tables(draw):
     return table
 
 
-@given(data=st.data(), table=cyclic_tables())
+@given(data=st.data(), table=cyclic_tables().map(loadable).filter(bool))
 @settings(max_examples=1500, deadline=None)
 def test_lemmatize_matches_seen_set_walk(data, table):
     token = data.draw(st.one_of(
@@ -429,29 +470,38 @@ def test_lemmatize_matches_seen_set_walk(data, table):
     assert lemmatize(token, table=table) == seen_set_lemmatize(token, table)
 
 
+# each refused shape of test_lexicons' test_load_lemmas_refuses_a_lemma_that_is_not_final,
+# its lemmas made final
 @pytest.mark.parametrize("table", [
-    {"zqing": "zqingings"}, {"farm": "farms"}, {"farm": "farming"},
-    {"zqing": "zqings", "zqings": "zqing"}, {"box": "boxed", "boxe": "box"},
-    default_config().lemma_table,
-], ids=["onward", "suffix-cycle", "back-to-start", "2-cycle", "chain", "bundled"])
+    {"zqing": "zqingings", "zqingings": "zqingings"},
+    {"farm": "farms", "farms": "farms"}, {"farm": "farming", "farming": "farming"},
+    {"zqing": "zqings", "zqings": "zqings"}, {"box": "boxed", "boxed": "boxed", "boxe": "boxed"},
+    {"lens": "lens", "lenses": "lens"}, default_config().lemma_table,
+], ids=["onward", "suffix-cycle", "back-to-start", "2-cycle", "chain", "lens", "bundled"])
 def test_lemmatize_matches_seen_set_walk_on_every_inflection(table):
+    assert loadable(table) == table
     for word in sorted(set(table) | set(table.values())):
         for ending in _INFLECTIONS:
             token = word + ending
             assert lemmatize(token, table=table) == seen_set_lemmatize(token, table)
 
 
-def test_lemma_table_cycle_ends_on_a_fixpoint():
-    # farm -> farms by the table, farms -> farm by the suffix rule
-    table = {"farm": "farms"}
-    assert lemmatize("farming", table=table) == "farm"
-    assert lemmatize("farm", table=table) == "farm"
-    assert lemmatize("farms", table=table) == "farms"
+def test_lemma_table_cycle_ends_on_a_fixpoint(tmp_path):
+    # farm -> farms by the table, farms -> farm by the suffix rule: such a
+    # table is refused, and with its lemma made final the walk ends on it
+    path = tmp_path / "lemmas.tsv"
+    path.write_text("farm\tfarms\n", encoding="utf-8")
+    with pytest.raises(MalformedEntryError, match="line 1: lemma 'farms' is not final"):
+        load_lemmas(path)
+    path.write_text("farm\tfarms\nfarms\tfarms\n", encoding="utf-8")
+    table = load_lemmas(path)
+    for token in ("farming", "farm", "farms"):
+        assert lemmatize(token, table=table) == "farms"
 
 
 @pytest.mark.parametrize("lemmatization", [True, False])
 @given(table=_lemma_tables, token=_lemma_words)
-@example(table={"farm": "farms"}, token="farming")
+@example(table={"farm": "farms", "farms": "farms"}, token="farming")
 @settings(max_examples=500, deadline=None)
 def test_transform_token_matches_joint_loop(lemmatization, table, token):
     config = PreprocessConfig(stopwords=frozenset(), lemma_table=table, min_token_count=1,
@@ -471,4 +521,4 @@ def test_transform_token_matches_joint_loop_on_bundled_table():
 @given(token=st.one_of(_lemma_words, st.text(max_size=10)))
 @settings(max_examples=1000, deadline=None)
 def test_suffix_lemma_matches_chained_rules(token):
-    assert _suffix_lemma(token) == chained_suffix_lemma(token)
+    assert suffix_lemma(token) == chained_suffix_lemma(token)

@@ -13,19 +13,23 @@ paper-faithful ``analyze`` run wrote for that corpus. The small corpus has
 awkward comment ids (comma, quote, CR, LF, NUL, U+2028, non-ASCII and astral
 characters) and awkward texts (Greek final sigma, dotted capital I,
 upper-case URLs, punctuation-only pieces, words parted by NBSP, U+2028 or
-U+3000, and inflected words that the suffix rules reduce, some in ALL CAPS). It
-also runs ``analyze --lenient`` and ``preprocess --lenient`` on a third
-corpus, so that skip reports are compared too: it repeats an id holding
-U+31350, a letter newer than some interpreters' Unicode tables, and has one
-malformed record. Last, it runs ``analyze --plots`` on an awkward CSV
-corpus, so that CSV line splitting is compared too: LF, CRLF and bare-CR
-line endings, and quoted fields holding CR, LF, CRLF, U+2028, U+0085 and
-doubled quotes; and ``analyze``, strict and ``--lenient``, on four corpora
-that the reader refuses: three CSVs, one with an unclosed quote, one with
-text after a closing quote, and one with a NUL on the second line of a
-quoted record, which Python 3.10's reader refuses itself and later ones read
-as data; and a JSONL whose second record holds a 5,000-digit integer, which
-``json`` refuses in words that differ between Python versions. Every
+U+3000, and inflected words that the suffix rules reduce, some in ALL CAPS).
+On it, it also runs ``analyze --plots --lemmas`` with a custom lemma table
+that loads (``lenses`` and ``lens`` both map to ``lens``, which a suffix rule
+would shorten), and with one that is refused (``lenses`` to ``lens`` alone).
+It also runs ``analyze --lenient`` and ``preprocess
+--lenient`` on a third corpus, so that skip reports are compared too: it
+repeats an id holding U+31350, a letter newer than some interpreters'
+Unicode tables, and has one malformed record. It runs ``analyze --plots`` on
+an awkward CSV corpus, so that CSV line splitting is compared too: LF, CRLF
+and bare-CR line endings, and quoted fields holding CR, LF, CRLF, U+2028,
+U+0085 and doubled quotes; and on a JSONL whose second record holds a
+5,000-digit integer, past the digit limit of ``int()``, which loads on every
+interpreter. Last, it runs ``analyze``, strict and ``--lenient``, on three
+CSVs that the reader refuses: one with an unclosed quote, one with text
+after a closing quote, and one with a NUL on the second line of a quoted
+record, which Python 3.10's reader refuses itself and later ones read as
+data. Every
 report records the config digest, whose SHA-256 comes from the ``_sha256``
 module on 3.10 and 3.11 and from ``_sha2`` on 3.12 and later. For each
 interpreter and run whose exit status, last stderr line (for a failed run,
@@ -66,7 +70,11 @@ AWKWARD_TEXTS = ("ΟΔΟΣ ΣΑΣ: the GREAT wind farm ΣΑΣ!",
                  "!!! wind ... turbines ### great !!!",
                  "\u03a3 \u03c2 \u03c3 \u0391\u03a3\u0301 \u03a3-\u03a3 wind turbines",
                  "AGREED: \u00c9NORME worries, beaches and FARMING! the speeds feed "
-                 "cabled turbines, agreed SKIES WORRIED")
+                 "cabled turbines, agreed SKIES WORRIED",
+                 "the LENS and the lenses look great on the turbines")
+# a custom lemma table that loads, and one whose lemma a suffix rule shortens
+LEMMA_TABLES = {"lemmas": "lenses\tlens\nlens\tlens\nturbines\tturbine\nworried\tworry\n",
+                "bad-lemmas": "lenses\tlens\n"}
 
 RUNS = {
     "analyze": ["analyze", "--plots"],
@@ -84,15 +92,14 @@ CSV_RECORDS = ("id,text,source_group,timestamp\n",
                'sep,"good\u2028wind\u0085farm whales, \u00c9NORME turbines",,\r\n',
                '"cr\rid","terrible\rnoisy cables\u2028hurt whales",,\r',
                '"lf\nid",short,,')  # too short: a dropped item; no final line break
-CSV_RUNS = {"analyze": RUNS["analyze"]}
+ANALYZE_RUNS = {"analyze": RUNS["analyze"]}
+LONG_INT_JSONL = ('{"id": "a", "text": "good wind farm"}\n'
+                  '{"id": "b", "text": "great turbines", "x": 1%s}\n' % ("0" * 5_000))
 # each fails with one ERROR line naming the line where record b starts
 BAD_CORPORA = {
     "csv-unclosed-quote.csv": 'id,text\na,good wind farm\nb,"great turbines\nc,clean energy\n',
     "csv-text-after-quote.csv": 'id,text\na,good wind farm\nb,"x"y\nc,clean energy\n',
     "csv-nul-second-line.csv": 'id,text\na,good wind farm\nb,"great\nturbines\x00"\nc,clean\n',
-    "jsonl-int-too-long.jsonl": ('{"id": "a", "text": "good wind farm"}\n'
-                                 '{"id": "b", "text": "great turbines", "x": 1%s}\n'
-                                 % ("0" * 5_000)),
 }
 BAD_RUNS = {"analyze": RUNS["analyze"], "analyze-lenient": ["analyze", "--lenient"]}
 LENIENT_RUNS = {
@@ -216,11 +223,19 @@ def main(argv: list[str]) -> int:
         return 0 if argv else 2
     with tempfile.TemporaryDirectory(prefix="windsent-cross-python-") as tmp:
         tmp_path = Path(tmp)
+        awkward_runs = dict(RUNS)
+        for name, text in LEMMA_TABLES.items():
+            path = tmp_path / f"{name}.tsv"
+            path.write_text(text, encoding="utf-8")
+            awkward_runs[f"analyze-{name}"] = [*RUNS["analyze"], "--lemmas", str(path)]
+        long_int = tmp_path / "jsonl-int-too-long.jsonl"
+        long_int.write_text(LONG_INT_JSONL, encoding="utf-8")
         corpora = {"golden": (GOLDEN_CORPUS, RUNS),
-                   "awkward": (write_awkward_corpus(tmp_path / "awkward.jsonl"), RUNS),
+                   "awkward": (write_awkward_corpus(tmp_path / "awkward.jsonl"), awkward_runs),
                    "lenient": (write_lenient_corpus(tmp_path / "lenient.jsonl"),
                                LENIENT_RUNS),
-                   "csv": (write_csv_corpus(tmp_path / "awkward.csv"), CSV_RUNS)}
+                   "csv": (write_csv_corpus(tmp_path / "awkward.csv"), ANALYZE_RUNS),
+                   long_int.stem: (long_int, ANALYZE_RUNS)}
         for name, text in BAD_CORPORA.items():
             path = tmp_path / name
             path.write_text(text, encoding="utf-8")
