@@ -71,19 +71,25 @@ def _build_config(args: argparse.Namespace):
     return build_run_config(file_values, _flag_values(args))
 
 
+def _say(line: str) -> None:
+    """Print ``line``, backslash-escaping what stdout cannot encode, as stderr does."""
+    encoding = sys.stdout.encoding or "utf-8"
+    print(line.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _build_config(args)
     result = pipeline.run_analyze(config)
-    print(f"analyzed {result.corpus_size} comments "
-          f"({result.kept_count} kept, {result.dropped_count} dropped) "
-          f"-> {config.out_dir}")
+    _say(f"analyzed {result.corpus_size} comments "
+         f"({result.kept_count} kept, {result.dropped_count} dropped) "
+         f"-> {config.out_dir}")
     return 0
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     config = _build_config(args)
     out_path = pipeline.run_preprocess_only(config, config.out_dir)
-    print(f"wrote cleaned corpus -> {out_path}")
+    _say(f"wrote cleaned corpus -> {out_path}")
     return 0
 
 
@@ -112,17 +118,17 @@ def cmd_top_words(args: argparse.Namespace) -> int:
     if args.out is None:
         for (engine, side), entries in wanted.items():
             print(f"# {engine} {side}")
-            print(report_mod.ranking_csv_text(entries), end="")
+            _say(report_mod.ranking_csv_text(entries).removesuffix("\n"))
         return 0
     for path in report_mod.write_ranking_files(wanted, parse_path(args.out, "out")):
-        print(f"wrote {path}")
+        _say(f"wrote {path}")
     return 0
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
     written = svgplots.render_report_plots(_read_report(args.report),
                                            parse_path(args.out, "out"))
-    print(f"wrote {len(written)} SVG files -> {args.out}")
+    _say(f"wrote {len(written)} SVG files -> {args.out}")
     return 0
 
 

@@ -16,6 +16,7 @@ that cleaning leaves unchanged, so corpus tokens can match it and cleaning's
 output stays a fixpoint of cleaning. A key may appear once per file. Every
 invariant is checked at load time; a file that violates one never produces
 a partially valid lexicon or table, and the error names the file and line.
+``PreprocessConfig`` checks a hand-built lemma table by the same rule.
 Each lexicon kind loads into an immutable type that holds its table alone,
 read directly and safe for concurrent lookup; an entry keeps only what
 scoring reads. A synset row's id (unique per file), tag and lemmas are
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 import string
 from pathlib import Path
-from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import FrozenRecord, WindsentError, data_lines
 
@@ -289,9 +290,7 @@ def _load_synset(path: Path) -> SynsetLexicon:
             raise MalformedEntryError(lineno, f"sense_rank is not an integer: {fields[4]!r}") from None
         if sense_rank < 1:
             raise MalformedEntryError(lineno, f"sense_rank {sense_rank} not positive")
-        lemmas = [_check_word(w, lineno) for w in fields[5].split(",") if w]
-        if not lemmas:
-            raise MalformedEntryError(lineno, "empty lemma set")
+        lemmas = [_check_word(w, lineno) for w in fields[5].split(",")]
         entry = SynsetEntry(pos_score, neg_score, sense_rank)
         for lemma in lemmas:
             key = (lemma, pos_tag, sense_rank)
@@ -329,11 +328,11 @@ def load_lexicon(path: str | Path, kind: str) -> AnyLexicon:
     return _load(_LOADERS[kind], path)
 
 
-def _parse_table(path: Path) -> tuple[dict[str, str], list[int]]:
-    """A two-column table, and the line of each of its rows in key order."""
+def _parse_table(rows: Iterator[tuple[int, Sequence[str]]]) -> tuple[dict[str, str], list[int]]:
+    """A two-column table of (line, (key, value)) rows, and each row's line in key order."""
     table: dict[str, str] = {}
     lines = []
-    for lineno, (key, value) in _rows(path, 2):
+    for lineno, (key, value) in rows:
         _put(table, _check_word(key, lineno), _check_word(value, lineno), lineno)
         lines.append(lineno)
     return table, lines
@@ -341,11 +340,16 @@ def _parse_table(path: Path) -> tuple[dict[str, str], list[int]]:
 
 def load_table(path: str | Path) -> dict[str, str]:
     """A two-column ``key<TAB>value`` table such as the POS table."""
-    return _load(_parse_table, path)[0]
+    return _load(lambda p: _parse_table(_rows(p, 2))[0], path)
 
 
-def _parse_lemmas(path: Path) -> dict[str, str]:
-    table, lines = _parse_table(path)
+def check_lemma_table(rows: Iterator[tuple[int, Sequence[str]]]) -> dict[str, str]:
+    """The lemma-table rule, for a file's rows and a hand-built table alike:
+    the table of (line, (inflected, lemma)) rows, each word one clean token
+    and every lemma final: a key that maps to itself, or no key and a word
+    that no suffix rule shortens. The first row that breaks it, words first,
+    raises a ``MalformedEntryError`` naming its line."""
+    table, lines = _parse_table(rows)
     for lineno, lemma in zip(lines, table.values()):
         to = table.get(lemma) or suffix_lemma(lemma)
         if to not in (None, lemma):
@@ -355,9 +359,8 @@ def _parse_lemmas(path: Path) -> dict[str, str]:
 
 
 def load_lemmas(path: str | Path) -> dict[str, str]:
-    """An ``inflected<TAB>lemma`` table whose every lemma is final: a key that
-    maps to itself, or no key and a word that no suffix rule shortens."""
-    return _load(_parse_lemmas, path)
+    """An ``inflected<TAB>lemma`` table, by ``check_lemma_table``."""
+    return _load(lambda p: check_lemma_table(_rows(p, 2)), path)
 
 
 def load_stopwords(path: str | Path = DEFAULT_STOPWORDS_PATH) -> frozenset[str]:

@@ -80,12 +80,8 @@ def _load_collection(config: RunConfig) -> tuple[corpus.CommentCollection,
 
 
 def _preprocess_config(config: RunConfig) -> PreprocessConfig:
-    return preprocess.default_config(
-        stopwords_path=config.stopwords_path,
-        lemmas_path=config.lemmas_path,
-        min_token_count=config.min_token_count,
-        apply_lemmatization=config.apply_lemmatization,
-    )
+    return preprocess.default_config(config.stopwords_path, config.lemmas_path,
+                                     config.min_token_count, config.apply_lemmatization)
 
 
 def _update_skip_report(skipped: tuple[corpus.SkippedRecord, ...], path: Path) -> None:

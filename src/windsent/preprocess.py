@@ -16,14 +16,16 @@ stored, which keeps a corpus of mostly distinct words from growing it
 without bound.
 
 Idempotence guarantee: re-running the pipeline over the space-joined token
-output reproduces the token sequence exactly. Hence every lemma is final
-(``lexicons.load_lemmas``), so ``lemmatize`` ends on a fixpoint of itself,
-stopwords are filtered once more after lemmatization ("ours" -> "our" may
-land on a stopword), and every lemma-table key and value is one clean token.
+output reproduces the token sequence exactly. Hence every lemma is final, so
+``lemmatize`` ends on a fixpoint of itself, stopwords are filtered once more
+after lemmatization ("ours" -> "our" may land on a stopword), and every
+lemma-table key and value is one clean token: ``PreprocessConfig`` checks
+its table by the loader's rule, ``lexicons.check_lemma_table``.
 
-The stopword list and lemma table are read, and their words checked, by
-``windsent.lexicons`` on every ``default_config`` call, so a rewritten file
-is read afresh and no two configs share a lemma table.
+The stopword list and, only when lemmatizing, the lemma table are read, and
+their words checked, by ``windsent.lexicons`` on every ``default_config``
+call, so a rewritten file is read afresh and no two configs share a lemma
+table.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import CommentCollection
-from .lexicons import (DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, load_lemmas,
-                       load_stopwords, normalize_piece, suffix_lemma)
+from .lexicons import (DEFAULT_LEMMAS_PATH, DEFAULT_STOPWORDS_PATH, MalformedEntryError,
+                       check_lemma_table, load_lemmas, load_stopwords, normalize_piece,
+                       suffix_lemma)
 
 MEMO_CAP = 4096
 _UNSEEN = object()
@@ -41,9 +44,8 @@ _UNSEEN = object()
 
 class _PreprocessFields(NamedTuple):
     stopwords: frozenset[str]
-    lemma_table: Mapping[str, str]
+    lemma_table: Mapping[str, str] | None  # None: no lemmatization
     min_token_count: int = 3
-    apply_lemmatization: bool = True
 
 
 class PreprocessConfig(_PreprocessFields):
@@ -53,6 +55,11 @@ class PreprocessConfig(_PreprocessFields):
         config = super().__new__(cls, *fields, **named)
         if config.min_token_count < 1:
             raise ValueError("min_token_count must be >= 1")
+        if config.lemma_table is not None:
+            try:
+                check_lemma_table(enumerate(config.lemma_table.items(), 1))
+            except MalformedEntryError as exc:
+                raise ValueError(f"lemma_table: {exc.reason}") from None
         return config
 
     @classmethod
@@ -60,16 +67,14 @@ class PreprocessConfig(_PreprocessFields):
         return cls(*fields)
 
 
-def default_config(
-    stopwords_path: str | Path | None = None,
-    lemmas_path: str | Path | None = None,
-    **overrides,
-) -> PreprocessConfig:
-    """Config backed by the bundled stopword list and lemma table; both
-    paths are overridable."""
-    stop = load_stopwords(stopwords_path or DEFAULT_STOPWORDS_PATH)
-    table = load_lemmas(lemmas_path or DEFAULT_LEMMAS_PATH)
-    return PreprocessConfig(stopwords=stop, lemma_table=table, **overrides)
+def default_config(stopwords_path: str | Path = DEFAULT_STOPWORDS_PATH,
+                   lemmas_path: str | Path = DEFAULT_LEMMAS_PATH, min_token_count: int = 3,
+                   apply_lemmatization: bool = True) -> PreprocessConfig:
+    """Config backed by a stopword list and, when lemmatizing, a lemma table
+    (the bundled ones by default); the lemma file is read only then."""
+    stop = load_stopwords(stopwords_path)
+    table = load_lemmas(lemmas_path) if apply_lemmatization else None
+    return PreprocessConfig(stop, table, min_token_count)
 
 
 class CleanedDocument(NamedTuple):
@@ -90,8 +95,8 @@ def normalize(text: str) -> str:
 def lemmatize(token: str, table: Mapping[str, str]) -> str:
     """Dictionary lemma when the token is in the table, else suffix-rule
     fallback, iterated to a fixpoint. Unknown tokens pass through. The
-    table's lemmas are final (``load_lemmas``), so the walk ends at the first
-    key it reaches; a token whose last letter no rule reads ends it at once."""
+    table's lemmas are final (``check_lemma_table``), so the walk ends at the
+    first key it reaches; a token whose last letter no rule reads ends it at once."""
     while token not in table:
         if token[-1:] not in "sgd" or (reduced := suffix_lemma(token)) is None:
             return token
@@ -108,7 +113,7 @@ def _clean_text(text: str | None, config: PreprocessConfig,
     if not pieces:
         return (), "null"
     stopwords = config.stopwords
-    table = config.lemma_table if config.apply_lemmatization else None
+    table = config.lemma_table
     tokens = []
     seen = memo.get
     to_word = normalize_piece

@@ -148,8 +148,13 @@ class TestSynsetLoading:
         # stripping the line drops an empty leading field, so the row is short
         ("\tadj\t0.5\t0.0\t1\ty", MalformedEntryError, "expected 6 fields, got 5"),
         ("x.a.01\tadj\t0.5\t0.0\t2\ty", DuplicateWordError, "duplicate word 'x.a.01'"),
-        ("y.a.01\tadj\t0.5\t0.0\t1\t,", MalformedEntryError, "empty lemma set"),
-    ], ids=["empty-synset-id", "repeated-synset-id", "empty-lemma-list"])
+        # each item of the lemma list is a word, an empty one too
+        ("y.a.01\tadj\t0.5\t0.0\t1\t,", MalformedEntryError, "not one clean token: ''"),
+        ("y.a.01\tadj\t0.5\t0.0\t1\tzorp,,blorp", MalformedEntryError,
+         "not one clean token: ''"),
+        ("y.a.01\tadj\t0.5\t0.0\t1\tzorp,", MalformedEntryError, "not one clean token: ''"),
+    ], ids=["empty-synset-id", "repeated-synset-id", "empty-lemma-list", "empty-middle-lemma",
+            "empty-last-lemma"])
     def test_synset_row_refused(self, tmp_path, row, error, reason):
         text = "x.a.01\tadj\t0.5\t0.0\t1\tx\n" + row + "\n"
         with pytest.raises(error) as exc:

@@ -1,4 +1,6 @@
 import string
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from windsent import preprocess
 from windsent.corpus import Comment, CommentCollection
-from windsent.lexicons import PUNCTUATION, URL_PREFIXES
+from windsent.lexicons import PUNCTUATION, URL_PREFIXES, MalformedEntryError, load_lemmas
 from windsent.preprocess import (
     MEMO_CAP,
     CleanedDocument,
@@ -37,8 +39,7 @@ class TestNormalize:
 def _split_only(stopwords=frozenset()):
     # no lemmatization and no length threshold: only the split and
     # the stopword filter act
-    return PreprocessConfig(stopwords=stopwords, lemma_table={}, min_token_count=1,
-                            apply_lemmatization=False)
+    return PreprocessConfig(stopwords=stopwords, lemma_table=None, min_token_count=1)
 
 
 class TestTokenize:
@@ -239,7 +240,7 @@ def _multipass_preprocess_text(text, config):
         return (), "null"
     tokens = _generator_normalize(text).split()
     tokens = [t for t in tokens if t not in config.stopwords]
-    if config.apply_lemmatization:
+    if config.lemma_table is not None:
         tokens = [lemmatize(t, config.lemma_table) for t in tokens]
     tokens = [t for t in tokens if t not in config.stopwords]
     if len(tokens) < config.min_token_count:
@@ -250,7 +251,7 @@ def _multipass_preprocess_text(text, config):
 # the middle case puts the lemma "our" of "ours" among the stopwords, so the
 # stopword test after lemmatizing drops a word the first one kept
 @pytest.mark.parametrize("overrides", [{}, {"stopwords": frozenset({"our", "the", "turbine"})},
-                                       {"apply_lemmatization": False, "min_token_count": 1}])
+                                       {"lemma_table": None, "min_token_count": 1}])
 @given(text=st.one_of(comment_texts, st.none()))
 @settings(max_examples=200, deadline=None)
 def test_preprocess_text_matches_multipass(overrides, text):
@@ -289,7 +290,7 @@ def _memo_sizes(collection, config):
 
 
 @pytest.mark.parametrize("overrides", [
-    {}, {"apply_lemmatization": False},
+    {}, {"lemma_table": None},
     # "ours" is kept by the first stopword test and dropped only as "our"
     {"stopwords": frozenset({"our", "the", "turbine"})},
 ], ids=["default", "no-lemmatize", "stopword-after-lemma"])
@@ -335,6 +336,70 @@ def test_url_pieces_take_no_memo_slot():
 def test_config_rejects_zero_threshold():
     with pytest.raises(ValueError):
         PreprocessConfig(stopwords=frozenset(), lemma_table={}, min_token_count=0)
+
+
+def test_config_fields():
+    # no lemma table is no lemmatization: one field for one decision
+    assert PreprocessConfig._fields == ("stopwords", "lemma_table", "min_token_count")
+
+
+# hand-built tables whose cleaning is not idempotent, each refused by load_lemmas
+# too: "cat" cleaned to "dog", and "dog" to "cow"; "cats" to "Dog", then "dog"
+@pytest.mark.parametrize("table,reason", [
+    ({"cat": "dog", "dog": "cow"}, "lemma 'dog' is not final: the table maps it to 'cow'"),
+    ({"cats": "Dog"}, "not one clean token: 'Dog'"),
+    ({"cats": "dog!"}, "not one clean token: 'dog!'"),
+    ({"cats": "do g"}, "not one clean token: 'do g'"),
+], ids=["not-final", "upper-case", "punctuation", "space"])
+def test_config_refuses_a_table_that_breaks_the_lemma_table_rule(table, reason):
+    message = f"^lemma_table: {reason}$"
+    with pytest.raises(ValueError, match=message):
+        PreprocessConfig(frozenset(), table, 1)
+    with pytest.raises(ValueError, match=message):
+        PreprocessConfig(frozenset(), None, 1)._replace(lemma_table=table)
+
+
+@pytest.mark.parametrize("table", [None, "lenses\tlens\n"], ids=["missing", "not-final"])
+def test_default_config_reads_no_lemma_file_unless_lemmatizing(tmp_path, table):
+    path = tmp_path / "lemmas.tsv"
+    if table is not None:
+        path.write_text(table, encoding="utf-8")
+    config = default_config(lemmas_path=path, min_token_count=1, apply_lemmatization=False)
+    assert config.lemma_table is None
+    assert preprocess_text("the lenses", config) == (("lenses",), None)
+
+
+# words near the suffix rules, some not clean tokens; none starts with '#' or
+# holds whitespace, so a file keeps each row as written
+_rule_words = st.one_of(st.text("adegins", min_size=1, max_size=7),
+                        st.text("adegins!D", min_size=1, max_size=7))
+# half of them with a self-map for each lemma, which makes every lemma final
+_rule_tables = st.tuples(st.dictionaries(_rule_words, _rule_words, max_size=5), st.booleans()).map(
+    lambda drawn: {**drawn[0], **{lemma: lemma for lemma in drawn[0].values()}} if drawn[1]
+    else drawn[0])
+
+
+@given(table=_rule_tables, words=st.lists(_rule_words, max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_config_refuses_exactly_the_tables_load_lemmas_refuses(table, words):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lemmas.tsv"
+        path.write_text("".join(f"{key}\t{lemma}\n" for key, lemma in table.items()),
+                        encoding="utf-8")
+        try:
+            refusal = None if load_lemmas(path) == table else "loaded another table"
+        except MalformedEntryError as exc:
+            refusal = f"lemma_table: {exc.reason}"
+    try:
+        config = PreprocessConfig(frozenset({"in"}), table, 1)
+    except ValueError as exc:
+        assert str(exc) == refusal
+        return
+    assert refusal is None
+    for word in [*table, *table.values(), *words]:
+        for token in (word, word + "s", word + "es", word + "ing", word + "ed"):
+            once, _ = preprocess_text(token, config)
+            assert preprocess_text(" ".join(once), config)[0] == once
 
 
 def test_cleaned_document_flags():

@@ -77,7 +77,7 @@ PAIRS = [
     (SYNSET, SynsetLexicon({("good", "noun"): (SYNSET_ENTRY,)})),
     (LexiconSet(VALENCE, PATTERN, SYNSET), LexiconSet(ValenceLexicon({}), PATTERN, SYNSET)),
     (PreprocessConfig(frozenset({"the"}), {"winds": "wind"}),
-     PreprocessConfig(frozenset({"the"}), {"winds": "wind"}, apply_lemmatization=False)),
+     PreprocessConfig(frozenset({"the"}), None)),
     (RunConfig(Path("in.jsonl"), "jsonl", Path("out")),
      RunConfig(Path("in.jsonl"), "jsonl", Path("out"), top_n=5)),
 ]

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from windsent.config import (
 )
 from windsent.engines import ENGINES
 from windsent.errors import WindsentError
-from windsent.lexicons import LexiconFileError
+from windsent.lexicons import LexiconFileError, bundled_lexicon_dir
 from windsent.pipeline import run_analyze, run_preprocess_only
 from windsent.report import SIDES, ranking_csv_text
 from windsent.svgplots import CHART_FILES
@@ -749,6 +750,77 @@ def test_output_tree_does_not_depend_on_the_hash_seed(golden_corpus_path, tmp_pa
     assert trees[0] == trees[1]
 
 
+def _files(path: Path) -> dict[str, bytes]:
+    """The bytes of the file at ``path``, or of each file under it."""
+    if path.is_file():
+        return {".": path.read_bytes()}
+    return {p.relative_to(path).as_posix(): p.read_bytes()
+            for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", [["analyze", "--plots"], ["preprocess"]],
+                         ids=["analyze", "preprocess"])
+@pytest.mark.parametrize("table", [None, "lenses\tlens\n"], ids=["missing", "not-final"])
+def test_no_lemmatize_reads_no_lemma_table(golden_corpus_path, tmp_path, capsys, command, table):
+    # named lemmas.tsv, as the bundled table is, so that the config digest is the same
+    lemmas = tmp_path / "given" / "lemmas.tsv"
+    if table is not None:
+        lemmas.parent.mkdir()
+        lemmas.write_text(table, encoding="utf-8")
+    outputs = []
+    for extra in ([], ["--lemmas", str(lemmas)]):
+        out = tmp_path / f"out{len(outputs)}"
+        assert main([*command, "--input", str(golden_corpus_path), "--no-lemmatize",
+                     *extra, "--out", str(out)]) == 0
+        outputs.append(_files(out))
+    assert capsys.readouterr().err == ""
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_success_lines_escape_a_path_that_stdout_cannot_encode(golden_corpus_path, tmp_path):
+    # a strict UTF-8 stdout, as under a UTF-8 locale, cannot print a path's
+    # non-UTF-8 byte (\xff, decoded as the lone surrogate \udcff): each
+    # command prints it backslash-escaped, as an ERROR line on stderr does
+    python_path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8:strict", "PYTHONPATH": python_path}
+    trees = []
+    for name in ("plain", "odd\udcff"):
+        base = tmp_path / name
+        base.mkdir()
+        report = str(base / "analyze" / "report.json")
+        for args in (["analyze", "--plots", "--input", str(golden_corpus_path)],
+                     ["preprocess", "--input", str(golden_corpus_path)],
+                     ["top-words", "--report", report], ["plot", "--report", report]):
+            out = base / (args[0] + (".jsonl" if args[0] == "preprocess" else ""))
+            result = subprocess.run([sys.executable, "-m", "windsent.cli", *args,
+                                     "--out", str(out)], env=env, capture_output=True)
+            assert result.returncode == 0, result.stderr
+            assert b"Traceback" not in result.stderr
+            assert (b"odd\\udcff" in result.stdout) == (name != "plain")
+        trees.append(_files(base))
+    assert len(trees[0]) == 1 + (2 + 6 + len(CHART_FILES)) + 6 + len(CHART_FILES)
+    assert trees[0] == trees[1]
+
+
+def test_top_words_escapes_a_word_that_stdout_cannot_encode(tmp_path):
+    lexicons = tmp_path / "lexicons"
+    shutil.copytree(bundled_lexicon_dir(), lexicons)
+    with open(lexicons / "valence.tsv", "a", encoding="utf-8") as handle:
+        handle.write("\u00e9olienne\t3.0\n")
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"id": "a", "text": "\u00e9olienne great wind"}\n', encoding="utf-8")
+    assert main(["analyze", "--input", str(corpus), "--lexicons", str(lexicons),
+                 "--out", str(tmp_path / "out")]) == 0
+    python_path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "windsent.cli", "top-words", "--report",
+         str(tmp_path / "out" / "report.json"), "--engine", "valence_rule", "--side", "positive"],
+        env={**os.environ, "PYTHONIOENCODING": "ascii:strict", "PYTHONPATH": python_path},
+        capture_output=True)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == b"# valence_rule positive\nword,frequency\ngreat,1\n\\xe9olienne,1\n"
+
+
 CROSS_PYTHON = SRC.parent / "tools" / "cross_python.py"
 
 
@@ -776,8 +848,9 @@ def test_cross_python_names_a_file_that_differs(tmp_path):
                             capture_output=True, text=True)
     assert result.returncode == 1, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    # two analyze runs on each of two corpora, one on each other, and one with custom lemmas
-    assert len(lines) == 8
+    # two analyze runs on each of two corpora, one on each other, one with custom lemmas,
+    # and one that does not lemmatize, given a table that is refused
+    assert len(lines) == 9
     assert lines[0].startswith(f"DIFFERS {fake}: golden/analyze: comments.csv differs at line ")
 
 

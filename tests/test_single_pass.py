@@ -340,7 +340,7 @@ def joint_transform_token(token, config):
     while current not in seen:
         seen.add(current)
         candidate = current
-        if config.apply_lemmatization:
+        if config.lemma_table is not None:
             candidate = lemmatize(candidate, table=config.lemma_table)
         if candidate == current:
             return current
@@ -499,13 +499,15 @@ def test_lemma_table_cycle_ends_on_a_fixpoint(tmp_path):
         assert lemmatize(token, table=table) == "farms"
 
 
+# less each row holding an empty word, which is not one clean token
 @pytest.mark.parametrize("lemmatization", [True, False])
-@given(table=_lemma_tables, token=_lemma_words)
+@given(table=_lemma_tables.map(lambda table: {key: lemma for key, lemma in table.items()
+                                              if key and lemma}), token=_lemma_words)
 @example(table={"farm": "farms", "farms": "farms"}, token="farming")
 @settings(max_examples=500, deadline=None)
 def test_transform_token_matches_joint_loop(lemmatization, table, token):
-    config = PreprocessConfig(stopwords=frozenset(), lemma_table=table, min_token_count=1,
-                              apply_lemmatization=lemmatization)
+    config = PreprocessConfig(stopwords=frozenset(), lemma_table=table if lemmatization else None,
+                              min_token_count=1)
     expected = (joint_transform_token(token, config),) if token else ()
     assert preprocess_text(token, config)[0] == expected
 

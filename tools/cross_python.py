@@ -16,8 +16,9 @@ upper-case URLs, punctuation-only pieces, words parted by NBSP, U+2028 or
 U+3000, and inflected words that the suffix rules reduce, some in ALL CAPS).
 On it, it also runs ``analyze --plots --lemmas`` with a custom lemma table
 that loads (``lenses`` and ``lens`` both map to ``lens``, which a suffix rule
-would shorten), and with one that is refused (``lenses`` to ``lens`` alone).
-It also runs ``analyze --lenient`` and ``preprocess
+would shorten), and with one that is refused (``lenses`` to ``lens`` alone);
+and ``analyze --plots --no-lemmatize`` given that refused table, which it
+never reads. It also runs ``analyze --lenient`` and ``preprocess
 --lenient`` on a third corpus, so that skip reports are compared too: it
 repeats an id holding U+31350, a letter newer than some interpreters'
 Unicode tables, and has one malformed record. It runs ``analyze --plots`` on
@@ -228,6 +229,8 @@ def main(argv: list[str]) -> int:
             path = tmp_path / f"{name}.tsv"
             path.write_text(text, encoding="utf-8")
             awkward_runs[f"analyze-{name}"] = [*RUNS["analyze"], "--lemmas", str(path)]
+        awkward_runs["analyze-no-lemmatize"] = [*RUNS["analyze"], "--no-lemmatize", "--lemmas",
+                                                str(tmp_path / "bad-lemmas.tsv")]
         long_int = tmp_path / "jsonl-int-too-long.jsonl"
         long_int.write_text(LONG_INT_JSONL, encoding="utf-8")
         corpora = {"golden": (GOLDEN_CORPUS, RUNS),
