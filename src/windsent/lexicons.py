@@ -26,6 +26,7 @@ checked, but kept only as the table's (lemma, tag) keys.
 from __future__ import annotations
 
 import math
+import re
 import string
 from pathlib import Path
 from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple, Sequence, TypeVar
@@ -46,10 +47,9 @@ URL_PREFIXES = ("http://", "https://", "www.")  # cleaning drops a piece startin
 # the characters cleaning deletes, so no data-file word may hold one
 PUNCTUATION = frozenset(string.punctuation)
 DELETE_PUNCTUATION = str.maketrans(dict.fromkeys(PUNCTUATION))
-# the characters outside XML 1.0's Char (controls but tab, LF and CR;
+# a character outside XML 1.0's Char (controls but tab, LF and CR;
 # surrogates; U+FFFE, U+FFFF), which no SVG chart can hold
-NOT_XML_CHARS = frozenset(map(chr, [*range(0x9), 0xB, 0xC, *range(0xE, 0x20),
-                                    *range(0xD800, 0xE000), 0xFFFE, 0xFFFF]))
+NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 _VOWELS = frozenset("aeiou")
 
 
@@ -215,7 +215,7 @@ def _check_word(word: str, lineno: int) -> str:
     case, no punctuation and no URL prefix; and no control character, so a
     chart can draw it."""
     if (word.split() != [word] or normalize_piece(word) != word
-            or not NOT_XML_CHARS.isdisjoint(word)):
+            or NOT_XML_CHAR.search(word)):
         raise MalformedEntryError(lineno, f"not one clean token: {word!r}")
     return word
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import analytics, corpus, engines, preprocess, report as report_mod, svgplots
-from .analytics import LabeledComment
 from .config import RunConfig
 from .errors import remove_file, write_file
 from .lexicons import LexiconSet, load_lexicon_set
@@ -25,35 +24,27 @@ def analyze_collection(collection: corpus.CommentCollection,
     dropped = tuple((doc.comment_id, doc.drop_reason)
                     for doc in documents if doc.dropped)
 
-    rows = []
-    labeled: dict[str, list[LabeledComment]] = {engine: [] for engine in engines.ENGINES}
-    pattern_scores = []
     mode, disambiguation, epsilon = config.mode, config.disambiguation, config.epsilon
-    for doc in kept:
-        scores = engines.score_all(doc, lexicons, mode=mode, disambiguation=disambiguation)
-        labels = {}
-        for engine, score in zip(engines.ENGINES, scores):
-            item = analytics.label_comment(doc.comment_id, score, epsilon)
-            labeled[engine].append(item)
-            labels[engine] = item.label
-        pattern_scores.append(scores.pattern_avg)
-        rows.append(report_mod.CommentRow(doc.comment_id, scores, labels))
+    scores = [engines.score_all(doc, lexicons, mode=mode, disambiguation=disambiguation)
+              for doc in kept]
+    histogram = analytics.subjectivity_histogram([s.pattern_avg for s in scores], config.bin_count)
 
-    distributions = {
-        engine: analytics.distribution(labeled[engine], engine)
-        for engine in engines.ENGINES
-    }
-    histogram = analytics.subjectivity_histogram(pattern_scores, config.bin_count)
-
-    # every document, so that top_words rejects a repeated id among dropped ones too
-    rankings = {}
-    for engine in engines.ENGINES:
+    # one engine at a time, so that one engine's LabeledComments are alive at once;
+    # top_words gets every document, to reject a repeated id among dropped ones too
+    distributions, rankings, label_columns = {}, {}, []
+    for index, engine in enumerate(engines.ENGINES):
+        labeled = [analytics.label_comment(doc.comment_id, engine_scores[index], epsilon)
+                   for doc, engine_scores in zip(kept, scores)]
+        distributions[engine] = analytics.distribution(labeled, engine)
         lexicon = getattr(lexicons, engines.ENGINE_LEXICONS[engine].kind)
-        rankings[engine] = {
-            side: analytics.top_words(documents, labeled[engine], lexicon,
-                                      engine, side, config.top_n)
-            for side in report_mod.SIDES
-        }
+        rankings[engine] = {side: analytics.top_words(documents, labeled, lexicon, engine, side,
+                                                      config.top_n)
+                            for side in report_mod.SIDES}
+        label_columns.append([item.label for item in labeled])
+        del labeled
+    rows = tuple(report_mod.CommentRow(doc.comment_id, engine_scores,
+                                       dict(zip(engines.ENGINES, labels)))
+                 for doc, engine_scores, *labels in zip(kept, scores, *label_columns))
 
     return report_mod.AnalysisReport(
         config_digest=config.digest(),
@@ -64,7 +55,7 @@ def analyze_collection(collection: corpus.CommentCollection,
         pipeline_mode=config.mode,
         epsilon=config.epsilon,
         top_n=config.top_n,
-        comments=tuple(rows),
+        comments=rows,
         dropped=dropped,
         distributions=distributions,
         histogram=histogram,

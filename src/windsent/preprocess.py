@@ -20,7 +20,8 @@ output reproduces the token sequence exactly. Hence every lemma is final, so
 ``lemmatize`` ends on a fixpoint of itself, stopwords are filtered once more
 after lemmatization ("ours" -> "our" may land on a stopword), and every
 lemma-table key and value is one clean token: ``PreprocessConfig`` checks
-its table by the loader's rule, ``lexicons.check_lemma_table``.
+its table by the loader's rule, ``lexicons.check_lemma_table``, and keeps
+the copy that returns.
 
 The stopword list and, only when lemmatizing, the lemma table are read, and
 their words checked, by ``windsent.lexicons`` on every ``default_config``
@@ -55,12 +56,13 @@ class PreprocessConfig(_PreprocessFields):
         config = super().__new__(cls, *fields, **named)
         if config.min_token_count < 1:
             raise ValueError("min_token_count must be >= 1")
-        if config.lemma_table is not None:
-            try:
-                check_lemma_table(enumerate(config.lemma_table.items(), 1))
-            except MalformedEntryError as exc:
-                raise ValueError(f"lemma_table: {exc.reason}") from None
-        return config
+        if config.lemma_table is None:
+            return config
+        try:
+            table = check_lemma_table(enumerate(config.lemma_table.items(), 1))
+        except MalformedEntryError as exc:
+            raise ValueError(f"lemma_table: {exc.reason}") from None
+        return tuple.__new__(cls, (config.stopwords, table, config.min_token_count))
 
     @classmethod
     def _make(cls, fields):  # _replace builds through _make, so it checks too

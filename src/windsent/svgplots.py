@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 from .analytics import NEGATIVE, NEUTRAL, POSITIVE
 from .engines import ENGINES
 from .errors import write_file
-from .lexicons import NOT_XML_CHARS
+from .lexicons import NOT_XML_CHAR
 from .report import SIDES
 
 PLOT_LABEL_ORDER = (POSITIVE, NEUTRAL, NEGATIVE)
@@ -233,7 +233,7 @@ def drawn_values(summary: Mapping) -> tuple[dict, list, list, dict]:
             for word, count in summary["rankings"][engine][side]:
                 if type(word) is not str:
                     raise TypeError(f"{where}: expected a word, got {word!r}")
-                if not NOT_XML_CHARS.isdisjoint(word):
+                if NOT_XML_CHAR.search(word):
                     raise ValueError(f"{where}: no SVG can hold the word {word!r}")
                 entries.append((word, _count(count, where)))
             rankings[engine, side] = entries

@@ -14,6 +14,7 @@ from windsent.lexicons import (
     SynsetEntry,
     SynsetLexicon,
     DEFAULT_LEMMAS_PATH,
+    NOT_XML_CHAR,
     ValenceLexicon,
     _check_word,
     bundled_lexicon_dir,
@@ -332,6 +333,15 @@ def test_empty_lexicon_files_load_as_empty(tmp_path):
 # lowercasing, punctuation and URL prefixes interact
 _word_chars = st.sampled_from([*"aZ_'.:/-#ßİǅΣς\u212a\u0307\u00a0\u3000\x1c\t ",
                                "www.", "http://"])
+
+
+def test_not_xml_char_matches_exactly_the_listed_code_points():
+    # controls but tab, LF and CR; surrogates; U+FFFE and U+FFFF
+    listed = {*range(0x9), 0xB, 0xC, *range(0xE, 0x20), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF}
+    disagreements = [hex(code) for code in range(0x110000)
+                     if (NOT_XML_CHAR.search(chr(code)) is not None) != (code in listed)]
+    assert disagreements == []
+    assert NOT_XML_CHAR.search("wind\x1ffarm").start() == 4
 
 
 @given(st.one_of(st.text(max_size=6),

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import string
 import tempfile
 from pathlib import Path
@@ -357,6 +359,19 @@ def test_config_refuses_a_table_that_breaks_the_lemma_table_rule(table, reason):
         PreprocessConfig(frozenset(), table, 1)
     with pytest.raises(ValueError, match=message):
         PreprocessConfig(frozenset(), None, 1)._replace(lemma_table=table)
+
+
+def test_config_keeps_its_own_copy_of_the_lemma_table():
+    # a change to the caller's dict after the check used to reach the config:
+    # "cat" then cleaned to "dog", and the config no longer pickled
+    table = {"cats": "cat"}
+    config = PreprocessConfig(frozenset(), table, 1)
+    table["cat"] = "dog"
+    assert config.lemma_table == {"cats": "cat"}
+    assert preprocess_text("cat cats", config) == (("cat", "cat"), None)
+    for twin in (pickle.loads(pickle.dumps(config)), copy.deepcopy(config)):
+        assert twin == config
+        assert preprocess_text("cat cats", twin) == (("cat", "cat"), None)
 
 
 @pytest.mark.parametrize("table", [None, "lenses\tlens\n"], ids=["missing", "not-final"])

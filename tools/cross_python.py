@@ -13,7 +13,9 @@ paper-faithful ``analyze`` run wrote for that corpus. The small corpus has
 awkward comment ids (comma, quote, CR, LF, NUL, U+2028, non-ASCII and astral
 characters) and awkward texts (Greek final sigma, dotted capital I,
 upper-case URLs, punctuation-only pieces, words parted by NBSP, U+2028 or
-U+3000, and inflected words that the suffix rules reduce, some in ALL CAPS).
+U+3000, inflected words that the suffix rules reduce, some in ALL CAPS, and
+two kept comments in which no engine finds a signal, one with no lexicon word
+and one of modifier words alone, each with ALL CAPS and exclamation marks).
 On it, it also runs ``analyze --plots --lemmas`` with a custom lemma table
 that loads (``lenses`` and ``lens`` both map to ``lens``, which a suffix rule
 would shorten), and with one that is refused (``lenses`` to ``lens`` alone);
@@ -72,7 +74,10 @@ AWKWARD_TEXTS = ("ΟΔΟΣ ΣΑΣ: the GREAT wind farm ΣΑΣ!",
                  "\u03a3 \u03c2 \u03c3 \u0391\u03a3\u0301 \u03a3-\u03a3 wind turbines",
                  "AGREED: \u00c9NORME worries, beaches and FARMING! the speeds feed "
                  "cabled turbines, agreed SKIES WORRIED",
-                 "the LENS and the lenses look great on the turbines")
+                 "the LENS and the lenses look great on the turbines",
+                 # kept, and no engine finds a signal: each scores its shared zero
+                 "ZORP blick QUANDLE fnord!!!",
+                 "Totally NEVER barely hardly!!! Somewhat")
 # a custom lemma table that loads, and one whose lemma a suffix rule shortens
 LEMMA_TABLES = {"lemmas": "lenses\tlens\nlens\tlens\nturbines\tturbine\nworried\tworry\n",
                 "bad-lemmas": "lenses\tlens\n"}
